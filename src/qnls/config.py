@@ -12,9 +12,11 @@ Grammar (INI-style, parsed strictly):
     [run]                         ; horizon, ensemble size, sweep, workers
     [params]                      ; experiment-specific knobs, typed per schema
 
-Every key is typed and defaulted by the schema below; unknown sections or
-keys are rejected (config drift guard).  Values: integers, floats (repr
-round-trip), booleans (true/false), strings, and comma-separated lists.
+Every key is typed and defaulted by a schema: the [grid] [flow] [measure]
+[run] schemas are read off the dataclass fields, [params] is listed per
+experiment below.  Unknown sections or keys are rejected (config drift
+guard).  Values: integers, floats (repr round-trip), booleans (true/false),
+strings, and comma-separated lists.
 serialize() emits a canonical form, so parse(serialize(c)) == c and replayed
 configs diff cleanly.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .flow import FlowParams
 from .measure import MeasureSpec
@@ -67,32 +69,22 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-# (type tag, default); type tags: int, float, bool, str, int_list, float_list
-_GRID_SCHEMA = {
-    "modes": ("int", 32),
-    "phys_size": ("int", 0),
-    "pad_rule": ("str", "exact_quintic"),
-    "pad_factor": ("float", 0.0),
+# a schema maps key -> (type tag, default); type tags: int, float, bool, str,
+# cutoff, int_list, float_list.  Section schemas take the tag from the field's
+# annotation through _TAGS.
+_TAGS = {
+    "int": "int",
+    "float": "float",
+    "str": "str",
+    "int | None": "cutoff",
+    "tuple[int, ...]": "int_list",
 }
-_FLOW_SCHEMA = {
-    "sigma": ("int", 1),
-    "cutoff": ("cutoff", None),
-    "integrator": ("str", "rk4"),
-    "dt": ("float", 1e-3),
-    "blowup_threshold": ("float", 1e3),
-}
-_MEASURE_SCHEMA = {
-    "s": ("float", 2.0),
-    "M": ("int", 32),
-    "base_seed": ("int", 20260810),
-}
-_RUN_SCHEMA = {
-    "t_end": ("float", 1.0),
-    "ensemble_size": ("int", 64),
-    "m_sweep": ("int_list", (16, 32, 64, 128)),
-    "workers": ("int", 1),
-    "observer_stride": ("int", 10),
-}
+
+
+def _schema(cls, **defaults) -> dict:
+    """{key: (type tag, default)} of a dataclass, in field order."""
+    return {f.name: (_TAGS[f.type], defaults.get(f.name, f.default)) for f in fields(cls)}
+
 
 PARAMS_SCHEMA: dict[str, dict] = {
     "conservation": {
@@ -159,10 +151,10 @@ PARAMS_SCHEMA: dict[str, dict] = {
 }
 
 _SECTIONS = {
-    "grid": _GRID_SCHEMA,
-    "flow": _FLOW_SCHEMA,
-    "measure": _MEASURE_SCHEMA,
-    "run": _RUN_SCHEMA,
+    "grid": _schema(GridSpec, modes=32),
+    "flow": _schema(FlowParams),
+    "measure": _schema(MeasureSpec),
+    "run": _schema(RunSettings),
 }
 
 
@@ -239,18 +231,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in known:
             raise ConfigError(f"unknown section [{section}]")
 
-    grid_kw = _read_section(cp, "grid", _GRID_SCHEMA)
-    flow_kw = _read_section(cp, "flow", _FLOW_SCHEMA)
-    measure_kw = _read_section(cp, "measure", _MEASURE_SCHEMA)
-    run_kw = _read_section(cp, "run", _RUN_SCHEMA)
+    kw = {section: _read_section(cp, section, schema) for section, schema in _SECTIONS.items()}
     params = _read_section(cp, "params", PARAMS_SCHEMA[name])
 
     try:
-        grid = GridSpec(**grid_kw)
-        flow = FlowParams(**flow_kw)
+        grid = GridSpec(**kw["grid"])
+        flow = FlowParams(**kw["flow"])
         flow.check_grid(grid)
-        measure = MeasureSpec(**measure_kw)
-        run = RunSettings(**run_kw)
+        measure = MeasureSpec(**kw["measure"])
+        run = RunSettings(**kw["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if run.t_end <= 0:
@@ -275,16 +264,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     buf.write("[experiment]\n")
     buf.write(f"name = {cfg.experiment}\n")
     buf.write(f"output_dir = {cfg.output_dir}\n")
-    values = {
-        "grid": {k: getattr(cfg.grid, k) for k in _GRID_SCHEMA},
-        "flow": {k: getattr(cfg.flow, k) for k in _FLOW_SCHEMA},
-        "measure": {k: getattr(cfg.measure, k) for k in _MEASURE_SCHEMA},
-        "run": {k: getattr(cfg.run, k) for k in _RUN_SCHEMA},
-    }
     for section, schema in _SECTIONS.items():
         buf.write(f"\n[{section}]\n")
         for key, (tag, _) in schema.items():
-            buf.write(f"{key} = {_format_value(tag, values[section][key])}\n")
+            buf.write(f"{key} = {_format_value(tag, getattr(getattr(cfg, section), key))}\n")
     buf.write("\n[params]\n")
     schema = PARAMS_SCHEMA[cfg.experiment]
     for key, (tag, _) in schema.items():

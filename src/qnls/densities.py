@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowParams
-from .spectral import TWO_PI, FourierField, derivative, sobolev_norm_sq, synthesize
+from .spectral import TWO_PI, FourierField, jet, sobolev_norm_sq
 
 
 @dataclass(frozen=True)
@@ -39,28 +39,12 @@ class DensityTriple:
     T: np.ndarray
 
 
-def _pointwise(u: FourierField, size: int, max_order: int = 3):
-    """Exact values of u and its first `max_order` derivatives at `size` points."""
-    M = u.grid.modes
-    out = [synthesize(u.coeffs, M, size)]
-    for k in range(1, max_order + 1):
-        out.append(synthesize(derivative(u, k).coeffs, M, size))
-    return out
-
-
-def _density_values(u: FourierField, sigma: int, size: int):
-    uu, ux, uxx, _ = _pointwise(u, size)
-    N = np.abs(uu) ** 2
-    J = 2.0 * np.imag(np.conj(uu) * ux)
+def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
+    """Density triple at the physical grid points."""
+    (uu, ux, uxx), N, _, J = jet(u, u.grid.phys_size, 2)
     # N_xx = 2|u_x|^2 + 2 Re(conj(u) u_xx), pointwise from exact samples
     Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
     T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3
-    return N, J, T
-
-
-def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
-    """Density triple at the physical grid points."""
-    N, J, T = _density_values(u, sigma, u.grid.phys_size)
     return DensityTriple(N=N, J=J, T=T)
 
 
@@ -80,24 +64,19 @@ def eleele_residual(u: FourierField) -> float:
     Vanishes (to rounding) for every field; the identity is pointwise
     algebra, not dynamics.
     """
-    size = u.grid.quintic_pad()
-    uu, ux, _, _ = _pointwise(u, size)
-    N = np.abs(uu) ** 2
-    J = 2.0 * np.imag(np.conj(uu) * ux)
-    Nx = 2.0 * np.real(np.conj(uu) * ux)
+    (_, ux), N, Nx, J = jet(u, u.grid.quintic_pad(), 1)
     return float(np.max(np.abs(J**2 + Nx**2 - 4.0 * N * np.abs(ux) ** 2)))
 
 
-def _du_dt_values(uu, ux, uxx, uxxx, sigma):
-    """Pointwise du/dt = i u_xx - i sigma |u|^4 u and its x-derivative.
+def _du_dt_values(j, sigma):
+    """Pointwise du/dt = i u_xx - i sigma |u|^4 u and its x-derivative from a 3-jet.
 
     The substitution is the untruncated equation: pointwise products of exact
     samples, so no Galerkin tail is dropped.
     """
-    N = np.abs(uu) ** 2
-    Nx = 2.0 * np.real(np.conj(uu) * ux)
-    ut = 1j * uxx - 1j * sigma * N**2 * uu
-    utx = 1j * uxxx - 1j * sigma * (2.0 * N * Nx * uu + N**2 * ux)
+    uu, ux, uxx, uxxx = j.d
+    ut = 1j * uxx - 1j * sigma * j.N**2 * uu
+    utx = 1j * uxxx - 1j * sigma * (2.0 * j.N * j.Nx * uu + j.N**2 * ux)
     return ut, utx
 
 
@@ -110,19 +89,17 @@ def continuity_residuals(u: FourierField, p: FlowParams) -> tuple[float, float]:
     """
     if p.cutoff is not None:
         raise ValueError("continuity laws hold only for the FULL flow (cutoff=None)")
-    size = u.grid.quintic_pad()
-    uu, ux, uxx, uxxx = _pointwise(u, size)
-    ut, utx = _du_dt_values(uu, ux, uxx, uxxx, p.sigma)
+    j = jet(u, u.grid.quintic_pad(), 3)
+    uu, ux, uxx, uxxx = j.d
+    ut, utx = _du_dt_values(j, p.sigma)
 
-    N = np.abs(uu) ** 2
-    Nx = 2.0 * np.real(np.conj(uu) * ux)
     Nt = 2.0 * np.real(np.conj(uu) * ut)
     Jx = 2.0 * np.imag(np.conj(ux) * ux + np.conj(uu) * uxx)  # d/dx 2Im(conj(u)u_x)
     r_mass = float(np.max(np.abs(Nt + Jx)))
 
     Jt = 2.0 * np.imag(np.conj(ut) * ux + np.conj(uu) * utx)
     Nxxx = 6.0 * np.real(np.conj(ux) * uxx) + 2.0 * np.real(np.conj(uu) * uxxx)
-    Tx = 8.0 * np.real(np.conj(ux) * uxx) - Nxxx + p.sigma * 4.0 * N**2 * Nx
+    Tx = 8.0 * np.real(np.conj(ux) * uxx) - Nxxx + p.sigma * 4.0 * j.N**2 * j.Nx
     r_mom = float(np.max(np.abs(Jt + Tx)))
     return r_mass, r_mom
 
@@ -131,13 +108,11 @@ def _diag_integrals(u: FourierField, p: FlowParams):
     if p.cutoff is not None:
         raise ValueError("diagnostics are defined along the FULL flow (cutoff=None)")
     size = u.grid.quintic_pad()
-    uu, ux, uxx, uxxx = _pointwise(u, size)
-    ut, _ = _du_dt_values(uu, ux, uxx, uxxx, p.sigma)
-    Nt = 2.0 * np.real(np.conj(uu) * ut)
-    J = 2.0 * np.imag(np.conj(uu) * ux)
-    Nx = 2.0 * np.real(np.conj(uu) * ux)
+    j = jet(u, size, 3)
+    ut, _ = _du_dt_values(j, p.sigma)
+    Nt = 2.0 * np.real(np.conj(j.d[0]) * ut)
     w = TWO_PI / size
-    return float(w * np.sum(Nt * J**2)), float(w * np.sum(Nt * Nx**2))
+    return float(w * np.sum(Nt * j.J**2)), float(w * np.sum(Nt * j.Nx**2))
 
 
 def j0_diag(u: FourierField, p: FlowParams) -> float:

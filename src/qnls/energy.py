@@ -30,20 +30,12 @@ padded transform of size >= 10*modes + 1 makes all integrals exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .flow import FlowParams, rhs
-from .spectral import (
-    TWO_PI,
-    FourierField,
-    derivative,
-    lp_norm,
-    project,
-    sobolev_norm_sq,
-    synthesize,
-)
+from .spectral import TWO_PI, FourierField, derivative, jet, lp_norm, project, sobolev_norm_sq
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -54,13 +46,6 @@ R2_TERMS: tuple[tuple[str, float, int], ...] = (
 )
 
 DEFAULT_M0 = 10  # highest equation-degree appearing in the F_2 remainders
-
-
-def _check_k(k: int) -> None:
-    # closed-form corrections exist only for k = 1; the higher-order energies
-    # are defined through a calculus without explicit coefficients
-    if k != 1:
-        raise NotImplementedError(f"modified energy is implemented for k = 1 only, got k = {k}")
 
 
 @dataclass(frozen=True)
@@ -85,31 +70,18 @@ def _term_scales(sigma: int, overrides: dict[str, float] | None):
     return scales
 
 
-def _stage(u: FourierField, size: int):
-    M = u.grid.modes
-    uu = synthesize(u.coeffs, M, size)
-    ux = synthesize(derivative(u, 1).coeffs, M, size)
-    uxx = synthesize(derivative(u, 2).coeffs, M, size)
-    N = np.abs(uu) ** 2
-    Nx = 2.0 * np.real(np.conj(uu) * ux)
-    J = 2.0 * np.imag(np.conj(uu) * ux)
-    return uu, ux, uxx, N, Nx, J
-
-
 def r2(
     u: FourierField,
     sigma: int = 1,
     overrides: dict[str, float] | None = None,
-    k: int = 1,
 ) -> tuple[float, dict[str, float]]:
     """Correction functional R_2 with its per-term breakdown.
 
     `overrides` rescales named coefficients; it exists for the perturbation
     oracle (a wrong coefficient must break the cutoff-uniformity sweep).
     """
-    _check_k(k)
     size = u.grid.pad_for_degree(10)
-    uu, _, uxx, N, Nx, J = _stage(u, size)
+    (uu, _, uxx), N, Nx, J = jet(u, size, 2)
     w = TWO_PI / size
     raw = {
         "curv_quintic": w * float(np.sum(np.real(uxx * np.conj(uu)) * N**2)),
@@ -126,10 +98,8 @@ def e2(
     u: FourierField,
     sigma: int = 1,
     overrides: dict[str, float] | None = None,
-    k: int = 1,
 ) -> EnergyBreakdown:
     """E_2 = ||u||_{H^2}^2 + R_2(u); E_2(0) = 0."""
-    _check_k(k)
     h2 = sobolev_norm_sq(u, 2.0)
     total, terms = r2(u, sigma, overrides)
     return EnergyBreakdown(h2_sq=h2, r2_terms=terms, r2=total, e2=h2 + total)
@@ -145,21 +115,12 @@ def h2_directional(u: FourierField, v: FourierField) -> float:
     )
 
 
-def e2_directional(
-    u: FourierField,
-    v: FourierField,
-    sigma: int = 1,
-    overrides: dict[str, float] | None = None,
-) -> float:
-    """lim_{eps->0} (E_2(u + eps v) - E_2(u))/eps, term by term analytically."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
+def directional_terms(u: FourierField, v: FourierField) -> tuple[float, dict[str, float]]:
+    """First variations along v of ||u||_{H^2}^2 and of each unscaled R_2 integral."""
+    rate = h2_directional(u, v)  # also rejects fields on different grids
     size = u.grid.pad_for_degree(10)
-    uu, ux, uxx, N, Nx, J = _stage(u, size)
-    M = u.grid.modes
-    vv = synthesize(v.coeffs, M, size)
-    vx = synthesize(derivative(v, 1).coeffs, M, size)
-    vxx = synthesize(derivative(v, 2).coeffs, M, size)
+    (uu, ux, uxx), N, Nx, J = jet(u, size, 2)
+    vv, vx, vxx = jet(v, size, 2).d
     dN = 2.0 * np.real(np.conj(uu) * vv)
     dNx = 2.0 * np.real(np.conj(ux) * vv + np.conj(uu) * vx)
     dJ = 2.0 * np.imag(np.conj(vv) * ux + np.conj(uu) * vx)
@@ -175,38 +136,60 @@ def e2_directional(
         "current_sq": w * float(np.sum(dN * J**2 + 2.0 * N * J * dJ)),
         "density_fifth": w * float(np.sum(5.0 * N**4 * dN)),
     }
+    return rate, raw
+
+
+def corrected_rate(
+    rate: float,
+    raw: dict[str, float],
+    sigma: int = 1,
+    overrides: dict[str, float] | None = None,
+) -> float:
+    """The H^2 rate plus the R_2 variations scaled by their coefficients."""
     scales = _term_scales(sigma, overrides)
-    return h2_directional(u, v) + sum(scales[k] * raw[k] for k in raw)
+    return rate + sum(scales[k] * raw[k] for k in raw)
 
 
-def _projected_pair(u: FourierField, p: FlowParams):
+def e2_directional(
+    u: FourierField,
+    v: FourierField,
+    sigma: int = 1,
+    overrides: dict[str, float] | None = None,
+) -> float:
+    """lim_{eps->0} (E_2(u + eps v) - E_2(u))/eps, term by term analytically."""
+    return corrected_rate(*directional_terms(u, v), sigma, overrides)
+
+
+def projected_rates(u: FourierField, p: FlowParams):
+    """(P_M u, d/dt ||P_M u||_{H^2}^2, raw R_2 variations) along the truncated flow.
+
+    The variations are taken at the projected state along the projected
+    equation right-hand side; corrected_rate turns them into F_2.
+    """
     w = u if p.cutoff is None else project(u, p.cutoff)
     v = rhs(u, p)
     if p.cutoff is not None:
         v = project(v, p.cutoff)
-    return w, v
+    return (w, *directional_terms(w, v))
 
 
 def f2(
     u: FourierField,
     p: FlowParams,
     overrides: dict[str, float] | None = None,
-    k: int = 1,
 ) -> float:
     """F_2^(M)(P_M u): the time derivative of t -> E_2(P_M Phi_M(t) u0).
 
     Evaluated as the first variation of E_2 at the projected state along the
     projected equation right-hand side.
     """
-    _check_k(k)
-    w, v = _projected_pair(u, p)
-    return e2_directional(w, v, p.sigma, overrides)
+    _, rate, raw = projected_rates(u, p)
+    return corrected_rate(rate, raw, p.sigma, overrides)
 
 
 def uncorrected_rate(u: FourierField, p: FlowParams) -> float:
     """d/dt ||P_M u||_{H^2}^2 along the truncated flow (no corrections)."""
-    w, v = _projected_pair(u, p)
-    return h2_directional(w, v)
+    return projected_rates(u, p)[1]
 
 
 def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
@@ -222,8 +205,8 @@ def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
 
 def bound_ratio(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> float:
     """|f2| / smoothing_bound at the projected state."""
-    w, v = _projected_pair(u, p)
-    return abs(e2_directional(w, v, p.sigma)) / smoothing_bound(w, m0)
+    w, rate, raw = projected_rates(u, p)
+    return abs(corrected_rate(rate, raw, p.sigma)) / smoothing_bound(w, m0)
 
 
 def r2_lipschitz_probe(
@@ -260,13 +243,7 @@ def r2_truncation_curve(
 
 def full_breakdown(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> EnergyBreakdown:
     """EnergyBreakdown of the projected state with f2 and the bound filled in."""
-    w, v = _projected_pair(u, p)
-    base = e2(w, p.sigma)
-    return EnergyBreakdown(
-        h2_sq=base.h2_sq,
-        r2_terms=base.r2_terms,
-        r2=base.r2,
-        e2=base.e2,
-        f2=e2_directional(w, v, p.sigma),
-        bound=smoothing_bound(w, m0),
+    w, rate, raw = projected_rates(u, p)
+    return replace(
+        e2(w, p.sigma), f2=corrected_rate(rate, raw, p.sigma), bound=smoothing_bound(w, m0)
     )

@@ -27,18 +27,10 @@ from .densities import (
     eleele_scale,
     j0_diag,
 )
-from .energy import (
-    R2_TERMS,
-    e2,
-    e2_directional,
-    full_breakdown,
-    h2_directional,
-    smoothing_bound,
-)
-from .flow import FULL, FlowParams, evolve, hamiltonian, linear_flow, mass, momentum, rhs, step
+from .energy import R2_TERMS, corrected_rate, full_breakdown, projected_rates, smoothing_bound
+from .flow import FULL, FlowParams, evolve, hamiltonian, linear_flow, mass, momentum, step
 from .measure import (
     EnsembleRecord,
-    MeasureSpec,
     derive_seed,
     ks_critical_value,
     ks_statistic,
@@ -48,7 +40,7 @@ from .measure import (
     write_ensemble,
     OBSERVABLE_NAMES,
 )
-from .spectral import FourierField, GridSpec, field_from_modes, project, sobolev_norm_sq
+from .spectral import FourierField, GridSpec, field_from_modes, sobolev_norm_sq
 
 TRAJECTORY_COLUMNS = (
     "time",
@@ -283,33 +275,26 @@ def run_continuity(cfg: ExperimentConfig, out: Path):
     return {"residuals.csv": out / "residuals.csv"}, verdicts
 
 
-def _invariance_worker(payload):
-    (s, M, base_seed, index, modes, times) = payload
-    spec = MeasureSpec(s=s, M=M, base_seed=base_seed)
-    grid = GridSpec(modes=modes)
-    u = sample_mu(spec, index, grid)
+def _invariance_worker(cfg: ExperimentConfig, index: int):
+    u = sample_mu(cfg.measure, index, cfg.grid)
     rows = {0.0: observables(u)}
-    for t in times:
+    for t in cfg.params["times"]:
         rows[t] = observables(linear_flow(u, t))
-    return index, rows
+    return rows
 
 
 def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = list(pm["times"])
     n_samp = cfg.run.ensemble_size
-    payloads = [
-        (cfg.measure.s, cfg.measure.M, cfg.measure.base_seed, i, cfg.grid.modes, times)
-        for i in range(n_samp)
-    ]
-    results = _map_workers(_invariance_worker, payloads, cfg.run.workers)
+    results = _map_workers(_invariance_worker, cfg, n_samp)
     crit = ks_critical_value(n_samp, n_samp, pm["alpha"])
     rows = []
     all_pass = True
     for name in OBSERVABLE_NAMES:
-        before = [res[1][0.0][name] for res in results]
+        before = [res[0.0][name] for res in results]
         for t in times:
-            after = [res[1][t][name] for res in results]
+            after = [res[t][name] for res in results]
             stat = ks_statistic(before, after)
             ok = stat < crit
             all_pass = all_pass and ok
@@ -340,13 +325,11 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     for idx in range(cfg.run.ensemble_size):
         u = sample_mu(cfg.measure, idx, grid)
         for M in sweep:
-            p = FlowParams(sigma=cfg.flow.sigma, cutoff=M)
-            w = project(u, M)
-            v = project(rhs(u, p), M)
+            w, rate, raw = projected_rates(u, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
             b = smoothing_bound(w, m0)
-            max_unc[M] = max(max_unc[M], abs(h2_directional(w, v)) / b)
+            max_unc[M] = max(max_unc[M], abs(rate) / b)
             for key, overrides in scale_sets.items():
-                r = abs(e2_directional(w, v, p.sigma, overrides)) / b
+                r = abs(corrected_rate(rate, raw, cfg.flow.sigma, overrides)) / b
                 max_ratio[key][M] = max(max_ratio[key][M], r)
 
     ratios = [max_ratio["shipped"][M] for M in sweep]
@@ -421,56 +404,40 @@ def run_growth(cfg: ExperimentConfig, out: Path):
     return {"growth.csv": out / "growth.csv"}, verdicts
 
 
-def _transport_worker(payload):
-    (s, M, base_seed, index, modes, sigma, cutoff, dt, times) = payload
-    spec = MeasureSpec(s=s, M=M, base_seed=base_seed)
-    grid = GridSpec(modes=modes)
-    u = sample_mu(spec, index, grid)
+def _transport_worker(cfg: ExperimentConfig, index: int):
+    """Observables at t = 0 and at each checkpoint; a guard trip leaves None
+    at the checkpoint it precedes and at every later one."""
+    sigma = cfg.flow.sigma
+    times = sorted(cfg.params["times"])
+    u = sample_mu(cfg.measure, index, cfg.grid)
     before = observables(u, sigma)
-    p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-    snapshots = {}
+    snapshots = dict.fromkeys(times)
     t_prev = 0.0
     for t in times:
-        traj = evolve(u, p, t - t_prev)
-        u = traj.final
+        traj = evolve(u, cfg.flow, t - t_prev)
         if traj.blowup_time is not None:
-            snapshots[t] = None
             break
+        u = traj.final
         snapshots[t] = observables(u, sigma)
         t_prev = t
-    return index, before, snapshots
+    return before, snapshots
 
 
 def run_transport_mc(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = sorted(pm["times"])
-    n_samp = cfg.run.ensemble_size
-    payloads = [
-        (
-            cfg.measure.s,
-            cfg.measure.M,
-            cfg.measure.base_seed,
-            i,
-            cfg.grid.modes,
-            cfg.flow.sigma,
-            cfg.flow.cutoff,
-            cfg.flow.dt,
-            times,
-        )
-        for i in range(n_samp)
-    ]
-    results = _map_workers(_transport_worker, payloads, cfg.run.workers)
+    results = _map_workers(_transport_worker, cfg, cfg.run.ensemble_size)
 
     records = [
         EnsembleRecord(i, derive_seed(cfg.measure.base_seed, i), before)
-        for i, before, _ in results
+        for i, (before, _) in enumerate(results)
     ]
     write_ensemble(records, out / "ensemble.jsonl")
     files = {"ensemble.jsonl": out / "ensemble.jsonl"}
     for k, t in enumerate(times):
         recs = [
             EnsembleRecord(i, derive_seed(cfg.measure.base_seed, i), snaps[t] or {})
-            for i, _, snaps in results
+            for i, (_, snaps) in enumerate(results)
         ]
         name = f"transported_{k}.jsonl"
         write_ensemble(recs, out / name)
@@ -480,10 +447,10 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     rows = []
     ratios: dict[str, dict[float, float]] = {k: {} for k in watch}
     for name in watch:
-        before = np.array([b[name] for _, b, _ in results])
+        before = np.array([b[name] for b, _ in results])
         thr = float(np.quantile(before, pm["quantile"]))
         for t in times:
-            after = np.array([snaps[t][name] if snaps[t] else np.inf for _, _, snaps in results])
+            after = np.array([snaps[t][name] if snaps[t] else np.inf for _, snaps in results])
             r = tail_ratio(before, after, thr)
             ratios[name][t] = r
             rows.append(
@@ -624,16 +591,17 @@ _RUNNERS = {
 }
 
 
-def _map_workers(fn, payloads, workers: int):
-    """Order-preserving map, optionally across processes.
+def _map_workers(fn, cfg: ExperimentConfig, n: int):
+    """[fn(cfg, i) for i in range(n)], across cfg.run.workers processes.
 
-    Results arrive in payload order regardless of scheduling, so aggregation
+    Results arrive in index order regardless of scheduling, so aggregation
     is deterministic.
     """
-    if workers <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+    workers = cfg.run.workers
+    if workers <= 1 or n <= 1:
+        return [fn(cfg, i) for i in range(n)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=max(1, len(payloads) // (4 * workers))))
+        return list(pool.map(fn, [cfg] * n, range(n), chunksize=max(1, n // (4 * workers))))
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:

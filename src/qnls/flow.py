@@ -10,7 +10,10 @@ coefficient form:
 The reference integrator is classical RK4 on this coefficient ODE system
 with the exactly dealiased quintic; Strang splitting (exact half linear
 phases around the pointwise nonlinear rotation u <- u e^{-i sigma |u|^4 dt})
-is provided for speed on untruncated runs only.
+is provided for speed on untruncated runs only.  Both evaluate their
+pointwise nonlinearity on the quintic pad, GridSpec.quintic_pad() >= 6M + 1;
+for Strang the rotation is not a polynomial, so that pad reduces its aliasing
+error but cannot remove it.
 
 RK4 is neutrally stable on the imaginary axis up to |n^2 dt| ~ 2.8; pick dt
 accordingly for the largest grid mode.
@@ -22,16 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    TWO_PI,
-    FourierField,
-    GridSpec,
-    analyze,
-    project,
-    quintic,
-    sobolev_norm_sq,
-    synthesize,
-)
+from .spectral import TWO_PI, FourierField, GridSpec, pointwise, sobolev_norm_sq
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -102,14 +96,7 @@ def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams) -> np.ndarray:
     else:
         mask = np.abs(n) <= p.cutoff
         w = np.where(mask, c, 0.0)
-    size = grid.quintic_pad()
-    if size < 6 * grid.modes + 1:
-        raise ValueError(
-            f"pad rule gives transform size {size} < 6*modes+1; quintic would alias"
-        )
-    vals = synthesize(w, grid.modes, size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = analyze(np.abs(vals) ** 4 * vals, grid.modes)
+    q = pointwise(w, grid.modes, grid.quintic_pad(), lambda v: np.abs(v) ** 4 * v)
     if mask is not None:
         q = np.where(mask, q, 0.0)
     return -1j * n * n * c - 1j * p.sigma * q
@@ -132,12 +119,12 @@ def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.n
 def _strang_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.ndarray:
     n = grid.n
     half = np.exp(-1j * (dt / 2.0) * n * n)
-    c = c * half
-    size = grid.quintic_pad()
-    vals = synthesize(c, grid.modes, size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = vals * np.exp(-1j * p.sigma * np.abs(vals) ** 4 * dt)
-    c = analyze(vals, grid.modes)
+    c = pointwise(
+        c * half,
+        grid.modes,
+        grid.quintic_pad(),
+        lambda v: v * np.exp(-1j * p.sigma * np.abs(v) ** 4 * dt),
+    )
     return c * half
 
 

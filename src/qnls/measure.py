@@ -53,7 +53,7 @@ class MeasureSpec:
 
     s: float = 2.0
     M: int = 32
-    base_seed: int = 0
+    base_seed: int = 20260810
 
     def __post_init__(self):
         if self.M < 0:

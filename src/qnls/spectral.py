@@ -7,42 +7,38 @@ quantities carry the physical 2*pi measure: the L2 pairing is
 is 2*pi * sum (1+n^2)^s |u_n|^2.
 
 Nonlinear quantities are evaluated pointwise on zero-padded grids so that
-every product of band-limited fields is alias-free: a degree-d product of
-fields band-limited to M occupies modes up to d*M, so exact integrals (and
-exact coefficient extraction up to mode M) need a transform size of at least
-d*M + 1 (respectively (d+1)*M + 1).
+every product of band-limited fields is alias-free.  There is one pad rule:
+a degree-d product of fields band-limited to M occupies modes up to d*M, so
+exact integrals need a transform size of at least d*M + 1 and exact
+coefficient extraction up to mode M needs (d+1)*M + 1; pad_for_degree(d)
+returns the smallest FFT-friendly size >= d*M + 1.  The quintic |u|^4 u is
+extracted on pad_for_degree(6), the degree-10 energy integrands are
+integrated on pad_for_degree(10).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import next_fast_len
 
 TWO_PI = 2.0 * np.pi
 
-PAD_EXACT_QUINTIC = "exact_quintic"
-PAD_FACTOR = "factor"
-
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mode cutoff, physical quadrature size and dealiasing policy.
+    """Mode cutoff and physical quadrature size.
 
     modes:     coefficients are kept for |n| <= modes.
     phys_size: number of physical quadrature points x_j = 2*pi*j/phys_size;
                must be >= 2*modes + 1 so the field is representable.
-    pad_rule:  "exact_quintic" pads quintic products to >= 6*modes + 1
-               (alias-free extraction of |u|^4 u up to mode `modes`);
-               "factor" pads to ceil(pad_factor * modes) + 1.
     """
 
     modes: int
     phys_size: int = 0
-    pad_rule: str = PAD_EXACT_QUINTIC
-    pad_factor: float = 0.0
 
     def __post_init__(self):
         if self.modes < 1:
@@ -53,10 +49,6 @@ class GridSpec:
             raise ValueError(
                 f"phys_size {self.phys_size} < 2*modes+1 = {2 * self.modes + 1}"
             )
-        if self.pad_rule not in (PAD_EXACT_QUINTIC, PAD_FACTOR):
-            raise ValueError(f"unknown pad_rule {self.pad_rule!r}")
-        if self.pad_rule == PAD_FACTOR and self.pad_factor <= 0:
-            raise ValueError("factor pad rule needs pad_factor > 0")
 
     @property
     def n(self) -> np.ndarray:
@@ -68,15 +60,13 @@ class GridSpec:
         """Physical quadrature points."""
         return TWO_PI * np.arange(self.phys_size) / self.phys_size
 
-    def quintic_pad(self) -> int:
-        """Transform size used for the quintic product under this pad rule."""
-        if self.pad_rule == PAD_EXACT_QUINTIC:
-            return next_fast_len(6 * self.modes + 1)
-        return next_fast_len(int(np.ceil(self.pad_factor * self.modes)) + 1)
-
     def pad_for_degree(self, degree: int) -> int:
         """Smallest FFT-friendly size integrating degree-`degree` products exactly."""
         return next_fast_len(degree * self.modes + 1)
+
+    def quintic_pad(self) -> int:
+        """Transform size extracting |u|^4 u alias-free up to mode `modes`."""
+        return self.pad_for_degree(6)
 
 
 @dataclass(frozen=True)
@@ -146,6 +136,33 @@ def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     return a[n % size]
 
 
+def pointwise(c: np.ndarray, modes: int, size: int, f) -> np.ndarray:
+    """Coefficients |n| <= modes of f(values of c at `size` points).
+
+    Overflow in f is left to the caller's finiteness check.
+    """
+    values = synthesize(c, modes, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return analyze(f(values), modes)
+
+
+class Jet(NamedTuple):
+    """Exact samples d[k] of the k-th x-derivative of a field, with the
+    densities N = |u|^2, N_x = 2 Re(conj(u) u_x) and J = 2 Im(conj(u) u_x)."""
+
+    d: list[np.ndarray]
+    N: np.ndarray
+    Nx: np.ndarray
+    J: np.ndarray
+
+
+def jet(u: FourierField, size: int, order: int) -> Jet:
+    """Jet of u at `size` equispaced points, derivatives 0..order (order >= 1)."""
+    d = [synthesize(derivative(u, k).coeffs, u.grid.modes, size) for k in range(order + 1)]
+    flux = np.conj(d[0]) * d[1]
+    return Jet(d, np.abs(d[0]) ** 2, 2.0 * flux.real, 2.0 * flux.imag)
+
+
 def project(u: FourierField, cutoff: int) -> FourierField:
     """Dirichlet projector: zero all coefficients with |n| > cutoff.
 
@@ -194,21 +211,12 @@ def inner(a: FourierField, b: FourierField) -> complex:
 def quintic(u: FourierField) -> FourierField:
     """Coefficients of |u|^4 u for |n| <= modes, computed alias-free.
 
-    Raises if the grid's pad rule cannot guarantee alias-free modes up to
-    `modes` (a 5-fold product of band-M fields occupies modes up to 5M, so
-    the padded size must be at least 6M + 1).
+    A 5-fold product of band-M fields occupies modes up to 5M, so the
+    transform size is at least 6M + 1 (GridSpec.quintic_pad).
     """
     g = u.grid
-    size = g.quintic_pad()
-    if size < 6 * g.modes + 1:
-        raise ValueError(
-            f"pad rule gives transform size {size} < 6*modes+1 = "
-            f"{6 * g.modes + 1}; quintic would alias"
-        )
-    w = synthesize(u.coeffs, g.modes, size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.abs(w) ** 4 * w
-    return FourierField(g, analyze(q, g.modes))
+    q = pointwise(u.coeffs, g.modes, g.quintic_pad(), lambda w: np.abs(w) ** 4 * w)
+    return FourierField(g, q)
 
 
 def quintic_convolution(u: FourierField) -> FourierField:

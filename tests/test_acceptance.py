@@ -34,10 +34,9 @@ from qnls import (
     project,
     r2_lipschitz_probe,
     sample_mu,
-    uncorrected_rate,
 )
 from qnls.config import default_config
-from qnls.energy import R2_TERMS
+from qnls.energy import R2_TERMS, corrected_rate, projected_rates
 from qnls.experiments import run
 
 from conftest import random_field
@@ -77,7 +76,8 @@ def shell_flux():
     X = the uncorrected rate ("uncorrected"), F_2 with the shipped R_2
     ("shipped"), F_2 with one coefficient scaled by 1 + perturbation (the
     term's name), and that F_2 minus the shipped one for H1_BOUNDED_TERM
-    ("defect").
+    ("defect").  Each (member, M) takes one projected_rates call; the five
+    F_2 variants are scalings of its raw R_2 variations.
     """
     cfg = default_config("smoothing_sweep")
     sweep = list(cfg.run.m_sweep)
@@ -90,10 +90,10 @@ def shell_flux():
     for idx in range(cfg.run.ensemble_size):
         u = sample_mu(cfg.measure, idx, cfg.grid)
         for j, M in enumerate(sweep):
-            p = FlowParams(sigma=cfg.flow.sigma, cutoff=M)
-            rates["uncorrected"][idx, j] = uncorrected_rate(u, p)
+            _, rate, raw = projected_rates(u, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
+            rates["uncorrected"][idx, j] = rate
             for key, overrides in scalings.items():
-                rates[key][idx, j] = f2(u, p, overrides=overrides)
+                rates[key][idx, j] = corrected_rate(rate, raw, cfg.flow.sigma, overrides)
     rates["defect"] = rates[H1_BOUNDED_TERM] - rates["shipped"]
     flux = {
         key: np.sqrt(np.mean(np.diff(x, axis=1) ** 2, axis=0)) for key, x in rates.items()

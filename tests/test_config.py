@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from qnls import FlowParams, GridSpec, MeasureSpec
 from qnls.config import (
     ConfigError,
     EXPERIMENTS,
+    RunSettings,
     apply_overrides,
     default_config,
     parse_config,
@@ -27,6 +29,13 @@ class TestParse:
         assert cfg.output_dir == "runs/conservation"
         assert cfg.grid.modes == 32
         assert cfg.flow.cutoff is None
+
+    def test_section_defaults_are_the_dataclass_defaults(self):
+        cfg = parse_config(MINIMAL)
+        assert cfg.grid == GridSpec(modes=32)
+        assert cfg.flow == FlowParams()
+        assert cfg.measure == MeasureSpec()
+        assert cfg.run == RunSettings()
 
     def test_full_document(self):
         cfg = parse_config(
@@ -77,6 +86,10 @@ class TestParse:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "[grid]\nmodez = 4\n")
+
+    def test_pad_rule_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'pad_rule'"):
+            parse_config(MINIMAL + "[grid]\npad_rule = exact_quintic\n")
 
     def test_unknown_param(self):
         with pytest.raises(ConfigError, match="unknown key"):

@@ -259,16 +259,3 @@ class TestCutoffFlatness:
         assert ratios["shipped"][256] < 2.0 * ratios["shipped"][16]
         assert ratios["flipped"][256] > 2.0 * ratios["flipped"][16]
 
-
-class TestOrderParameter:
-    def test_k_defaults_to_one(self, grid8):
-        assert e2(zero_field(grid8), k=1).e2 == 0.0
-
-    @pytest.mark.parametrize("k", [0, 2, 3])
-    def test_higher_order_rejected(self, grid8, k):
-        with pytest.raises(NotImplementedError, match="k = 1"):
-            e2(zero_field(grid8), k=k)
-        with pytest.raises(NotImplementedError, match="k = 1"):
-            r2(zero_field(grid8), k=k)
-        with pytest.raises(NotImplementedError, match="k = 1"):
-            f2(zero_field(grid8), FlowParams(), k=k)

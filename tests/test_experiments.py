@@ -5,12 +5,13 @@ scaled down to exercise the machinery.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from qnls.cli import main
-from qnls.config import default_config, parse_config
-from qnls.experiments import RunManifest, emit_plots, run
+from qnls.config import apply_overrides, default_config, parse_config
+from qnls.experiments import RunManifest, _transport_worker, emit_plots, run
 
 
 def tiny_conservation(tmp_path, **kw):
@@ -88,6 +89,15 @@ class TestBlowupIsExpectedOutcome(object):
         assert manifest.error is None
         names = {v.name: v.passed for v in manifest.verdicts}
         assert names["large_amplitude_trips_guard"]
+
+    def test_transport_trip_leaves_every_later_checkpoint_empty(self):
+        # member 48 at this seed is unstable at dt = 1e-3 and trips the H^1
+        # guard at t = 0.002, before the first checkpoint
+        cfg = default_config("transport_mc")
+        cfg = apply_overrides(cfg, base_seed=cfg.measure.base_seed + 25)
+        cfg = replace(cfg, params={**cfg.params, "times": (0.05, 0.1)})
+        _, snapshots = _transport_worker(cfg, 48)
+        assert snapshots == {0.05: None, 0.1: None}
 
 
 class TestCli:

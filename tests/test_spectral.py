@@ -19,7 +19,7 @@ from qnls import (
     sobolev_norm_sq,
     zero_field,
 )
-from qnls.spectral import TWO_PI, analyze, quintic_convolution, synthesize
+from qnls.spectral import TWO_PI, analyze, jet, quintic_convolution, synthesize
 
 from conftest import random_field
 
@@ -37,16 +37,6 @@ class TestGridSpec:
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="modes"):
             GridSpec(modes=0)
-
-    def test_factor_rule(self):
-        g = GridSpec(modes=10, pad_rule="factor", pad_factor=8.0)
-        assert g.quintic_pad() >= 81
-        with pytest.raises(ValueError, match="pad_factor"):
-            GridSpec(modes=10, pad_rule="factor")
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError, match="pad_rule"):
-            GridSpec(modes=4, pad_rule="three_halves")
 
 
 class TestFourierField:
@@ -203,11 +193,15 @@ class TestQuintic:
                 1.0, np.max(np.abs(oracle.coeffs))
             )
 
-    def test_rejects_underpadded(self):
-        g = GridSpec(modes=8, pad_rule="factor", pad_factor=2.0)
-        u = random_field(g, seed=26)
-        with pytest.raises(ValueError, match="alias"):
-            quintic(u)
+
+def test_jet_samples_are_the_synthesized_derivatives(grid16):
+    u = random_field(grid16, seed=29)
+    size = grid16.pad_for_degree(10)
+    j = jet(u, size, 3)
+    for k in range(4):
+        direct = synthesize(derivative(u, k).coeffs, grid16.modes, size)
+        assert j.d[k].tobytes() == direct.tobytes()
+    assert np.array_equal(j.N, np.abs(j.d[0]) ** 2)
 
 
 class TestInner:
