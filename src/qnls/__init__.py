@@ -24,6 +24,7 @@ from .flow import (
     rhs,
     step,
     evolve,
+    evolve_block,
     mass,
     momentum,
     hamiltonian,
@@ -42,7 +43,6 @@ from .energy import (
     e2,
     e2_directional,
     f2,
-    uncorrected_rate,
     smoothing_bound,
     bound_ratio,
     r2_lipschitz_probe,

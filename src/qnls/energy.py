@@ -187,11 +187,6 @@ def f2(
     return corrected_rate(rate, raw, p.sigma, overrides)
 
 
-def uncorrected_rate(u: FourierField, p: FlowParams) -> float:
-    """d/dt ||P_M u||_{H^2}^2 along the truncated flow (no corrections)."""
-    return projected_rates(u, p)[1]
-
-
 def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
     """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4).
 

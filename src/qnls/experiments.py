@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .densities import (
     j0_diag,
 )
 from .energy import R2_TERMS, corrected_rate, full_breakdown, projected_rates, smoothing_bound
-from .flow import FULL, FlowParams, evolve, hamiltonian, linear_flow, mass, momentum, step
+from .flow import FULL, FlowParams, evolve, evolve_block, hamiltonian, linear_flow, mass, momentum, step
 from .measure import (
     EnsembleRecord,
     derive_seed,
@@ -203,7 +203,7 @@ def run_plane_wave_order(cfg: ExperimentConfig, out: Path):
     freq = n * n + cfg.flow.sigma * abs(amp) ** 4
     errors = []
     for dt in pm["dt_list"]:
-        p = FlowParams(sigma=cfg.flow.sigma, cutoff=cfg.flow.cutoff, dt=dt)
+        p = replace(cfg.flow, dt=dt)
         u = u0
         for _ in range(int(round(t_end / dt))):
             u = step(u, p)
@@ -325,7 +325,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     for idx in range(cfg.run.ensemble_size):
         u = sample_mu(cfg.measure, idx, grid)
         for M in sweep:
-            w, rate, raw = projected_rates(u, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
+            w, rate, raw = projected_rates(u, replace(cfg.flow, cutoff=M))
             b = smoothing_bound(w, m0)
             max_unc[M] = max(max_unc[M], abs(rate) / b)
             for key, overrides in scale_sets.items():
@@ -404,42 +404,32 @@ def run_growth(cfg: ExperimentConfig, out: Path):
     return {"growth.csv": out / "growth.csv"}, verdicts
 
 
-def _transport_worker(cfg: ExperimentConfig, index: int):
-    """Observables at t = 0 and at each checkpoint; a guard trip leaves None
-    at the checkpoint it precedes and at every later one."""
-    sigma = cfg.flow.sigma
-    times = sorted(cfg.params["times"])
-    u = sample_mu(cfg.measure, index, cfg.grid)
-    before = observables(u, sigma)
-    snapshots = dict.fromkeys(times)
-    t_prev = 0.0
-    for t in times:
-        traj = evolve(u, cfg.flow, t - t_prev)
-        if traj.blowup_time is not None:
-            break
-        u = traj.final
-        snapshots[t] = observables(u, sigma)
-        t_prev = t
-    return before, snapshots
-
-
 def run_transport_mc(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = sorted(pm["times"])
-    results = _map_workers(_transport_worker, cfg, cfg.run.ensemble_size)
-
-    records = [
-        EnsembleRecord(i, derive_seed(cfg.measure.base_seed, i), before)
-        for i, (before, _) in enumerate(results)
-    ]
-    write_ensemble(records, out / "ensemble.jsonl")
-    files = {"ensemble.jsonl": out / "ensemble.jsonl"}
-    for k, t in enumerate(times):
-        recs = [
-            EnsembleRecord(i, derive_seed(cfg.measure.base_seed, i), snaps[t] or {})
-            for i, (_, snaps) in enumerate(results)
+    sigma = cfg.flow.sigma
+    members = [sample_mu(cfg.measure, i, cfg.grid) for i in range(cfg.run.ensemble_size)]
+    initial = [observables(u, sigma) for u in members]
+    # snapshots[t][i]: observables of member i at checkpoint t, or None once
+    # the member has tripped the guard (at that checkpoint and every later one)
+    snapshots = {}
+    c = np.stack([u.coeffs for u in members])
+    live = np.ones(len(members), dtype=bool)
+    t_prev = 0.0
+    for t in times:
+        c, live = evolve_block(c, live, cfg.grid, cfg.flow, t - t_prev)
+        snapshots[t] = [
+            observables(FourierField(cfg.grid, row), sigma) if ok else None
+            for row, ok in zip(c, live)
         ]
-        name = f"transported_{k}.jsonl"
+        t_prev = t
+
+    seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(len(members))]
+    files = {}
+    columns = {"ensemble.jsonl": initial}
+    columns.update((f"transported_{k}.jsonl", snapshots[t]) for k, t in enumerate(times))
+    for name, column in columns.items():
+        recs = [EnsembleRecord(i, seed, obs or {}) for i, (seed, obs) in enumerate(zip(seeds, column))]
         write_ensemble(recs, out / name)
         files[name] = out / name
 
@@ -447,10 +437,10 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     rows = []
     ratios: dict[str, dict[float, float]] = {k: {} for k in watch}
     for name in watch:
-        before = np.array([b[name] for b, _ in results])
+        before = np.array([obs[name] for obs in initial])
         thr = float(np.quantile(before, pm["quantile"]))
         for t in times:
-            after = np.array([snaps[t][name] if snaps[t] else np.inf for _, snaps in results])
+            after = np.array([obs[name] if obs else np.inf for obs in snapshots[t]])
             r = tail_ratio(before, after, thr)
             ratios[name][t] = r
             rows.append(
@@ -517,11 +507,11 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
         ) * np.exp(-np.abs(n) / pm["flow_decay"])
         u0 = FourierField(grid, c)
         t_end = cfg.run.t_end
-        p_full = FlowParams(sigma=cfg.flow.sigma, cutoff=FULL, dt=pm["flow_dt"])
+        p_full = replace(cfg.flow, cutoff=FULL, dt=pm["flow_dt"])
         ref = evolve(u0, p_full, t_end).final
         errs = []
         for M in pm["flow_m_list"]:
-            pM = FlowParams(sigma=cfg.flow.sigma, cutoff=int(M), dt=pm["flow_dt"])
+            pM = replace(cfg.flow, cutoff=int(M), dt=pm["flow_dt"])
             uM = evolve(u0, pM, t_end).final
             diff = FourierField(grid, uM.coeffs - ref.coeffs)
             errs.append(sobolev_norm_sq(diff, 1.75) ** 0.5)

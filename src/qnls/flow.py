@@ -17,6 +17,14 @@ error but cannot remove it.
 
 RK4 is neutrally stable on the imaginary axis up to |n^2 dt| ~ 2.8; pick dt
 accordingly for the largest grid mode.
+
+Independent fields on one grid can be advanced together: evolve_block takes
+a (B, 2M+1) coefficient block and runs each row through the same kernels as
+step (the spectral transforms act on the last axis), with evolve's step
+schedule.  The H^1 guard and the finiteness check apply per row: a row that
+fails either is frozen at its last good state and leaves the live mask at
+the step where step() would raise, while the other rows run on.  Each row
+is bit-for-bit the single-field evolve of that row.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, pointwise, sobolev_norm_sq
+from .spectral import TWO_PI, FourierField, GridSpec, pointwise, sobolev_norm_sq, sobolev_sq_rows
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -128,6 +136,36 @@ def _strang_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> n
     return c * half
 
 
+def _advance(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.ndarray:
+    """One integrator step of a coefficient vector or (B, 2M+1) block."""
+    if p.integrator == "rk4":
+        return _rk4_coeffs(c, grid, p, dt)
+    if p.cutoff is not None:
+        raise ValueError("strang splitting is valid only for cutoff = FULL")
+    return _strang_coeffs(c, grid, p, dt)
+
+
+def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    return np.sqrt(sobolev_sq_rows(c, grid, 1.0))
+
+
+def _guard_tripped(h1: np.ndarray, p: FlowParams) -> np.ndarray:
+    return ~np.isfinite(h1) | (h1 >= p.blowup_threshold)
+
+
+def _finite_rows(c: np.ndarray) -> np.ndarray:
+    return np.isfinite(c.view(np.float64)).all(axis=-1)
+
+
+def _schedule(t_end: float, dt: float) -> tuple[int, float]:
+    """Full steps of size dt up to t_end, and the final partial step (0.0 if none)."""
+    if t_end <= 0:
+        raise ValueError("t_end must be positive")
+    n_steps = int(np.floor(t_end / dt + 1e-12))
+    remainder = t_end - n_steps * dt
+    return n_steps, remainder if remainder > 1e-12 else 0.0
+
+
 def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierField:
     """One integrator step of size dt (default p.dt).
 
@@ -136,19 +174,39 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     finite cutoffs (the projected nonlinearity is not a pointwise phase).
     """
     p.check_grid(u.grid)
-    h1 = sobolev_norm_sq(u, 1.0) ** 0.5
-    if not np.isfinite(h1) or h1 >= p.blowup_threshold:
+    h1 = float(_h1_norms(u.coeffs, u.grid))
+    if _guard_tripped(h1, p):
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}", h1)
-    dt = p.dt if dt is None else dt
-    if p.integrator == "rk4":
-        c = _rk4_coeffs(u.coeffs, u.grid, p, dt)
-    else:
-        if p.cutoff is not None:
-            raise ValueError("strang splitting is valid only for cutoff = FULL")
-        c = _strang_coeffs(u.coeffs, u.grid, p, dt)
-    if not np.all(np.isfinite(c.view(np.float64))):
+    c = _advance(u.coeffs, u.grid, p, p.dt if dt is None else dt)
+    if not _finite_rows(c):
         raise BlowUpError("state left the representable range during a step", float("inf"))
     return FourierField(u.grid, c)
+
+
+def evolve_block(
+    c: np.ndarray, live: np.ndarray, grid: GridSpec, p: FlowParams, t_end: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the live rows of a (B, 2M+1) coefficient block by t_end.
+
+    Each row follows evolve()'s schedule and step()'s arithmetic.  A row
+    whose H^1 norm reaches the guard before a step, or that is no longer
+    finite after one, is frozen at its last good state and leaves `live`,
+    at the step where step() would raise.  Returns new arrays (c, live).
+    """
+    p.check_grid(grid)
+    n_steps, remainder = _schedule(t_end, p.dt)
+    c = np.array(c, dtype=np.complex128)
+    live = np.array(live, dtype=bool)
+    for dt in [p.dt] * n_steps + ([remainder] if remainder else []):
+        live[live] = ~_guard_tripped(_h1_norms(c[live], grid), p)
+        if not live.any():
+            break
+        rows = np.flatnonzero(live)
+        nxt = _advance(c[rows], grid, p, dt)
+        ok = _finite_rows(nxt)
+        c[rows[ok]] = nxt[ok]
+        live[rows[~ok]] = False
+    return c, live
 
 
 def evolve(
@@ -165,12 +223,9 @@ def evolve(
     steps (and at t = 0 and t_end); their outputs are merged per record.
     A guard trip stops the run and is recorded as Trajectory.blowup_time.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n_steps = int(np.floor(t_end / p.dt + 1e-12))
-    remainder = t_end - n_steps * p.dt
+    n_steps, remainder = _schedule(t_end, p.dt)
     times: list[float] = []
     records: list[dict] = []
     states: list[FourierField] = []
@@ -192,9 +247,9 @@ def evolve(
         for k in range(n_steps):
             u = step(u, p)
             t = (k + 1) * p.dt
-            if (k + 1) % stride == 0 and not (k + 1 == n_steps and remainder <= 1e-12):
+            if (k + 1) % stride == 0 and not (k + 1 == n_steps and not remainder):
                 record(t, u)
-        if remainder > 1e-12:
+        if remainder:
             u = step(u, p, dt=remainder)
             t = t_end
         record(t, u)

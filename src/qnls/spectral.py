@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -113,32 +114,41 @@ def field_from_modes(grid: GridSpec, amplitudes: dict[int, complex]) -> FourierF
     return FourierField(grid, c)
 
 
+@lru_cache(maxsize=256)
+def _bins(modes: int, size: int) -> np.ndarray:
+    """FFT bins n % size of the modes n = -modes..modes (read-only, shared)."""
+    bins = np.arange(-modes, modes + 1) % size
+    bins.flags.writeable = False
+    return bins
+
+
 def synthesize(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
     """Values of sum_{|n|<=modes} coeffs e^{inx} at `size` equispaced points.
 
+    Acts on the last axis, so a (B, 2*modes+1) block gives (B, size) values.
     Coefficients are folded modulo `size`, which evaluates the trigonometric
     polynomial exactly even when size < 2*modes + 1.
     """
-    a = np.zeros(size, dtype=np.complex128)
-    n = np.arange(-modes, modes + 1)
-    np.add.at(a, n % size, coeffs)
-    return np.fft.ifft(a) * size
+    a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
+    np.add.at(a, (..., _bins(modes, size)), coeffs)
+    return np.fft.ifft(a, axis=-1) * size
 
 
 def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     """Fourier coefficients for |n| <= modes from equispaced samples.
 
-    Exact when the sampled function is band-limited to |n| < len(values) - modes.
+    Acts on the last axis, like synthesize.  Exact when the sampled function
+    is band-limited to |n| < values.shape[-1] - modes.
     """
-    size = len(values)
-    a = np.fft.fft(values) / size
-    n = np.arange(-modes, modes + 1)
-    return a[n % size]
+    size = values.shape[-1]
+    a = np.fft.fft(values, axis=-1) / size
+    return a.take(_bins(modes, size), axis=-1)
 
 
 def pointwise(c: np.ndarray, modes: int, size: int, f) -> np.ndarray:
     """Coefficients |n| <= modes of f(values of c at `size` points).
 
+    c may be one coefficient vector or a (B, 2*modes+1) block of them.
     Overflow in f is left to the caller's finiteness check.
     """
     values = synthesize(c, modes, size)
@@ -188,8 +198,13 @@ def derivative(u: FourierField, order: int = 1) -> FourierField:
 
 def sobolev_norm_sq(u: FourierField, s: float) -> float:
     """2*pi * sum (1+n^2)^s |u_n|^2; s = 0 reproduces int |u|^2 dx."""
-    n = u.grid.n
-    return float(TWO_PI * np.sum((1.0 + n * n) ** s * np.abs(u.coeffs) ** 2))
+    return float(sobolev_sq_rows(u.coeffs, u.grid, s))
+
+
+def sobolev_sq_rows(c: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
+    """sobolev_norm_sq of each coefficient row (last axis) of c on `grid`."""
+    n = grid.n
+    return TWO_PI * np.sum((1.0 + n * n) ** s * np.abs(c) ** 2, axis=-1)
 
 
 def lp_norm(u: FourierField, p: float) -> float:

@@ -11,7 +11,16 @@ import pytest
 
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
-from qnls.experiments import RunManifest, _transport_worker, emit_plots, run
+from qnls.experiments import RunManifest, emit_plots, run
+from qnls.flow import evolve
+from qnls.measure import (
+    EnsembleRecord,
+    derive_seed,
+    observables,
+    read_ensemble,
+    sample_mu,
+    write_ensemble,
+)
 
 
 def tiny_conservation(tmp_path, **kw):
@@ -23,6 +32,17 @@ def tiny_conservation(tmp_path, **kw):
         "[run]\nt_end = 0.05\nobserver_stride = 10\n"
     )
     return parse_config(text)
+
+
+def transport_cfg(tmp_path, seed_offset=0):
+    """transport_mc with 100 members (the least tail_ratio accepts) to t = 0.1."""
+    cfg = default_config("transport_mc", output_dir=str(tmp_path / "tr"))
+    cfg = apply_overrides(cfg, base_seed=cfg.measure.base_seed + seed_offset)
+    return replace(
+        cfg,
+        run=replace(cfg.run, ensemble_size=100),
+        params={**cfg.params, "times": (0.05, 0.1)},
+    )
 
 
 class TestRun:
@@ -59,6 +79,18 @@ class TestRun:
         assert manifest.error is not None
         assert (tmp_path / "bad" / "manifest.json").exists()
 
+    def test_plane_wave_order_keeps_the_config_guard(self, tmp_path):
+        # a [flow] blowup_threshold below the plane wave's H^1 norm must stop it
+        cfg = parse_config(
+            "[experiment]\nname = plane_wave_order\n"
+            f"output_dir = {tmp_path / 'pw'}\n"
+            "[grid]\nmodes = 8\n"
+            "[flow]\nblowup_threshold = 0.5\n"
+        )
+        manifest = run(cfg)
+        assert manifest.error is not None
+        assert manifest.error.startswith("BlowUpError: H^1 guard tripped")
+
     def test_emit_plots(self, tmp_path):
         run(tiny_conservation(tmp_path))
         path = emit_plots(tmp_path / "run")
@@ -90,14 +122,40 @@ class TestBlowupIsExpectedOutcome(object):
         names = {v.name: v.passed for v in manifest.verdicts}
         assert names["large_amplitude_trips_guard"]
 
-    def test_transport_trip_leaves_every_later_checkpoint_empty(self):
+    def test_transport_trip_leaves_every_later_checkpoint_empty(self, tmp_path):
         # member 48 at this seed is unstable at dt = 1e-3 and trips the H^1
         # guard at t = 0.002, before the first checkpoint
-        cfg = default_config("transport_mc")
-        cfg = apply_overrides(cfg, base_seed=cfg.measure.base_seed + 25)
-        cfg = replace(cfg, params={**cfg.params, "times": (0.05, 0.1)})
-        _, snapshots = _transport_worker(cfg, 48)
+        cfg = transport_cfg(tmp_path, seed_offset=25)
+        manifest = run(cfg)
+        assert manifest.error is None
+        snapshots = {
+            t: read_ensemble(tmp_path / "tr" / f"transported_{k}.jsonl")[48].observables or None
+            for k, t in enumerate(cfg.params["times"])
+        }
         assert snapshots == {0.05: None, 0.1: None}
+
+    def test_transport_files_match_the_per_member_loop(self, tmp_path):
+        # the reference integrates one member at a time with evolve; seed
+        # variant 25 holds member 48, which trips the guard
+        cfg = transport_cfg(tmp_path, seed_offset=25)
+        assert run(cfg).error is None
+        sigma = cfg.flow.sigma
+        records = {0.0: []} | {t: [] for t in cfg.params["times"]}
+        for i in range(cfg.run.ensemble_size):
+            seed = derive_seed(cfg.measure.base_seed, i)
+            u = sample_mu(cfg.measure, i, cfg.grid)
+            records[0.0].append(EnsembleRecord(i, seed, observables(u, sigma)))
+            t_prev, tripped = 0.0, False
+            for t in cfg.params["times"]:
+                if not tripped:
+                    traj = evolve(u, cfg.flow, t - t_prev)
+                    tripped = traj.blowup_time is not None
+                    u, t_prev = traj.final, t
+                records[t].append(EnsembleRecord(i, seed, {} if tripped else observables(u, sigma)))
+        names = ["ensemble.jsonl"] + [f"transported_{k}.jsonl" for k in range(len(cfg.params["times"]))]
+        for name, recs in zip(names, records.values()):
+            write_ensemble(recs, tmp_path / f"ref_{name}")
+            assert (tmp_path / "tr" / name).read_bytes() == (tmp_path / f"ref_{name}").read_bytes()
 
 
 class TestCli:

@@ -1,13 +1,17 @@
 """Flow module: linear flow, rhs, integrators, conserved quantities, guards."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qnls import (
     BlowUpError,
     FlowParams,
+    FourierField,
     GridSpec,
     evolve,
+    evolve_block,
     field_from_modes,
     hamiltonian,
     linear_flow,
@@ -15,10 +19,12 @@ from qnls import (
     momentum,
     project,
     rhs,
+    sample_mu,
     sobolev_norm_sq,
     step,
     zero_field,
 )
+from qnls.config import default_config
 from qnls.flow import FULL
 
 from conftest import random_field
@@ -235,6 +241,64 @@ class TestEvolve:
     def test_invariants_zero_field(self, grid8):
         z = zero_field(grid8)
         assert mass(z) == momentum(z) == hamiltonian(z, -1) == 0.0
+
+
+class TestEvolveBlock:
+    """Each row of evolve_block is the single-member evolve, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            FlowParams(sigma=1, cutoff=10, dt=1e-3),
+            FlowParams(sigma=-1, cutoff=FULL, dt=1e-3),
+            FlowParams(sigma=1, cutoff=FULL, integrator="strang", dt=1e-3),
+        ],
+        ids=["rk4-cutoff", "rk4-full", "strang-full"],
+    )
+    def test_rows_are_single_member_runs(self, grid16, p):
+        block = np.stack([random_field(grid16, seed=s, amp=0.3, decay=0.3).coeffs for s in range(4)])
+        t_end = 0.0125  # 12 full steps and a partial one
+        c, live = evolve_block(block, np.ones(4, dtype=bool), grid16, p, t_end)
+        assert live.all()
+        for row, c0 in zip(c, block):
+            ref = evolve(FourierField(grid16, c0), p, t_end).final
+            assert row.tobytes() == ref.coeffs.tobytes()
+
+    def test_tripped_row_is_frozen_and_others_run_on(self):
+        # member 48 at this seed is unstable at dt = 1e-3 and trips the H^1
+        # guard at t = 0.002; its neighbours run to t_end
+        cfg = default_config("transport_mc")
+        spec = replace(cfg.measure, base_seed=cfg.measure.base_seed + 25)
+        members = [sample_mu(spec, i, cfg.grid) for i in (46, 47, 48, 49)]
+        live = np.array([True, True, True, False])
+        c, live = evolve_block(
+            np.stack([u.coeffs for u in members]), live, cfg.grid, cfg.flow, 0.05
+        )
+        assert live.tolist() == [True, True, False, False]
+        assert c[3].tobytes() == members[3].coeffs.tobytes()
+        for row, u in zip(c[:3], members):
+            traj = evolve(u, cfg.flow, 0.05)
+            assert row.tobytes() == traj.final.coeffs.tobytes()
+        assert evolve(members[2], cfg.flow, 0.05).blowup_time == pytest.approx(0.002)
+
+    @pytest.mark.parametrize(
+        "amp, p, why",
+        [
+            (3.0, FlowParams(dt=1e-3, blowup_threshold=10.0), r"H\^1 guard"),
+            (1e80, FlowParams(dt=1e-3, blowup_threshold=1e300), "representable"),
+        ],
+        ids=["guard", "overflow"],
+    )
+    def test_failing_row_is_frozen_where_step_raises(self, grid8, amp, p, why):
+        # the guard trips before the first step, or |u|^4 u overflows in it
+        tame, bad = field_from_modes(grid8, {1: 0.5}), field_from_modes(grid8, {1: amp})
+        with pytest.raises(BlowUpError, match=why):
+            step(bad, p)
+        block = np.stack([tame.coeffs, bad.coeffs])
+        c, live = evolve_block(block, np.ones(2, dtype=bool), grid8, p, 0.01)
+        assert live.tolist() == [True, False]
+        assert c[0].tobytes() == evolve(tame, p, 0.01).final.coeffs.tobytes()
+        assert c[1].tobytes() == bad.coeffs.tobytes()
 
 
 class TestParams:

@@ -26,3 +26,28 @@ def test_no_unused_imports():
     assert modules
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == [], f"imported but never used: {unused}"
+
+
+def _reads_cfg_flow(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Attribute)
+        and n.attr == "flow"
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "cfg"
+        for n in ast.walk(node)
+    )
+
+
+def test_config_flows_are_replaced_not_rebuilt():
+    # FlowParams(sigma=cfg.flow.sigma, ...) silently drops every [flow] key it
+    # does not name; a flow derived from the config is replace(cfg.flow, ...)
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    rebuilt = [
+        f"experiments.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "FlowParams"
+        and any(_reads_cfg_flow(arg) for arg in [*node.args, *node.keywords])
+    ]
+    assert rebuilt == [], f"FlowParams built from cfg.flow fields: {rebuilt}"

@@ -60,6 +60,14 @@ class TestFourierField:
         back = analyze(u.values(), grid16.modes)
         assert np.max(np.abs(back - u.coeffs)) < 1e-12 * np.max(np.abs(u.coeffs))
 
+        # a (B, 2M+1) block goes through both transforms row by row, bit for
+        # bit, also when size < 2M+1 folds the modes
+        block = np.stack([u.coeffs, random_field(grid16, seed=2).coeffs])
+        for size in (grid16.phys_size, 17):
+            back = analyze(synthesize(block, grid16.modes, size), grid16.modes)
+            rows = [analyze(synthesize(c, grid16.modes, size), grid16.modes) for c in block]
+            assert back.tobytes() == np.stack(rows).tobytes()
+
     def test_snapshot_file(self, grid8, tmp_path):
         u = random_field(grid8, seed=2)
         path = tmp_path / "field.json"
@@ -234,3 +242,7 @@ def test_synthesize_fold_matches_direct():
         u.coeffs[k] * np.exp(1j * (k - g.modes) * x) for k in range(2 * g.modes + 1)
     )
     assert np.max(np.abs(synthesize(u.coeffs, g.modes, size) - direct)) < 1e-12
+    # a (B, 2M+1) block folds row by row, bit for bit
+    block = np.stack([u.coeffs, random_field(g, seed=29).coeffs])
+    rows = np.stack([synthesize(c, g.modes, size) for c in block])
+    assert synthesize(block, g.modes, size).tobytes() == rows.tobytes()
