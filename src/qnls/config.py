@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .flow import FlowParams
-from .measure import MeasureSpec
+from .measure import MIN_TAIL_SAMPLES, MeasureSpec
 from .spectral import GridSpec
 
 EXPERIMENTS = (
@@ -248,6 +248,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[run] ensemble_size must be >= 1")
     if run.workers < 1:
         raise ConfigError("[run] workers must be >= 1")
+    # both would otherwise fail mid-run: tail_ratio after the whole ensemble
+    # is integrated, Strang splitting at the first step
+    if name == "transport_mc" and run.ensemble_size < MIN_TAIL_SAMPLES:
+        raise ConfigError(f"[run] transport_mc needs ensemble_size >= {MIN_TAIL_SAMPLES}")
+    if flow.integrator == "strang" and flow.cutoff is not None:
+        raise ConfigError("[flow] integrator = strang needs cutoff = full")
     return ExperimentConfig(
         experiment=name,
         output_dir=output_dir,

@@ -18,18 +18,21 @@ error but cannot remove it.
 RK4 is neutrally stable on the imaginary axis up to |n^2 dt| ~ 2.8; pick dt
 accordingly for the largest grid mode.
 
-Independent fields on one grid can be advanced together: evolve_block takes
-a (B, 2M+1) coefficient block and runs each row through the same kernels as
-step (the spectral transforms act on the last axis), with evolve's step
-schedule.  The H^1 guard and the finiteness check apply per row: a row that
-fails either is frozen at its last good state and leaves the live mask at
-the step where step() would raise, while the other rows run on.  Each row
-is bit-for-bit the single-field evolve of that row.
+Independent fields on one grid are advanced together: evolve_block takes a
+(B, 2M+1) coefficient block, with a Galerkin cutoff per row, and runs each
+row through the same kernels as step (the spectral transforms act on the
+last axis).  The H^1 guard and the finiteness check apply per row: a row
+that fails either is frozen at its last good state and leaves the live mask
+at the step where step() would raise, and its trip time (the time of that
+state) is returned, while the other rows run on.  Each row is bit-for-bit a
+loop of step() calls on that row.  evolve is a one-row block with
+observers: there is one schedule loop and one guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,18 +99,43 @@ def linear_flow(u0: FourierField, t: float) -> FourierField:
     return FourierField(u0.grid, u0.coeffs * np.exp(-1j * t * n * n))
 
 
-def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams) -> np.ndarray:
-    n = grid.n
-    if p.cutoff is None or p.cutoff >= grid.modes:
-        w = c
-        mask = None
-    else:
-        mask = np.abs(n) <= p.cutoff
-        w = np.where(mask, c, 0.0)
+@lru_cache(maxsize=256)
+def _cutoff_mask(modes: int, cutoff: int | None) -> np.ndarray | bool:
+    """P_M as the mask |n| <= cutoff over n = -modes..modes (read-only,
+    shared), or True where P_M is the identity (FULL or cutoff >= modes)."""
+    if cutoff is None or cutoff >= modes:
+        return True
+    mask = np.abs(np.arange(-modes, modes + 1)) <= cutoff
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=256)
+def _linear_symbol(modes: int) -> np.ndarray:
+    """-i n^2 over n = -modes..modes (read-only, shared)."""
+    n = np.arange(-modes, modes + 1)
+    lin = -1j * n * n
+    lin.flags.writeable = False
+    return lin
+
+
+def _rhs_coeffs(
+    c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray | bool | None = None
+) -> np.ndarray:
+    """du/dt of a coefficient vector or block.
+
+    `mask` (default: p.cutoff's _cutoff_mask) is P_M on both sides of the
+    quintic, per row for a block.  Where it is True the projector is skipped;
+    an all-True row of a mask copies the values bit for bit, so a FULL row in
+    a block with finite cutoffs gets the same arithmetic as a FULL block.
+    """
+    if mask is None:
+        mask = _cutoff_mask(grid.modes, p.cutoff)
+    w = c if mask is True else np.where(mask, c, 0.0)
     q = pointwise(w, grid.modes, grid.quintic_pad(), lambda v: np.abs(v) ** 4 * v)
-    if mask is not None:
+    if mask is not True:
         q = np.where(mask, q, 0.0)
-    return -1j * n * n * c - 1j * p.sigma * q
+    return _linear_symbol(grid.modes) * c - 1j * p.sigma * q
 
 
 def rhs(u: FourierField, p: FlowParams) -> FourierField:
@@ -116,11 +144,13 @@ def rhs(u: FourierField, p: FlowParams) -> FourierField:
     return FourierField(u.grid, _rhs_coeffs(u.coeffs, u.grid, p))
 
 
-def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.ndarray:
-    k1 = _rhs_coeffs(c, grid, p)
-    k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p)
-    k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p)
-    k4 = _rhs_coeffs(c + dt * k3, grid, p)
+def _rk4_coeffs(
+    c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool | None
+) -> np.ndarray:
+    k1 = _rhs_coeffs(c, grid, p, mask)
+    k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
+    k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
+    k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
     return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -136,13 +166,20 @@ def _strang_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> n
     return c * half
 
 
-def _advance(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.ndarray:
+def _advance(
+    c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool | None = None
+) -> np.ndarray:
     """One integrator step of a coefficient vector or (B, 2M+1) block."""
     if p.integrator == "rk4":
-        return _rk4_coeffs(c, grid, p, dt)
-    if p.cutoff is not None:
-        raise ValueError("strang splitting is valid only for cutoff = FULL")
+        return _rk4_coeffs(c, grid, p, dt, mask)
     return _strang_coeffs(c, grid, p, dt)
+
+
+def _check(grid: GridSpec, p: FlowParams) -> None:
+    """Reject a cutoff the grid or the integrator cannot take."""
+    p.check_grid(grid)
+    if p.integrator == "strang" and p.cutoff is not FULL:
+        raise ValueError("strang splitting is valid only for cutoff = FULL")
 
 
 def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -173,7 +210,7 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     the state is no longer finite after it; Strang splitting is rejected for
     finite cutoffs (the projected nonlinearity is not a pointwise phase).
     """
-    p.check_grid(u.grid)
+    _check(u.grid, p)
     h1 = float(_h1_norms(u.coeffs, u.grid))
     if _guard_tripped(h1, p):
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}", h1)
@@ -183,30 +220,81 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     return FourierField(u.grid, c)
 
 
+def _march(c, live, trip_times, grid, p, t_end, cutoffs):
+    """Advance the live rows of c in place along evolve's schedule.
+
+    Row i takes the Galerkin cutoff cutoffs[i].  Yields (k, t) after step k,
+    t being the time of the new state: k * dt, or t_end after the partial
+    step.  Before each step a row whose H^1 norm reaches the guard, and after
+    it a row that is no longer finite, keeps its last good state, leaves
+    `live` and gets that state's time in trip_times.  Stops once no row is
+    live.
+    """
+    for m in set(cutoffs):
+        _check(grid, replace(p, cutoff=m))
+    n_steps, remainder = _schedule(t_end, p.dt)
+    masks = [_cutoff_mask(grid.modes, m) for m in cutoffs]
+    mask = True  # no projector anywhere, else one mask row per live row
+    rows = np.flatnonzero(live)
+    if any(m is not True for m in masks):
+        full = np.ones(2 * grid.modes + 1, dtype=bool)
+        mask = np.stack([full if m is True else m for m in masks])[rows]
+    block = c[rows]  # the live rows; c[rows] is kept equal to it
+    t = 0.0
+
+    def leave(good):
+        nonlocal rows, block, mask
+        live[rows[~good]] = False
+        trip_times[rows[~good]] = t
+        rows, block = rows[good], block[good]
+        if mask is not True:
+            mask = mask[good]
+
+    for k in range(1, n_steps + 1 + (remainder > 0)):
+        good = ~_guard_tripped(_h1_norms(block, grid), p)
+        if not good.all():
+            leave(good)
+        if rows.size:
+            nxt = _advance(block, grid, p, p.dt if k <= n_steps else remainder, mask)
+            good = _finite_rows(nxt)
+            if not good.all():
+                leave(good)
+                nxt = nxt[good]
+            block = nxt
+            c[rows] = block
+        if not rows.size:
+            return
+        t = k * p.dt if k <= n_steps else t_end
+        yield k, t
+
+
 def evolve_block(
-    c: np.ndarray, live: np.ndarray, grid: GridSpec, p: FlowParams, t_end: float
-) -> tuple[np.ndarray, np.ndarray]:
+    c: np.ndarray,
+    live: np.ndarray,
+    grid: GridSpec,
+    p: FlowParams,
+    t_end: float,
+    cutoffs=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the live rows of a (B, 2M+1) coefficient block by t_end.
 
-    Each row follows evolve()'s schedule and step()'s arithmetic.  A row
-    whose H^1 norm reaches the guard before a step, or that is no longer
-    finite after one, is frozen at its last good state and leaves `live`,
-    at the step where step() would raise.  Returns new arrays (c, live).
+    Each row follows step()'s arithmetic along evolve()'s schedule, with its
+    own Galerkin cutoff from `cutoffs` (FULL or an int per row; None means
+    p.cutoff for every row).  A row whose H^1 norm reaches the guard before
+    a step, or that is no longer finite after one, is frozen at its last good
+    state and leaves `live`, at the step where step() would raise.
+
+    Returns new arrays (c, live, trip_times): trip_times[i] is the time of
+    row i's last good state if it left `live` in this call, else NaN.
     """
-    p.check_grid(grid)
-    n_steps, remainder = _schedule(t_end, p.dt)
     c = np.array(c, dtype=np.complex128)
     live = np.array(live, dtype=bool)
-    for dt in [p.dt] * n_steps + ([remainder] if remainder else []):
-        live[live] = ~_guard_tripped(_h1_norms(c[live], grid), p)
-        if not live.any():
-            break
-        rows = np.flatnonzero(live)
-        nxt = _advance(c[rows], grid, p, dt)
-        ok = _finite_rows(nxt)
-        c[rows[ok]] = nxt[ok]
-        live[rows[~ok]] = False
-    return c, live
+    trip_times = np.full(len(c), np.nan)
+    if cutoffs is None:
+        cutoffs = [p.cutoff] * len(c)
+    for _ in _march(c, live, trip_times, grid, p, t_end, cutoffs):
+        pass
+    return c, live, trip_times
 
 
 def evolve(
@@ -217,15 +305,15 @@ def evolve(
     stride: int = 1,
     store_states: bool = False,
 ) -> Trajectory:
-    """Repeated step() with a final partial step landing exactly on t_end.
+    """One-row evolve_block, recording along the way.
 
     Observers are callables f(t, u) -> dict of floats, invoked every `stride`
-    steps (and at t = 0 and t_end); their outputs are merged per record.
-    A guard trip stops the run and is recorded as Trajectory.blowup_time.
+    steps (and at t = 0 and at the last state); their outputs are merged per
+    record.  A guard trip stops the run and is recorded as
+    Trajectory.blowup_time, the time of the last good state.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n_steps, remainder = _schedule(t_end, p.dt)
     times: list[float] = []
     records: list[dict] = []
     states: list[FourierField] = []
@@ -239,30 +327,24 @@ def evolve(
         if store_states:
             states.append(u)
 
-    u = u0
+    grid = u0.grid
+    c = u0.coeffs[np.newaxis].copy()
+    live = np.ones(1, dtype=bool)
+    trip_times = np.full(1, np.nan)
+    record(0.0, u0)
     t = 0.0
-    record(t, u)
-    blowup_time = None
-    try:
-        for k in range(n_steps):
-            u = step(u, p)
-            t = (k + 1) * p.dt
-            if (k + 1) % stride == 0 and not (k + 1 == n_steps and not remainder):
-                record(t, u)
-        if remainder:
-            u = step(u, p, dt=remainder)
-            t = t_end
+    for k, t in _march(c, live, trip_times, grid, p, t_end, [p.cutoff]):
+        if k % stride == 0:
+            record(t, FourierField(grid, c[0]))
+    u = FourierField(grid, c[0])
+    if times[-1] != t:
         record(t, u)
-    except BlowUpError:
-        blowup_time = t
-        if not times or times[-1] != t:
-            record(t, u)
     return Trajectory(
         times=np.asarray(times),
         records=records,
         states=states,
         final=u,
-        blowup_time=blowup_time,
+        blowup_time=None if live[0] else float(trip_times[0]),
     )
 
 

@@ -144,6 +144,9 @@ def ks_critical_value(n: int, m: int, alpha: float = 0.05) -> float:
     return float(c * np.sqrt((n + m) / (n * m)))
 
 
+MIN_TAIL_SAMPLES = 100  # fewer gives a tail fraction too coarse to compare
+
+
 def tail_ratio(before, after, threshold: float) -> float:
     """(fraction of after > threshold) / (fraction of before > threshold).
 
@@ -153,8 +156,8 @@ def tail_ratio(before, after, threshold: float) -> float:
     after = np.asarray(after, dtype=float)
     if before.size != after.size:
         raise ValueError("tail_ratio: arrays differ in length")
-    if before.size < 100:
-        raise ValueError("tail_ratio needs at least 100 samples")
+    if before.size < MIN_TAIL_SAMPLES:
+        raise ValueError(f"tail_ratio needs at least {MIN_TAIL_SAMPLES} samples")
     fb = float(np.mean(before > threshold))
     fa = float(np.mean(after > threshold))
     if fb == 0.0:

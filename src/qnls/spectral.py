@@ -28,6 +28,16 @@ from scipy.fft import next_fast_len
 
 TWO_PI = 2.0 * np.pi
 
+# pad sizes, mode indices and Sobolev weights are read on every step
+_fast_len = lru_cache(maxsize=256)(next_fast_len)
+
+
+@lru_cache(maxsize=256)
+def _mode_indices(modes: int) -> np.ndarray:
+    n = np.arange(-modes, modes + 1)
+    n.flags.writeable = False
+    return n
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -53,8 +63,8 @@ class GridSpec:
 
     @property
     def n(self) -> np.ndarray:
-        """Mode indices -modes..modes in storage order."""
-        return np.arange(-self.modes, self.modes + 1)
+        """Mode indices -modes..modes in storage order (read-only, shared)."""
+        return _mode_indices(self.modes)
 
     @property
     def x(self) -> np.ndarray:
@@ -63,7 +73,7 @@ class GridSpec:
 
     def pad_for_degree(self, degree: int) -> int:
         """Smallest FFT-friendly size integrating degree-`degree` products exactly."""
-        return next_fast_len(degree * self.modes + 1)
+        return _fast_len(degree * self.modes + 1)
 
     def quintic_pad(self) -> int:
         """Transform size extracting |u|^4 u alias-free up to mode `modes`."""
@@ -117,7 +127,7 @@ def field_from_modes(grid: GridSpec, amplitudes: dict[int, complex]) -> FourierF
 @lru_cache(maxsize=256)
 def _bins(modes: int, size: int) -> np.ndarray:
     """FFT bins n % size of the modes n = -modes..modes (read-only, shared)."""
-    bins = np.arange(-modes, modes + 1) % size
+    bins = _mode_indices(modes) % size
     bins.flags.writeable = False
     return bins
 
@@ -127,10 +137,16 @@ def synthesize(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
 
     Acts on the last axis, so a (B, 2*modes+1) block gives (B, size) values.
     Coefficients are folded modulo `size`, which evaluates the trigonometric
-    polynomial exactly even when size < 2*modes + 1.
+    polynomial exactly even when size < 2*modes + 1.  Without a fold the
+    modes are added into zeros as two slices, which sums bit for bit as the
+    fold's np.add.at does (a -0.0 coefficient lands as +0.0 in both).
     """
     a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
-    np.add.at(a, (..., _bins(modes, size)), coeffs)
+    if size >= 2 * modes + 1:
+        a[..., : modes + 1] += coeffs[..., modes:]
+        a[..., size - modes :] += coeffs[..., :modes]
+    else:
+        np.add.at(a, (..., _bins(modes, size)), coeffs)
     return np.fft.ifft(a, axis=-1) * size
 
 
@@ -201,10 +217,17 @@ def sobolev_norm_sq(u: FourierField, s: float) -> float:
     return float(sobolev_sq_rows(u.coeffs, u.grid, s))
 
 
+@lru_cache(maxsize=256)
+def _sobolev_weights(modes: int, s: float) -> np.ndarray:
+    n = _mode_indices(modes)
+    weights = (1.0 + n * n) ** s
+    weights.flags.writeable = False
+    return weights
+
+
 def sobolev_sq_rows(c: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
     """sobolev_norm_sq of each coefficient row (last axis) of c on `grid`."""
-    n = grid.n
-    return TWO_PI * np.sum((1.0 + n * n) ** s * np.abs(c) ** 2, axis=-1)
+    return TWO_PI * np.sum(_sobolev_weights(grid.modes, s) * np.abs(c) ** 2, axis=-1)
 
 
 def lp_norm(u: FourierField, p: float) -> float:

@@ -111,6 +111,21 @@ class TestParse:
         with pytest.raises(ConfigError, match="cutoff"):
             parse_config(MINIMAL + "[grid]\nmodes = 8\n\n[flow]\ncutoff = 16\n")
 
+    def test_strang_needs_full_cutoff(self):
+        # cutoff = modes is rejected too: Strang takes only FULL
+        for cutoff in (4, 8):
+            with pytest.raises(ConfigError, match="strang"):
+                parse_config(
+                    MINIMAL + f"[grid]\nmodes = 8\n\n[flow]\nintegrator = strang\ncutoff = {cutoff}\n"
+                )
+        assert parse_config(MINIMAL + "[flow]\nintegrator = strang\n").flow.cutoff is None
+
+    def test_transport_needs_enough_members_for_tail_ratio(self):
+        text = "[experiment]\nname = transport_mc\n\n[run]\nensemble_size = {}\n"
+        with pytest.raises(ConfigError, match="ensemble_size"):
+            parse_config(text.format(99))
+        assert parse_config(text.format(100)).run.ensemble_size == 100
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", EXPERIMENTS)

@@ -12,7 +12,6 @@ import pytest
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
 from qnls.experiments import RunManifest, emit_plots, run
-from qnls.flow import evolve
 from qnls.measure import (
     EnsembleRecord,
     derive_seed,
@@ -21,6 +20,8 @@ from qnls.measure import (
     sample_mu,
     write_ensemble,
 )
+
+from conftest import step_loop
 
 
 def tiny_conservation(tmp_path, **kw):
@@ -135,8 +136,8 @@ class TestBlowupIsExpectedOutcome(object):
         assert snapshots == {0.05: None, 0.1: None}
 
     def test_transport_files_match_the_per_member_loop(self, tmp_path):
-        # the reference integrates one member at a time with evolve; seed
-        # variant 25 holds member 48, which trips the guard
+        # the reference integrates one member at a time with a step() loop;
+        # seed variant 25 holds member 48, which trips the guard
         cfg = transport_cfg(tmp_path, seed_offset=25)
         assert run(cfg).error is None
         sigma = cfg.flow.sigma
@@ -148,9 +149,8 @@ class TestBlowupIsExpectedOutcome(object):
             t_prev, tripped = 0.0, False
             for t in cfg.params["times"]:
                 if not tripped:
-                    traj = evolve(u, cfg.flow, t - t_prev)
-                    tripped = traj.blowup_time is not None
-                    u, t_prev = traj.final, t
+                    u, blowup_time, _ = step_loop(u, cfg.flow, t - t_prev)
+                    tripped, t_prev = blowup_time is not None, t
                 records[t].append(EnsembleRecord(i, seed, {} if tripped else observables(u, sigma)))
         names = ["ensemble.jsonl"] + [f"transported_{k}.jsonl" for k in range(len(cfg.params["times"]))]
         for name, recs in zip(names, records.values()):

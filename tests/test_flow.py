@@ -27,7 +27,7 @@ from qnls import (
 from qnls.config import default_config
 from qnls.flow import FULL
 
-from conftest import random_field
+from conftest import random_field, step_loop
 
 
 def smooth_field(grid, seed=42, amp=0.2, width=4.0, bias=0.25, bias_mode=2):
@@ -244,7 +244,7 @@ class TestEvolve:
 
 
 class TestEvolveBlock:
-    """Each row of evolve_block is the single-member evolve, bit for bit."""
+    """evolve_block and evolve against a plain step() loop, bit for bit."""
 
     @pytest.mark.parametrize(
         "p",
@@ -258,11 +258,28 @@ class TestEvolveBlock:
     def test_rows_are_single_member_runs(self, grid16, p):
         block = np.stack([random_field(grid16, seed=s, amp=0.3, decay=0.3).coeffs for s in range(4)])
         t_end = 0.0125  # 12 full steps and a partial one
-        c, live = evolve_block(block, np.ones(4, dtype=bool), grid16, p, t_end)
-        assert live.all()
+        c, live, trip_times = evolve_block(block, np.ones(4, dtype=bool), grid16, p, t_end)
+        assert live.all() and np.isnan(trip_times).all()
         for row, c0 in zip(c, block):
-            ref = evolve(FourierField(grid16, c0), p, t_end).final
+            ref, blowup_time, _ = step_loop(FourierField(grid16, c0), p, t_end)
+            assert blowup_time is None
             assert row.tobytes() == ref.coeffs.tobytes()
+
+    def test_rows_take_their_own_cutoffs(self, grid16):
+        # FULL, cutoff = modes (the identity projector) and two finite cutoffs
+        # in one block, each row against a step() loop at its own cutoff
+        cutoffs = [FULL, grid16.modes, 3, 10]
+        u0 = random_field(grid16, seed=7, amp=0.4, decay=0.2)
+        p = FlowParams(sigma=1, dt=1e-3)
+        t_end = 0.0125
+        block = np.tile(u0.coeffs, (len(cutoffs), 1))
+        c, live, _ = evolve_block(block, np.ones(4, dtype=bool), grid16, p, t_end, cutoffs)
+        assert live.all()
+        for row, m in zip(c, cutoffs):
+            ref, _, _ = step_loop(u0, replace(p, cutoff=m), t_end)
+            assert row.tobytes() == ref.coeffs.tobytes()
+        assert c[0].tobytes() == c[1].tobytes()
+        assert c[2].tobytes() != c[3].tobytes()
 
     def test_tripped_row_is_frozen_and_others_run_on(self):
         # member 48 at this seed is unstable at dt = 1e-3 and trips the H^1
@@ -271,15 +288,18 @@ class TestEvolveBlock:
         spec = replace(cfg.measure, base_seed=cfg.measure.base_seed + 25)
         members = [sample_mu(spec, i, cfg.grid) for i in (46, 47, 48, 49)]
         live = np.array([True, True, True, False])
-        c, live = evolve_block(
+        c, live, trip_times = evolve_block(
             np.stack([u.coeffs for u in members]), live, cfg.grid, cfg.flow, 0.05
         )
         assert live.tolist() == [True, True, False, False]
         assert c[3].tobytes() == members[3].coeffs.tobytes()
-        for row, u in zip(c[:3], members):
-            traj = evolve(u, cfg.flow, 0.05)
-            assert row.tobytes() == traj.final.coeffs.tobytes()
-        assert evolve(members[2], cfg.flow, 0.05).blowup_time == pytest.approx(0.002)
+        refs = [step_loop(u, cfg.flow, 0.05) for u in members[:3]]
+        for row, (ref, _, _) in zip(c[:3], refs):
+            assert row.tobytes() == ref.coeffs.tobytes()
+        assert [ref[1] for ref in refs] == [None, None, pytest.approx(0.002)]
+        # the trip time is the step loop's, bit for bit; NaN for the rest
+        assert trip_times[2] == refs[2][1]
+        assert np.isnan(trip_times[[0, 1, 3]]).all()
 
     @pytest.mark.parametrize(
         "amp, p, why",
@@ -295,10 +315,52 @@ class TestEvolveBlock:
         with pytest.raises(BlowUpError, match=why):
             step(bad, p)
         block = np.stack([tame.coeffs, bad.coeffs])
-        c, live = evolve_block(block, np.ones(2, dtype=bool), grid8, p, 0.01)
+        c, live, trip_times = evolve_block(block, np.ones(2, dtype=bool), grid8, p, 0.01)
         assert live.tolist() == [True, False]
-        assert c[0].tobytes() == evolve(tame, p, 0.01).final.coeffs.tobytes()
+        assert c[0].tobytes() == step_loop(tame, p, 0.01)[0].coeffs.tobytes()
         assert c[1].tobytes() == bad.coeffs.tobytes()
+        assert np.isnan(trip_times[0]) and trip_times[1] == 0.0
+        assert evolve(bad, p, 0.01).blowup_time == step_loop(bad, p, 0.01)[1] == 0.0
+
+    def test_trip_in_the_partial_step(self, grid8):
+        # a threshold between the H^1 norms of the last two full-step states
+        # trips the guard before the partial step: the last good state is
+        # n_steps * dt, not t_end
+        u0 = field_from_modes(grid8, {1: 1.2, -1: 1.2})
+        p = FlowParams(sigma=-1, dt=1e-3, blowup_threshold=1e300)
+        t_end, n_steps = 0.0205, 20
+        u = u0
+        h1 = []
+        for _ in range(n_steps):
+            u = step(u, p)
+            h1.append(sobolev_norm_sq(u, 1.0) ** 0.5)
+        assert h1[-2] < h1[-1] and max(h1[:-1]) == h1[-2]
+        p = replace(p, blowup_threshold=(h1[-2] + h1[-1]) / 2)
+        ref, blowup_time, _ = step_loop(u0, p, t_end)
+        assert blowup_time == n_steps * p.dt
+        c, live, trip_times = evolve_block(u0.coeffs[None], np.ones(1, dtype=bool), grid8, p, t_end)
+        assert not live[0] and trip_times[0] == blowup_time
+        assert c[0].tobytes() == ref.coeffs.tobytes()
+        traj = evolve(u0, p, t_end, stride=7)
+        assert traj.blowup_time == blowup_time
+        assert list(traj.times) == step_loop(u0, p, t_end, stride=7)[2]
+
+    @pytest.mark.parametrize("stride", [1, 3, 1000])
+    @pytest.mark.parametrize("t_end", [0.01234, 0.012, 0.6], ids=["partial", "whole", "trips"])
+    def test_evolve_records_where_the_step_loop_does(self, stride, t_end):
+        # 4cos(x) trips the guard before t = 0.6 at dt = 5e-4
+        g = GridSpec(modes=32)
+        u0 = field_from_modes(g, {1: 2.0, -1: 2.0})
+        p = FlowParams(sigma=-1, dt=5e-4)
+        seen = []
+        traj = evolve(u0, p, t_end, observers=(lambda t, u: seen.append(u) or {"t": t},), stride=stride)
+        ref, blowup_time, times = step_loop(u0, p, t_end, stride=stride)
+        assert list(traj.times) == times
+        assert [r["t"] for r in traj.records] == times
+        assert traj.blowup_time == blowup_time
+        assert (blowup_time is not None) == (t_end == 0.6)
+        assert traj.final.coeffs.tobytes() == ref.coeffs.tobytes()
+        assert seen[-1].coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 class TestParams:

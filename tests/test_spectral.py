@@ -246,3 +246,15 @@ def test_synthesize_fold_matches_direct():
     block = np.stack([u.coeffs, random_field(g, seed=29).coeffs])
     rows = np.stack([synthesize(c, g.modes, size) for c in block])
     assert synthesize(block, g.modes, size).tobytes() == rows.tobytes()
+    # with and without a fold, vectors and blocks sum bit for bit as
+    # np.add.at into zeros does, which turns a -0.0 coefficient into +0.0
+    block[0, 3] = complex(-0.0, -0.0)
+    block[1, g.modes + 2] = complex(-0.0, 1.0)
+    for size in (17, g.phys_size, g.quintic_pad()):
+        a = np.zeros((2, size), dtype=complex)
+        np.add.at(a, (..., np.arange(-g.modes, g.modes + 1) % size), block)
+        ref = np.fft.ifft(a, axis=-1) * size
+        assert synthesize(block, g.modes, size).tobytes() == ref.tobytes()
+        assert synthesize(block[0], g.modes, size).tobytes() == ref[0].tobytes()
+    # the FFT hides the sign of a zero except at size 1, where it is the identity
+    assert synthesize(np.array([complex(-0.0, -0.0)]), 0, 1).tobytes() == bytes(16)
