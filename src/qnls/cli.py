@@ -5,7 +5,7 @@
     qnls config <experiment>               print the default config
     qnls plots <run-dir>                   write the gnuplot stub for a run
 
-Overrides: --output-dir, --seed, --workers, --dt, --t-end.
+Overrides: --output-dir, --seed, --dt, --t-end.
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error.
 """
 
@@ -29,7 +29,6 @@ from .experiments import RunManifest, emit_plots, run
 def _add_overrides(sub):
     sub.add_argument("--output-dir", help="where data files and manifest go")
     sub.add_argument("--seed", type=int, help="ensemble base seed override")
-    sub.add_argument("--workers", type=int, help="processes for linear_invariance's ensemble")
     sub.add_argument("--dt", type=float, help="integrator step override")
     sub.add_argument("--t-end", type=float, help="time horizon override")
 
@@ -38,7 +37,6 @@ def _overrides(args) -> dict:
     return {
         "output_dir": args.output_dir,
         "base_seed": args.seed,
-        "workers": args.workers,
         "dt": args.dt,
         "t_end": args.t_end,
     }

@@ -9,7 +9,7 @@ Grammar (INI-style, parsed strictly):
     [grid]                        ; GridSpec fields
     [flow]                        ; FlowParams fields (cutoff = full or an int)
     [measure]                     ; MeasureSpec fields (used where relevant)
-    [run]                         ; horizon, ensemble size, sweep, workers
+    [run]                         ; horizon, ensemble size, sweep, observer stride
     [params]                      ; experiment-specific knobs, typed per schema
 
 Every key is typed and defaulted by a schema: the [grid] [flow] [measure]
@@ -26,7 +26,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .flow import FlowParams
 from .measure import MIN_TAIL_SAMPLES, MeasureSpec
@@ -54,7 +54,6 @@ class RunSettings:
     t_end: float = 1.0
     ensemble_size: int = 64
     m_sweep: tuple[int, ...] = (16, 32, 64, 128)
-    workers: int = 1
     observer_stride: int = 10
 
 
@@ -246,8 +245,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[run] t_end must be positive")
     if run.ensemble_size < 1:
         raise ConfigError("[run] ensemble_size must be >= 1")
-    if run.workers < 1:
-        raise ConfigError("[run] workers must be >= 1")
     # both would otherwise fail mid-run: tail_ratio after the whole ensemble
     # is integrated, Strang splitting at the first step
     if name == "transport_mc" and run.ensemble_size < MIN_TAIL_SAMPLES:
@@ -299,7 +296,7 @@ EXPERIMENT_DEFAULTS: dict[str, str] = {
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
     """Default configuration for an experiment, with keyword overrides.
 
-    Recognized overrides: output_dir, base_seed, workers, dt, t_end.
+    Recognized overrides: output_dir, base_seed, dt, t_end.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -316,14 +313,14 @@ def apply_overrides(
     dt: float | None = None,
     t_end: float | None = None,
 ) -> ExperimentConfig:
-    from dataclasses import replace
-
     if output_dir is not None:
         cfg = replace(cfg, output_dir=output_dir)
     if base_seed is not None:
         cfg = replace(cfg, measure=replace(cfg.measure, base_seed=base_seed))
-    if workers is not None:
-        cfg = replace(cfg, run=replace(cfg.run, workers=workers))
+    # ensembles run as one coefficient block in one process; `workers` stays
+    # a parameter so callers that pin the old default of 1 keep working
+    if workers not in (None, 1):
+        raise ConfigError(f"workers = {workers}: ensembles run in one process")
     if dt is not None:
         cfg = replace(cfg, flow=replace(cfg.flow, dt=dt))
     if t_end is not None:

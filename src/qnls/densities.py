@@ -41,7 +41,7 @@ class DensityTriple:
 
 def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
     """Density triple at the physical grid points."""
-    (uu, ux, uxx), N, _, J = jet(u, u.grid.phys_size, 2)
+    (uu, ux, uxx), N, _, J = jet(u.coeffs, u.grid, u.grid.phys_size, 2)
     # N_xx = 2|u_x|^2 + 2 Re(conj(u) u_xx), pointwise from exact samples
     Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
     T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3
@@ -64,7 +64,7 @@ def eleele_residual(u: FourierField) -> float:
     Vanishes (to rounding) for every field; the identity is pointwise
     algebra, not dynamics.
     """
-    (_, ux), N, Nx, J = jet(u, u.grid.quintic_pad(), 1)
+    (_, ux), N, Nx, J = jet(u.coeffs, u.grid, u.grid.quintic_pad(), 1)
     return float(np.max(np.abs(J**2 + Nx**2 - 4.0 * N * np.abs(ux) ** 2)))
 
 
@@ -89,7 +89,7 @@ def continuity_residuals(u: FourierField, p: FlowParams) -> tuple[float, float]:
     """
     if p.cutoff is not None:
         raise ValueError("continuity laws hold only for the FULL flow (cutoff=None)")
-    j = jet(u, u.grid.quintic_pad(), 3)
+    j = jet(u.coeffs, u.grid, u.grid.quintic_pad(), 3)
     uu, ux, uxx, uxxx = j.d
     ut, utx = _du_dt_values(j, p.sigma)
 
@@ -108,7 +108,7 @@ def _diag_integrals(u: FourierField, p: FlowParams):
     if p.cutoff is not None:
         raise ValueError("diagnostics are defined along the FULL flow (cutoff=None)")
     size = u.grid.quintic_pad()
-    j = jet(u, size, 3)
+    j = jet(u.coeffs, u.grid, size, 3)
     ut, _ = _du_dt_values(j, p.sigma)
     Nt = 2.0 * np.real(np.conj(j.d[0]) * ut)
     w = TWO_PI / size

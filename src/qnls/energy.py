@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .flow import FlowParams, rhs
-from .spectral import TWO_PI, FourierField, derivative, jet, lp_norm, project, sobolev_norm_sq
+from .spectral import TWO_PI, FourierField, GridSpec, derivative, jet, lp_norm, project, sobolev_norm_sq
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -70,28 +70,31 @@ def _term_scales(sigma: int, overrides: dict[str, float] | None):
     return scales
 
 
-def r2(
-    u: FourierField,
-    sigma: int = 1,
-    overrides: dict[str, float] | None = None,
-) -> tuple[float, dict[str, float]]:
-    """Correction functional R_2 with its per-term breakdown.
+def r2_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1, overrides: dict[str, float] | None = None):
+    """Correction functional R_2 with its per-term breakdown, of a coefficient
+    vector or of each row of a (B, 2M+1) block c on `grid`.
 
     `overrides` rescales named coefficients; it exists for the perturbation
     oracle (a wrong coefficient must break the cutoff-uniformity sweep).
     """
-    size = u.grid.pad_for_degree(10)
-    (uu, _, uxx), N, Nx, J = jet(u, size, 2)
+    size = grid.pad_for_degree(10)
+    (uu, _, uxx), N, Nx, J = jet(c, grid, size, 2)
     w = TWO_PI / size
     raw = {
-        "curv_quintic": w * float(np.sum(np.real(uxx * np.conj(uu)) * N**2)),
-        "grad_density": w * float(np.sum(N * Nx**2)),
-        "current_sq": w * float(np.sum(N * J**2)),
-        "density_fifth": w * float(np.sum(N**5)),
+        "curv_quintic": w * np.sum(np.real(uxx * np.conj(uu)) * N**2, axis=-1),
+        "grad_density": w * np.sum(N * Nx**2, axis=-1),
+        "current_sq": w * np.sum(N * J**2, axis=-1),
+        "density_fifth": w * np.sum(N**5, axis=-1),
     }
     scales = _term_scales(sigma, overrides)
     terms = {name: scales[name] * raw[name] for name in raw}
     return sum(terms.values()), terms
+
+
+def r2(u: FourierField, sigma: int = 1, overrides: dict[str, float] | None = None):
+    """r2_rows of one field, in floats."""
+    total, terms = r2_rows(u.coeffs, u.grid, sigma, overrides)
+    return float(total), {name: float(v) for name, v in terms.items()}
 
 
 def e2(
@@ -119,8 +122,8 @@ def directional_terms(u: FourierField, v: FourierField) -> tuple[float, dict[str
     """First variations along v of ||u||_{H^2}^2 and of each unscaled R_2 integral."""
     rate = h2_directional(u, v)  # also rejects fields on different grids
     size = u.grid.pad_for_degree(10)
-    (uu, ux, uxx), N, Nx, J = jet(u, size, 2)
-    vv, vx, vxx = jet(v, size, 2).d
+    (uu, ux, uxx), N, Nx, J = jet(u.coeffs, u.grid, size, 2)
+    vv, vx, vxx = jet(v.coeffs, v.grid, size, 2).d
     dN = 2.0 * np.real(np.conj(uu) * vv)
     dNx = 2.0 * np.real(np.conj(ux) * vv + np.conj(uu) * vx)
     dJ = 2.0 * np.imag(np.conj(vv) * ux + np.conj(uu) * vx)

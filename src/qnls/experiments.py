@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,14 +26,14 @@ from .densities import (
     eleele_scale,
     j0_diag,
 )
-from .energy import R2_TERMS, corrected_rate, full_breakdown, projected_rates, smoothing_bound
-from .flow import FULL, FlowParams, evolve, evolve_block, hamiltonian, linear_flow, mass, momentum, step
+from .energy import R2_TERMS, corrected_rate, full_breakdown, projected_rates, r2_truncation_curve, smoothing_bound
+from .flow import FULL, FlowParams, evolve, evolve_block, hamiltonian, linear_flow_rows, mass, momentum, step
 from .measure import (
     EnsembleRecord,
     derive_seed,
     ks_critical_value,
     ks_statistic,
-    observables,
+    observables_rows,
     sample_mu,
     tail_ratio,
     write_ensemble,
@@ -151,6 +150,11 @@ def energy_observer(p: FlowParams, m0: int = 10):
 
     obs.breakdowns = breakdowns
     return obs
+
+
+def _records(obs: dict[str, np.ndarray]) -> list[dict[str, float]]:
+    """Per-row dicts of an observables_rows result."""
+    return [dict(zip(obs, row)) for row in zip(*(v.tolist() for v in obs.values()))]
 
 
 def _write_trajectory(path: Path, traj) -> None:
@@ -275,27 +279,19 @@ def run_continuity(cfg: ExperimentConfig, out: Path):
     return {"residuals.csv": out / "residuals.csv"}, verdicts
 
 
-def _invariance_worker(cfg: ExperimentConfig, index: int):
-    u = sample_mu(cfg.measure, index, cfg.grid)
-    rows = {0.0: observables(u)}
-    for t in cfg.params["times"]:
-        rows[t] = observables(linear_flow(u, t))
-    return rows
-
-
 def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = list(pm["times"])
     n_samp = cfg.run.ensemble_size
-    results = _map_workers(_invariance_worker, cfg, n_samp)
+    c = np.stack([sample_mu(cfg.measure, i, cfg.grid).coeffs for i in range(n_samp)])
+    columns = {0.0: observables_rows(c, cfg.grid)}
+    columns.update((t, observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid)) for t in times)
     crit = ks_critical_value(n_samp, n_samp, pm["alpha"])
     rows = []
     all_pass = True
     for name in OBSERVABLE_NAMES:
-        before = [res[0.0][name] for res in results]
         for t in times:
-            after = [res[t][name] for res in results]
-            stat = ks_statistic(before, after)
+            stat = ks_statistic(columns[0.0][name], columns[t][name])
             ok = stat < crit
             all_pass = all_pass and ok
             rows.append([name, t, stat, crit, ok])
@@ -408,23 +404,21 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = sorted(pm["times"])
     sigma = cfg.flow.sigma
-    members = [sample_mu(cfg.measure, i, cfg.grid) for i in range(cfg.run.ensemble_size)]
-    initial = [observables(u, sigma) for u in members]
+    n_members = cfg.run.ensemble_size
+    c = np.stack([sample_mu(cfg.measure, i, cfg.grid).coeffs for i in range(n_members)])
+    initial = _records(observables_rows(c, cfg.grid, sigma))
     # snapshots[t][i]: observables of member i at checkpoint t, or None once
     # the member has tripped the guard (at that checkpoint and every later one)
     snapshots = {}
-    c = np.stack([u.coeffs for u in members])
-    live = np.ones(len(members), dtype=bool)
+    live = np.ones(n_members, dtype=bool)
     t_prev = 0.0
     for t in times:
         c, live, _ = evolve_block(c, live, cfg.grid, cfg.flow, t - t_prev)
-        snapshots[t] = [
-            observables(FourierField(cfg.grid, row), sigma) if ok else None
-            for row, ok in zip(c, live)
-        ]
+        done = iter(_records(observables_rows(c[live], cfg.grid, sigma)))
+        snapshots[t] = [next(done) if ok else None for ok in live]
         t_prev = t
 
-    seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(len(members))]
+    seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(n_members)]
     files = {}
     columns = {"ensemble.jsonl": initial}
     columns.update((f"transported_{k}.jsonl", snapshots[t]) for k, t in enumerate(times))
@@ -451,6 +445,7 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
         ("observable", "time", "threshold", "frac_before", "frac_after", "ratio"),
         rows,
     )
+    files["tails.csv"] = out / "tails.csv"
 
     finite = all(np.isfinite(r) for per in ratios.values() for r in per.values())
     linear_ok = True
@@ -479,8 +474,6 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
     m_list = list(pm["m_list"])
     rows = []
     mono_all, final_all = True, True
-    from .energy import r2_truncation_curve
-
     for idx in range(pm["n_samples"]):
         u = sample_mu(cfg.measure, idx, cfg.grid)
         curve = r2_truncation_curve(u, m_list, cfg.flow.sigma)
@@ -576,19 +569,6 @@ _RUNNERS = {
     "truncation_convergence": run_truncation_convergence,
     "focusing_local": run_focusing_local,
 }
-
-
-def _map_workers(fn, cfg: ExperimentConfig, n: int):
-    """[fn(cfg, i) for i in range(n)], across cfg.run.workers processes.
-
-    Results arrive in index order regardless of scheduling, so aggregation
-    is deterministic.
-    """
-    workers = cfg.run.workers
-    if workers <= 1 or n <= 1:
-        return [fn(cfg, i) for i in range(n)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, [cfg] * n, range(n), chunksize=max(1, n // (4 * workers))))
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:

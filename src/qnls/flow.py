@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, pointwise, sobolev_norm_sq, sobolev_sq_rows
+from .spectral import TWO_PI, FourierField, GridSpec, pointwise, sobolev_norm_sq, sobolev_sq_rows, synthesize
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -93,10 +93,15 @@ class Trajectory:
     blowup_time: float | None = None
 
 
+def linear_flow_rows(c: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
+    """Exact flow of (i d/dt + d^2/dx^2) u = 0, u_n -> e^{-i t n^2} u_n, of a
+    coefficient vector or of each row of a (B, 2M+1) block c on `grid`."""
+    return c * np.exp(-1j * t * grid.n * grid.n)
+
+
 def linear_flow(u0: FourierField, t: float) -> FourierField:
-    """Exact flow of (i d/dt + d^2/dx^2) u = 0: u_n -> e^{-i t n^2} u_n."""
-    n = u0.grid.n
-    return FourierField(u0.grid, u0.coeffs * np.exp(-1j * t * n * n))
+    """linear_flow_rows of one field."""
+    return FourierField(u0.grid, linear_flow_rows(u0.coeffs, u0.grid, t))
 
 
 @lru_cache(maxsize=256)
@@ -155,15 +160,13 @@ def _rk4_coeffs(
 
 
 def _strang_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.ndarray:
-    n = grid.n
-    half = np.exp(-1j * (dt / 2.0) * n * n)
     c = pointwise(
-        c * half,
+        linear_flow_rows(c, grid, dt / 2.0),
         grid.modes,
         grid.quintic_pad(),
         lambda v: v * np.exp(-1j * p.sigma * np.abs(v) ** 4 * dt),
     )
-    return c * half
+    return linear_flow_rows(c, grid, dt / 2.0)
 
 
 def _advance(
@@ -359,15 +362,16 @@ def momentum(u: FourierField) -> float:
     return float(2.0 * TWO_PI * np.sum(n * np.abs(u.coeffs) ** 2))
 
 
-def l6_pow6(u: FourierField) -> float:
-    """int |u|^6 dx, alias-free (degree-6 integrand)."""
-    size = u.grid.pad_for_degree(6)
-    vals = u.values(size)
-    return float(TWO_PI / size * np.sum(np.abs(vals) ** 6))
+def l6_pow6(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """int |u|^6 dx, alias-free (degree-6 integrand), of a coefficient vector
+    or of each row of a (B, 2M+1) block c on `grid`."""
+    size = grid.pad_for_degree(6)
+    vals = synthesize(c, grid.modes, size)
+    return TWO_PI / size * np.sum(np.abs(vals) ** 6, axis=-1)
 
 
 def hamiltonian(u: FourierField, sigma: int = 1) -> float:
     """(1/2) int |u_x|^2 + (sigma/6) int |u|^6."""
     n = u.grid.n
     kinetic = 0.5 * TWO_PI * np.sum(n * n * np.abs(u.coeffs) ** 2)
-    return float(kinetic + sigma / 6.0 * l6_pow6(u))
+    return float(kinetic + sigma / 6.0 * l6_pow6(u.coeffs, u.grid))

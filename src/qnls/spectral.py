@@ -85,8 +85,7 @@ class FourierField:
     """A complex field u = sum_{|n|<=modes} coeffs[n] e^{inx} on a GridSpec.
 
     Fields are immutable values: the coefficient array is copied on
-    construction and marked read-only, so instances are safe to share
-    between workers.
+    construction and marked read-only.
     """
 
     grid: GridSpec
@@ -182,9 +181,12 @@ class Jet(NamedTuple):
     J: np.ndarray
 
 
-def jet(u: FourierField, size: int, order: int) -> Jet:
-    """Jet of u at `size` equispaced points, derivatives 0..order (order >= 1)."""
-    d = [synthesize(derivative(u, k).coeffs, u.grid.modes, size) for k in range(order + 1)]
+def jet(c: np.ndarray, grid: GridSpec, size: int, order: int) -> Jet:
+    """Jet at `size` equispaced points, derivatives 0..order (order >= 1), of
+    a coefficient vector or of each row of a (B, 2M+1) block c on `grid`.
+
+    The k-th derivative has the coefficients of derivative(u, k)."""
+    d = [synthesize(c * (1j * grid.n) ** k, grid.modes, size) for k in range(order + 1)]
     flux = np.conj(d[0]) * d[1]
     return Jet(d, np.abs(d[0]) ** 2, 2.0 * flux.real, 2.0 * flux.imag)
 

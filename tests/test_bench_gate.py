@@ -3,9 +3,10 @@
 Seed variant 0 of each benchmark workload (perfbench/workloads.py) runs
 once. Each experiment must pass the benchmark's own check_output
 (perfbench/worker.py: no error, verdicts as tabled in expected_verdicts.json,
-data files matching the checksums in manifest.json), and every data file in
-its directory, listed in the manifest or not, must have the sha256 pinned
-below. config.ini is left out: it echoes the temporary output_dir.
+data files matching the checksums in manifest.json). Its directory must hold
+exactly the manifest's files plus manifest.json, so that check_output sees
+every file, and every data file must have the sha256 pinned below. config.ini
+is left out of the pins: it echoes the temporary output_dir.
 
 The pins were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64, from the
 code before flow.evolve became a one-row evolve_block; the data files have
@@ -83,6 +84,7 @@ def test_variant_0_passes_the_gate_with_pinned_data(workload, tmp_path):
         out = tmp_path / experiment
         manifest = run(replace(cfg, output_dir=str(out)))
         assert worker.check_output(manifest, out, expected) == [], experiment
+        assert {path.name for path in out.iterdir()} == {*manifest.files, "manifest.json"}, experiment
         digests = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in out.iterdir()

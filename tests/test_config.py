@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qnls import FlowParams, GridSpec, MeasureSpec
+from qnls.cli import main
 from qnls.config import (
     ConfigError,
     EXPERIMENTS,
@@ -59,7 +60,6 @@ class TestParse:
 
             [run]
             ensemble_size = 128
-            workers = 2
 
             [params]
             times = 0.1, 0.2
@@ -69,7 +69,6 @@ class TestParse:
         assert cfg.flow.cutoff == 8
         assert cfg.measure.base_seed == 7
         assert cfg.params["times"] == (0.1, 0.2)
-        assert cfg.run.workers == 2
 
     def test_requires_name(self):
         with pytest.raises(ConfigError, match="name"):
@@ -90,6 +89,11 @@ class TestParse:
     def test_pad_rule_is_not_a_key(self):
         with pytest.raises(ConfigError, match="unknown key 'pad_rule'"):
             parse_config(MINIMAL + "[grid]\npad_rule = exact_quintic\n")
+
+    def test_workers_is_not_a_key(self):
+        # configs written when ensembles could run on a process pool
+        with pytest.raises(ConfigError, match="unknown key 'workers'"):
+            parse_config(MINIMAL + "[run]\nworkers = 1\n")
 
     def test_unknown_param(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -146,15 +150,25 @@ class TestOverrides:
             "conservation",
             output_dir="elsewhere",
             base_seed=99,
-            workers=3,
             dt=5e-4,
             t_end=2.5,
         )
         assert cfg.output_dir == "elsewhere"
         assert cfg.measure.base_seed == 99
-        assert cfg.run.workers == 3
         assert cfg.flow.dt == 5e-4
         assert cfg.run.t_end == 2.5
+
+    def test_workers_override_takes_only_one(self):
+        cfg = default_config("linear_invariance")
+        assert apply_overrides(cfg, workers=1) == cfg
+        with pytest.raises(ConfigError, match="workers"):
+            apply_overrides(cfg, workers=2)
+
+    def test_cli_rejects_workers(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["linear_invariance", "--workers", "1"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_none_overrides_are_inert(self):
         cfg = default_config("conservation")

@@ -12,9 +12,13 @@ import pytest
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
 from qnls.experiments import RunManifest, emit_plots, run
+from qnls.flow import linear_flow
 from qnls.measure import (
+    OBSERVABLE_NAMES,
     EnsembleRecord,
     derive_seed,
+    ks_critical_value,
+    ks_statistic,
     observables,
     read_ensemble,
     sample_mu,
@@ -66,6 +70,22 @@ class TestRun:
         m1 = run(tiny_conservation(tmp_path))
         m2 = run(tiny_conservation(tmp_path))
         assert m1.files == m2.files
+
+    def test_linear_invariance_matches_the_per_member_loop(self, tmp_path):
+        # 65 members cross a 64-row chunk of observables_rows
+        cfg = default_config("linear_invariance", output_dir=str(tmp_path / "li"))
+        cfg = replace(cfg, run=replace(cfg.run, ensemble_size=65))
+        assert run(cfg).error is None
+        members = [sample_mu(cfg.measure, i, cfg.grid) for i in range(65)]
+        before = [observables(u) for u in members]
+        after = {t: [observables(linear_flow(u, t)) for u in members] for t in cfg.params["times"]}
+        crit = ks_critical_value(65, 65, cfg.params["alpha"])
+        lines = ["observable,time,ks,critical,pass"]
+        for name in OBSERVABLE_NAMES:
+            for t in cfg.params["times"]:
+                stat = ks_statistic([o[name] for o in before], [o[name] for o in after[t]])
+                lines.append(f"{name},{t!r},{stat!r},{crit!r},{'true' if stat < crit else 'false'}")
+        assert (tmp_path / "li" / "ks.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_manifest_on_failure(self, tmp_path):
         # an impossible grid/cutoff combination fails inside the runner
@@ -134,6 +154,18 @@ class TestBlowupIsExpectedOutcome(object):
             for k, t in enumerate(cfg.params["times"])
         }
         assert snapshots == {0.05: None, 0.1: None}
+
+    def test_transport_with_every_member_tripped(self, tmp_path):
+        # every member trips before its first step, so each checkpoint's live
+        # block has no rows
+        cfg = transport_cfg(tmp_path)
+        cfg = replace(cfg, flow=replace(cfg.flow, blowup_threshold=1e-6))
+        manifest = run(cfg)
+        assert manifest.error is None
+        assert len(read_ensemble(tmp_path / "tr" / "ensemble.jsonl")[0].observables) == 6
+        for k in range(len(cfg.params["times"])):
+            records = read_ensemble(tmp_path / "tr" / f"transported_{k}.jsonl")
+            assert [r.observables for r in records] == [{}] * cfg.run.ensemble_size
 
     def test_transport_files_match_the_per_member_loop(self, tmp_path):
         # the reference integrates one member at a time with a step() loop;

@@ -85,6 +85,14 @@ class TestObservables:
         assert obs["mass"] == pytest.approx(2 * np.pi)
         assert obs["u0_sq"] == 0.0
 
+    def test_u0_sq_is_the_scalar_modulus_squared(self):
+        # np.abs of an array rounds some |u_0| differently, which would
+        # change ensemble files in the last bit
+        spec = MeasureSpec(s=2.0, M=8)
+        for i in range(200):
+            u = sample_mu(spec, i)
+            assert observables(u)["u0_sq"] == float(abs(u.coeffs[8]) ** 2)
+
     def test_e2_delegates(self, grid16):
         from conftest import random_field
 

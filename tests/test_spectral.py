@@ -205,7 +205,7 @@ class TestQuintic:
 def test_jet_samples_are_the_synthesized_derivatives(grid16):
     u = random_field(grid16, seed=29)
     size = grid16.pad_for_degree(10)
-    j = jet(u, size, 3)
+    j = jet(u.coeffs, grid16, size, 3)
     for k in range(4):
         direct = synthesize(derivative(u, k).coeffs, grid16.modes, size)
         assert j.d[k].tobytes() == direct.tobytes()
