@@ -12,8 +12,6 @@ from .spectral import (
     lp_norm,
     inner,
     quintic,
-    save_field,
-    load_field,
 )
 from .flow import (
     FULL,

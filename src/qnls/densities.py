@@ -21,7 +21,6 @@ scale with explicit norm factors to stay amplitude-independent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +45,6 @@ def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
     Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
     T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3
     return DensityTriple(N=N, J=J, T=T)
-
-
-def write_density_csv(u: FourierField, sigma: int, path) -> None:
-    """Density dump: CSV rows x,N,J,T at the physical grid points."""
-    d = densities(u, sigma)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "N", "J", "T"])
-        for x, n, j, t in zip(u.grid.x, d.N, d.J, d.T):
-            w.writerow([repr(float(x)), repr(float(n)), repr(float(j)), repr(float(t))])
 
 
 def eleele_residual(u: FourierField) -> float:

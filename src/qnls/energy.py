@@ -30,12 +30,13 @@ padded transform of size >= 10*modes + 1 makes all integrals exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
-from .flow import FlowParams, rhs
-from .spectral import TWO_PI, FourierField, GridSpec, derivative, jet, lp_norm, project, sobolev_norm_sq
+from .flow import FlowParams, _cutoff_mask, _rhs_coeffs
+from .spectral import TWO_PI, FourierField, GridSpec, jet, project, sobolev_norm_sq, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -46,6 +47,37 @@ R2_TERMS: tuple[tuple[str, float, int], ...] = (
 )
 
 DEFAULT_M0 = 10  # highest equation-degree appearing in the F_2 remainders
+
+# rows of a chunk times its degree-10 pad size: 64 rows at M = 32, 16 at M = 128
+PAD_SAMPLES = 64 * 324
+
+
+def chunk_rows(grid: GridSpec) -> int:
+    """Rows of a block evaluated at once on `grid`, so that each degree-10
+    pad holds at most PAD_SAMPLES samples (and memory stays bounded)."""
+    return max(1, PAD_SAMPLES // grid.pad_for_degree(10))
+
+
+def _join(parts):
+    """Per-chunk results joined: arrays along rows, dicts by key, tuples by item."""
+    if isinstance(parts[0], dict):
+        return {k: _join([part[k] for part in parts]) for k in parts[0]}
+    if isinstance(parts[0], tuple):
+        return tuple(_join(list(items)) for items in zip(*parts))
+    return np.concatenate(parts)
+
+
+def pad_chunked(rows_fn):
+    """rows_fn(c, grid, ...) of a (B, 2M+1) block, evaluated chunk_rows(grid)
+    rows at a time; each row's result does not depend on the chunking."""
+    @wraps(rows_fn)
+    def chunked(c, grid, *args, **kwargs):
+        step = chunk_rows(grid)
+        if c.ndim == 1 or len(c) <= step:
+            return rows_fn(c, grid, *args, **kwargs)
+        return _join([rows_fn(c[i : i + step], grid, *args, **kwargs) for i in range(0, len(c), step)])
+
+    return chunked
 
 
 @dataclass(frozen=True)
@@ -108,47 +140,40 @@ def e2(
     return EnergyBreakdown(h2_sq=h2, r2_terms=terms, r2=total, e2=h2 + total)
 
 
-def h2_directional(u: FourierField, v: FourierField) -> float:
-    """First variation of ||u||_{H^2}^2 along v (the uncorrected rate)."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    n = u.grid.n
-    return float(
-        2.0 * TWO_PI * np.sum((1.0 + n * n) ** 2 * np.real(np.conj(u.coeffs) * v.coeffs))
-    )
+def h2_directional(c: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """First variation of ||u||_{H^2}^2 along v (the uncorrected rate), per
+    coefficient row c along the matching row of v on `grid`."""
+    n = grid.n
+    return 2.0 * TWO_PI * np.sum((1.0 + n * n) ** 2 * np.real(np.conj(c) * v), axis=-1)
 
 
-def directional_terms(u: FourierField, v: FourierField) -> tuple[float, dict[str, float]]:
-    """First variations along v of ||u||_{H^2}^2 and of each unscaled R_2 integral."""
-    rate = h2_directional(u, v)  # also rejects fields on different grids
-    size = u.grid.pad_for_degree(10)
-    (uu, ux, uxx), N, Nx, J = jet(u.coeffs, u.grid, size, 2)
-    vv, vx, vxx = jet(v.coeffs, v.grid, size, 2).d
+def directional_terms(c: np.ndarray, v: np.ndarray, grid: GridSpec):
+    """First variations along v of ||u||_{H^2}^2 and of each unscaled R_2
+    integral, per coefficient row c along the matching row of v on `grid`."""
+    rate = h2_directional(c, v, grid)
+    size = grid.pad_for_degree(10)
+    (uu, ux, uxx), N, Nx, J = jet(c, grid, size, 2)
+    vv, vx, vxx = jet(v, grid, size, 2).d
     dN = 2.0 * np.real(np.conj(uu) * vv)
     dNx = 2.0 * np.real(np.conj(ux) * vv + np.conj(uu) * vx)
     dJ = 2.0 * np.imag(np.conj(vv) * ux + np.conj(uu) * vx)
     w = TWO_PI / size
     raw = {
-        "curv_quintic": w * float(
-            np.sum(
-                np.real(vxx * np.conj(uu) + uxx * np.conj(vv)) * N**2
-                + np.real(uxx * np.conj(uu)) * 2.0 * N * dN
-            )
+        "curv_quintic": w * np.sum(
+            np.real(vxx * np.conj(uu) + uxx * np.conj(vv)) * N**2
+            + np.real(uxx * np.conj(uu)) * 2.0 * N * dN,
+            axis=-1,
         ),
-        "grad_density": w * float(np.sum(dN * Nx**2 + 2.0 * N * Nx * dNx)),
-        "current_sq": w * float(np.sum(dN * J**2 + 2.0 * N * J * dJ)),
-        "density_fifth": w * float(np.sum(5.0 * N**4 * dN)),
+        "grad_density": w * np.sum(dN * Nx**2 + 2.0 * N * Nx * dNx, axis=-1),
+        "current_sq": w * np.sum(dN * J**2 + 2.0 * N * J * dJ, axis=-1),
+        "density_fifth": w * np.sum(5.0 * N**4 * dN, axis=-1),
     }
     return rate, raw
 
 
-def corrected_rate(
-    rate: float,
-    raw: dict[str, float],
-    sigma: int = 1,
-    overrides: dict[str, float] | None = None,
-) -> float:
-    """The H^2 rate plus the R_2 variations scaled by their coefficients."""
+def corrected_rate(rate, raw, sigma: int = 1, overrides: dict[str, float] | None = None):
+    """The H^2 rate plus the R_2 variations scaled by their coefficients,
+    of floats or per row of arrays."""
     scales = _term_scales(sigma, overrides)
     return rate + sum(scales[k] * raw[k] for k in raw)
 
@@ -160,20 +185,25 @@ def e2_directional(
     overrides: dict[str, float] | None = None,
 ) -> float:
     """lim_{eps->0} (E_2(u + eps v) - E_2(u))/eps, term by term analytically."""
-    return corrected_rate(*directional_terms(u, v), sigma, overrides)
+    if u.grid != v.grid:
+        raise ValueError("fields live on different grids")
+    return float(corrected_rate(*directional_terms(u.coeffs, v.coeffs, u.grid), sigma, overrides))
 
 
-def projected_rates(u: FourierField, p: FlowParams):
-    """(P_M u, d/dt ||P_M u||_{H^2}^2, raw R_2 variations) along the truncated flow.
+@pad_chunked
+def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
+    """(P_M c, d/dt ||P_M u||_{H^2}^2, raw R_2 variations) along the truncated
+    flow, per row of a (B, 2M+1) coefficient block c on `grid`.
 
     The variations are taken at the projected state along the projected
     equation right-hand side; corrected_rate turns them into F_2.
     """
-    w = u if p.cutoff is None else project(u, p.cutoff)
-    v = rhs(u, p)
-    if p.cutoff is not None:
-        v = project(v, p.cutoff)
-    return (w, *directional_terms(w, v))
+    p.check_grid(grid)
+    mask = _cutoff_mask(grid.modes, p.cutoff)
+    v = _rhs_coeffs(c, grid, p, mask)
+    if mask is not True:
+        c, v = np.where(mask, c, 0.0), np.where(mask, v, 0.0)
+    return (c, *directional_terms(c, v, grid))
 
 
 def f2(
@@ -186,25 +216,34 @@ def f2(
     Evaluated as the first variation of E_2 at the projected state along the
     projected equation right-hand side.
     """
-    _, rate, raw = projected_rates(u, p)
-    return corrected_rate(rate, raw, p.sigma, overrides)
+    _, rate, raw = projected_rates(u.coeffs[np.newaxis], u.grid, p)
+    return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
+
+
+def smoothing_bound_rows(c: np.ndarray, grid: GridSpec, m0: int = DEFAULT_M0) -> np.ndarray:
+    """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4) of each row of a (B, 2M+1)
+    block c on `grid`, the L^4 norm taken over the physical grid.
+
+    The norms' sums are row sums; their powers are Python float powers, as
+    numpy's array ** rounds some of them differently.  The constant C of the
+    estimate is existential; tests check cutoff- and ensemble-uniformity of
+    |f2|/bound, not a value.
+    """
+    h1_sq = sobolev_sq_rows(c, grid, 1.0).tolist()
+    ux = synthesize(c * (1j * grid.n), grid.modes, grid.phys_size)
+    l4_pow4 = (TWO_PI / grid.phys_size * np.sum(np.abs(ux) ** 4, axis=-1)).tolist()
+    return np.array([(1.0 + (a**0.5) ** m0) * (1.0 + (b**0.25) ** 4) for a, b in zip(h1_sq, l4_pow4)])
 
 
 def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
-    """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4).
-
-    The constant C of the estimate is existential; tests check cutoff- and
-    ensemble-uniformity of |f2|/bound, not a value.
-    """
-    h1 = sobolev_norm_sq(u, 1.0) ** 0.5
-    l4 = lp_norm(derivative(u, 1), 4)
-    return float((1.0 + h1**m0) * (1.0 + l4**4))
+    """smoothing_bound_rows of one field."""
+    return float(smoothing_bound_rows(u.coeffs[np.newaxis], u.grid, m0)[0])
 
 
 def bound_ratio(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> float:
     """|f2| / smoothing_bound at the projected state."""
-    w, rate, raw = projected_rates(u, p)
-    return abs(corrected_rate(rate, raw, p.sigma)) / smoothing_bound(w, m0)
+    b = full_breakdown(u, p, m0)
+    return abs(b.f2) / b.bound
 
 
 def r2_lipschitz_probe(
@@ -239,9 +278,26 @@ def r2_truncation_curve(
     return np.array([abs(r2(project(u, M), sigma)[0] - ref) for M in m_list])
 
 
+@pad_chunked
+def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams, m0: int = DEFAULT_M0):
+    """EnergyBreakdown of each row's projected state, with f2 and the bound,
+    as name -> (B,) array for a (B, 2M+1) coefficient block c on `grid`: the
+    keys are h2_sq, r2, e2, f2, bound and then the R_2 term names."""
+    w, rate, raw = projected_rates(c, grid, p)
+    h2 = sobolev_sq_rows(w, grid, 2.0)
+    total, terms = r2_rows(w, grid, p.sigma)
+    return {
+        "h2_sq": h2,
+        "r2": total,
+        "e2": h2 + total,
+        "f2": corrected_rate(rate, raw, p.sigma),
+        "bound": smoothing_bound_rows(w, grid, m0),
+        **terms,
+    }
+
+
 def full_breakdown(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> EnergyBreakdown:
-    """EnergyBreakdown of the projected state with f2 and the bound filled in."""
-    w, rate, raw = projected_rates(u, p)
-    return replace(
-        e2(w, p.sigma), f2=corrected_rate(rate, raw, p.sigma), bound=smoothing_bound(w, m0)
-    )
+    """breakdown_rows of one field, as an EnergyBreakdown."""
+    b = {name: float(v[0]) for name, v in breakdown_rows(u.coeffs[np.newaxis], u.grid, p, m0).items()}
+    terms = {name: b.pop(name) for name, _, _ in R2_TERMS}
+    return EnergyBreakdown(r2_terms=terms, **b)

@@ -26,8 +26,8 @@ from .densities import (
     eleele_scale,
     j0_diag,
 )
-from .energy import R2_TERMS, corrected_rate, full_breakdown, projected_rates, r2_truncation_curve, smoothing_bound
-from .flow import FULL, FlowParams, evolve, evolve_block, hamiltonian, linear_flow_rows, mass, momentum, step
+from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
+from .flow import FULL, FlowParams, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows, step
 from .measure import (
     EnsembleRecord,
     derive_seed,
@@ -39,7 +39,7 @@ from .measure import (
     write_ensemble,
     OBSERVABLE_NAMES,
 )
-from .spectral import FourierField, GridSpec, field_from_modes, sobolev_norm_sq
+from .spectral import FourierField, GridSpec, field_from_modes, sobolev_norm_sq, sobolev_sq_rows
 
 TRAJECTORY_COLUMNS = (
     "time",
@@ -129,45 +129,33 @@ def smooth_random_field(
     return FourierField(grid, c)
 
 
-def energy_observer(p: FlowParams, m0: int = 10):
-    """Observer filling the trajectory CSV columns (and a breakdown store)."""
-
-    breakdowns: list[dict] = []
-
-    def obs(t: float, u: FourierField) -> dict:
-        b = full_breakdown(u, p, m0)
-        breakdowns.append({"time": t, "r2_terms": b.r2_terms})
-        return {
-            "mass": mass(u),
-            "momentum": momentum(u),
-            "hamiltonian": hamiltonian(u, p.sigma),
-            "h1_sq": sobolev_norm_sq(u, 1.0),
-            "h2_sq": b.h2_sq,
-            "e2": b.e2,
-            "f2": b.f2,
-            "bound": b.bound,
-        }
-
-    obs.breakdowns = breakdowns
-    return obs
-
-
 def _records(obs: dict[str, np.ndarray]) -> list[dict[str, float]]:
     """Per-row dicts of an observables_rows result."""
     return [dict(zip(obs, row)) for row in zip(*(v.tolist() for v in obs.values()))]
 
 
-def _write_trajectory(path: Path, traj) -> None:
-    rows = []
-    for t, rec in zip(traj.times, traj.records):
-        rows.append([t] + [rec[k] for k in TRAJECTORY_COLUMNS[1:]])
-    _write_csv(path, TRAJECTORY_COLUMNS, rows)
+def _write_trajectory(path: Path, traj, p: FlowParams) -> dict[str, np.ndarray]:
+    """Write the TRAJECTORY_COLUMNS of each recorded state as CSV and return
+    them, with the rest of the states' breakdown_rows, as name -> (K,) array."""
+    c, grid = traj.states, traj.final.grid
+    columns = {
+        "time": traj.times,
+        "mass": sobolev_sq_rows(c, grid, 0.0),
+        "momentum": momentum_rows(c, grid),
+        "hamiltonian": hamiltonian_rows(c, grid, p.sigma),
+        "h1_sq": sobolev_sq_rows(c, grid, 1.0),
+        **breakdown_rows(c, grid, p),
+    }
+    _write_csv(path, TRAJECTORY_COLUMNS, zip(*(columns[k].tolist() for k in TRAJECTORY_COLUMNS)))
+    return columns
 
 
-def _write_breakdowns(path: Path, breakdowns) -> None:
+def _write_breakdowns(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One JSON line per state: its time and its R_2 terms."""
+    names = [name for name, _, _ in R2_TERMS]
     with open(path, "w") as fh:
-        for b in breakdowns:
-            fh.write(json.dumps(b) + "\n")
+        for t, *terms in zip(columns["time"].tolist(), *(columns[name].tolist() for name in names)):
+            fh.write(json.dumps({"time": t, "r2_terms": dict(zip(names, terms))}) + "\n")
 
 
 # ----------------------------------------------------------------- experiments
@@ -178,16 +166,14 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     u0 = smooth_random_field(
         cfg.grid, pm["seed"], pm["amplitude"], pm["width"], pm["bias"], pm["bias_mode"]
     )
-    obs = energy_observer(cfg.flow)
-    traj = evolve(u0, cfg.flow, cfg.run.t_end, observers=(obs,), stride=cfg.run.observer_stride)
-    _write_trajectory(out / "trajectory.csv", traj)
-    _write_breakdowns(out / "breakdowns.jsonl", obs.breakdowns)
+    traj = evolve(u0, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    columns = _write_trajectory(out / "trajectory.csv", traj, cfg.flow)
+    _write_breakdowns(out / "breakdowns.jsonl", columns)
 
-    first, last = traj.records[0], traj.records[-1]
-    drifts = {
-        k: abs(last[k] - first[k]) / abs(first[k])
-        for k in ("mass", "momentum", "hamiltonian")
-    }
+    drifts = {}
+    for k in ("mass", "momentum", "hamiltonian"):
+        first, last = columns[k][[0, -1]].tolist()
+        drifts[k] = abs(last - first) / abs(first)
     tol = pm["drift_tol"]
     verdicts = [
         Verdict(
@@ -316,20 +302,19 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     for name in term_names:
         scale_sets[name] = {name: 1.0 + pm["perturbation"]}
 
-    max_ratio = {k: {M: 0.0 for M in sweep} for k in scale_sets}
-    max_unc = {M: 0.0 for M in sweep}
-    for idx in range(cfg.run.ensemble_size):
-        u = sample_mu(cfg.measure, idx, grid)
-        for M in sweep:
-            w, rate, raw = projected_rates(u, replace(cfg.flow, cutoff=M))
-            b = smoothing_bound(w, m0)
-            max_unc[M] = max(max_unc[M], abs(rate) / b)
-            for key, overrides in scale_sets.items():
-                r = abs(corrected_rate(rate, raw, cfg.flow.sigma, overrides)) / b
-                max_ratio[key][M] = max(max_ratio[key][M], r)
+    c = np.stack([sample_mu(cfg.measure, i, grid).coeffs for i in range(cfg.run.ensemble_size)])
+    # max over the members of each rate's |rate| / bound, per M
+    max_ratio = {k: [] for k in scale_sets}
+    unc = []
+    for M in sweep:
+        w, rate, raw = projected_rates(c, grid, replace(cfg.flow, cutoff=M))
+        b = smoothing_bound_rows(w, grid, m0)
+        unc.append(float(np.max(np.abs(rate) / b)))
+        for key, overrides in scale_sets.items():
+            r = np.abs(corrected_rate(rate, raw, cfg.flow.sigma, overrides)) / b
+            max_ratio[key].append(float(np.max(r)))
 
-    ratios = [max_ratio["shipped"][M] for M in sweep]
-    unc = [max_unc[M] for M in sweep]
+    ratios = max_ratio["shipped"]
     _write_csv(
         out / "sweep.csv",
         ("M", "max_ratio", "max_uncorrected_ratio"),
@@ -341,7 +326,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     perturb_rows = []
     perturb_breaks = {}
     for name in term_names:
-        vals = [max_ratio[name][M] for M in sweep]
+        vals = max_ratio[name]
         v_ratio = max(vals) / min(vals)
         perturb_breaks[name] = v_ratio >= pm["uniformity_factor"]
         perturb_rows.append([name, 1.0 + pm["perturbation"], v_ratio, perturb_breaks[name]])
@@ -372,13 +357,10 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
 def run_growth(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     u0 = smooth_random_field(cfg.grid, pm["seed"], pm["amplitude"], pm["width"])
-    obs = energy_observer(cfg.flow)
-    traj = evolve(u0, cfg.flow, cfg.run.t_end, observers=(obs,), stride=cfg.run.observer_stride)
-    _write_trajectory(out / "growth.csv", traj)
+    traj = evolve(u0, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    columns = _write_trajectory(out / "growth.csv", traj, cfg.flow)
 
-    times = np.asarray(traj.times)
-    e2s = np.array([r["e2"] for r in traj.records])
-    h2s = np.array([r["h2_sq"] for r in traj.records])
+    times, e2s, h2s = traj.times, columns["e2"], columns["h2_sq"]
     # fitted exponent of ||u||_{H^2} ~ t^alpha on the upper half of the run
     upper = times > times[-1] / 2
     alpha = float(

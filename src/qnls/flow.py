@@ -25,18 +25,18 @@ last axis).  The H^1 guard and the finiteness check apply per row: a row
 that fails either is frozen at its last good state and leaves the live mask
 at the step where step() would raise, and its trip time (the time of that
 state) is returned, while the other rows run on.  Each row is bit-for-bit a
-loop of step() calls on that row.  evolve is a one-row block with
-observers: there is one schedule loop and one guard.
+loop of step() calls on that row.  evolve is a one-row block that returns
+the states it records as a block: there is one schedule loop and one guard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, pointwise, sobolev_norm_sq, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, pointwise, quintic_rows, sobolev_norm_sq, sobolev_sq_rows, synthesize
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -84,12 +84,12 @@ class FlowParams:
 
 @dataclass
 class Trajectory:
-    """Observer records along one evolve() call; all states share one grid."""
+    """States recorded along one evolve() call: states[k] is the coefficient
+    row at times[k], on the grid of `final`, the last state."""
 
     times: np.ndarray
-    records: list[dict]
-    states: list[FourierField] = field(default_factory=list)
-    final: FourierField | None = None
+    states: np.ndarray
+    final: FourierField
     blowup_time: float | None = None
 
 
@@ -137,7 +137,7 @@ def _rhs_coeffs(
     if mask is None:
         mask = _cutoff_mask(grid.modes, p.cutoff)
     w = c if mask is True else np.where(mask, c, 0.0)
-    q = pointwise(w, grid.modes, grid.quintic_pad(), lambda v: np.abs(v) ** 4 * v)
+    q = quintic_rows(w, grid)
     if mask is not True:
         q = np.where(mask, q, 0.0)
     return _linear_symbol(grid.modes) * c - 1j * p.sigma * q
@@ -300,53 +300,31 @@ def evolve_block(
     return c, live, trip_times
 
 
-def evolve(
-    u0: FourierField,
-    p: FlowParams,
-    t_end: float,
-    observers: tuple = (),
-    stride: int = 1,
-    store_states: bool = False,
-) -> Trajectory:
-    """One-row evolve_block, recording along the way.
+def evolve(u0: FourierField, p: FlowParams, t_end: float, stride: int = 1) -> Trajectory:
+    """One-row evolve_block, recording the state at t = 0, after every
+    `stride`-th step and at the last state, once each.
 
-    Observers are callables f(t, u) -> dict of floats, invoked every `stride`
-    steps (and at t = 0 and at the last state); their outputs are merged per
-    record.  A guard trip stops the run and is recorded as
-    Trajectory.blowup_time, the time of the last good state.
+    A guard trip stops the run and is recorded as Trajectory.blowup_time,
+    the time of the last good state.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    times: list[float] = []
-    records: list[dict] = []
-    states: list[FourierField] = []
-
-    def record(t: float, u: FourierField) -> None:
-        times.append(t)
-        out: dict = {}
-        for obs in observers:
-            out.update(obs(t, u))
-        records.append(out)
-        if store_states:
-            states.append(u)
-
     grid = u0.grid
     c = u0.coeffs[np.newaxis].copy()
     live = np.ones(1, dtype=bool)
     trip_times = np.full(1, np.nan)
-    record(0.0, u0)
+    records = [(0.0, u0.coeffs)]
     t = 0.0
     for k, t in _march(c, live, trip_times, grid, p, t_end, [p.cutoff]):
         if k % stride == 0:
-            record(t, FourierField(grid, c[0]))
-    u = FourierField(grid, c[0])
-    if times[-1] != t:
-        record(t, u)
+            records.append((t, c[0].copy()))
+    if records[-1][0] != t:
+        records.append((t, c[0].copy()))
+    times, states = zip(*records)
     return Trajectory(
         times=np.asarray(times),
-        records=records,
-        states=states,
-        final=u,
+        states=np.array(states),
+        final=FourierField(grid, c[0]),
         blowup_time=None if live[0] else float(trip_times[0]),
     )
 
@@ -356,10 +334,15 @@ def mass(u: FourierField) -> float:
     return sobolev_norm_sq(u, 0.0)
 
 
+def momentum_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """2 Im int conj(u) u_x dx = 4*pi * sum n |u_n|^2 (= int J dx), of a
+    coefficient vector or of each row of a (B, 2M+1) block c on `grid`."""
+    return 2.0 * TWO_PI * np.sum(grid.n * np.abs(c) ** 2, axis=-1)
+
+
 def momentum(u: FourierField) -> float:
-    """2 Im int conj(u) u_x dx = 4*pi * sum n |u_n|^2 (= int J dx)."""
-    n = u.grid.n
-    return float(2.0 * TWO_PI * np.sum(n * np.abs(u.coeffs) ** 2))
+    """momentum_rows of one field."""
+    return float(momentum_rows(u.coeffs, u.grid))
 
 
 def l6_pow6(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -370,8 +353,14 @@ def l6_pow6(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     return TWO_PI / size * np.sum(np.abs(vals) ** 6, axis=-1)
 
 
+def hamiltonian_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1) -> np.ndarray:
+    """(1/2) int |u_x|^2 + (sigma/6) int |u|^6, of a coefficient vector or of
+    each row of a (B, 2M+1) block c on `grid`."""
+    n = grid.n
+    kinetic = 0.5 * TWO_PI * np.sum(n * n * np.abs(c) ** 2, axis=-1)
+    return kinetic + sigma / 6.0 * l6_pow6(c, grid)
+
+
 def hamiltonian(u: FourierField, sigma: int = 1) -> float:
-    """(1/2) int |u_x|^2 + (sigma/6) int |u|^6."""
-    n = u.grid.n
-    kinetic = 0.5 * TWO_PI * np.sum(n * n * np.abs(u.coeffs) ** 2)
-    return float(kinetic + sigma / 6.0 * l6_pow6(u.coeffs, u.grid))
+    """hamiltonian_rows of one field."""
+    return float(hamiltonian_rows(u.coeffs, u.grid, sigma))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .energy import r2_rows
+from .energy import pad_chunked, r2_rows
 from .flow import l6_pow6
 from .spectral import FourierField, GridSpec, sobolev_sq_rows
 
@@ -107,9 +107,9 @@ def sample_mu(
 
 
 OBSERVABLE_NAMES = ("mass", "h1_sq", "hs_half_eps", "u0_sq", "l6_pow6", "e2")
-_CHUNK = 64  # rows evaluated at once, which bounds the degree-10 pads of E_2
 
 
+@pad_chunked
 def observables_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1) -> dict[str, np.ndarray]:
     """Scalar observables for invariance/transport experiments, name -> (B,)
     array, of each row of a (B, 2M+1) coefficient block c on `grid`.
@@ -118,9 +118,6 @@ def observables_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1) -> dict[str,
     mass is the conserved control.  hs_half_eps is ||u||_{H^{7/4}}^2, the
     pinned reporting norm.
     """
-    if len(c) > _CHUNK:
-        parts = [observables_rows(c[i : i + _CHUNK], grid, sigma) for i in range(0, len(c), _CHUNK)]
-        return {name: np.concatenate([part[name] for part in parts]) for name in OBSERVABLE_NAMES}
     return {
         "mass": sobolev_sq_rows(c, grid, 0.0),
         "h1_sq": sobolev_sq_rows(c, grid, 1.0),

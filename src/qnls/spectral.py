@@ -18,7 +18,6 @@ integrated on pad_for_degree(10).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -248,15 +247,19 @@ def inner(a: FourierField, b: FourierField) -> complex:
     return complex(TWO_PI * np.sum(a.coeffs * np.conj(b.coeffs)))
 
 
-def quintic(u: FourierField) -> FourierField:
-    """Coefficients of |u|^4 u for |n| <= modes, computed alias-free.
+def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Coefficients of |u|^4 u for |n| <= modes, computed alias-free, of a
+    coefficient vector or of each row of a (B, 2M+1) block c on `grid`.
 
     A 5-fold product of band-M fields occupies modes up to 5M, so the
     transform size is at least 6M + 1 (GridSpec.quintic_pad).
     """
-    g = u.grid
-    q = pointwise(u.coeffs, g.modes, g.quintic_pad(), lambda w: np.abs(w) ** 4 * w)
-    return FourierField(g, q)
+    return pointwise(c, grid.modes, grid.quintic_pad(), lambda v: np.abs(v) ** 4 * v)
+
+
+def quintic(u: FourierField) -> FourierField:
+    """quintic_rows of one field."""
+    return FourierField(u.grid, quintic_rows(u.coeffs, u.grid))
 
 
 def quintic_convolution(u: FourierField) -> FourierField:
@@ -288,22 +291,3 @@ def quintic_convolution(u: FourierField) -> FourierField:
                         if abs(n) <= M:
                             acc[n + M] += s * cc[n5 + M]
     return FourierField(g, acc)
-
-
-def save_field(u: FourierField, path) -> None:
-    """Field snapshot: JSON with M_g, N_g and [re, im] pairs, n = -M_g..M_g."""
-    payload = {
-        "M_g": u.grid.modes,
-        "N_g": u.grid.phys_size,
-        "coeffs": [[float(z.real), float(z.imag)] for z in u.coeffs],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_field(path) -> FourierField:
-    with open(path) as fh:
-        payload = json.load(fh)
-    grid = GridSpec(modes=payload["M_g"], phys_size=payload["N_g"])
-    c = np.array([complex(re, im) for re, im in payload["coeffs"]])
-    return FourierField(grid, c)

@@ -76,8 +76,9 @@ def shell_flux():
     X = the uncorrected rate ("uncorrected"), F_2 with the shipped R_2
     ("shipped"), F_2 with one coefficient scaled by 1 + perturbation (the
     term's name), and that F_2 minus the shipped one for H1_BOUNDED_TERM
-    ("defect").  Each (member, M) takes one projected_rates call; the five
-    F_2 variants are scalings of its raw R_2 variations.
+    ("defect").  Each M takes one projected_rates call on the members'
+    coefficient block; the five F_2 variants are scalings of its raw R_2
+    variations.
     """
     cfg = default_config("smoothing_sweep")
     sweep = list(cfg.run.m_sweep)
@@ -85,15 +86,15 @@ def shell_flux():
     scalings = {"shipped": None}
     for name, _, _ in R2_TERMS:
         scalings[name] = {name: 1.0 + cfg.params["perturbation"]}
-    shape = (cfg.run.ensemble_size, len(sweep))
-    rates = {key: np.empty(shape) for key in ("uncorrected", *scalings)}
-    for idx in range(cfg.run.ensemble_size):
-        u = sample_mu(cfg.measure, idx, cfg.grid)
-        for j, M in enumerate(sweep):
-            _, rate, raw = projected_rates(u, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
-            rates["uncorrected"][idx, j] = rate
-            for key, overrides in scalings.items():
-                rates[key][idx, j] = corrected_rate(rate, raw, cfg.flow.sigma, overrides)
+    c = np.stack([sample_mu(cfg.measure, idx, cfg.grid).coeffs for idx in range(cfg.run.ensemble_size)])
+    rates = {key: [] for key in ("uncorrected", *scalings)}
+    for M in sweep:
+        _, rate, raw = projected_rates(c, cfg.grid, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
+        rates["uncorrected"].append(rate)
+        for key, overrides in scalings.items():
+            rates[key].append(corrected_rate(rate, raw, cfg.flow.sigma, overrides))
+    # rates[key][member, j] at M = sweep[j]
+    rates = {key: np.stack(x, axis=1) for key, x in rates.items()}
     rates["defect"] = rates[H1_BOUNDED_TERM] - rates["shipped"]
     flux = {
         key: np.sqrt(np.mean(np.diff(x, axis=1) ** 2, axis=0)) for key, x in rates.items()
@@ -157,15 +158,16 @@ def test_criterion_3_energy_correctness():
             u0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
             dt = 2e-4
             p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-            traj = evolve(u0, p, 6 * dt, store_states=True)
-            proj = [project(s, cutoff) if cutoff else s for s in traj.states]
+            traj = evolve(u0, p, 6 * dt)
+            states = [FourierField(g, c) for c in traj.states]
+            proj = [project(s, cutoff) if cutoff else s for s in states]
             energies = [e2(s, sigma).e2 for s in proj]
             for k in (2, 3):
                 fd = (
                     -energies[k + 2] + 8 * energies[k + 1]
                     - 8 * energies[k - 1] + energies[k - 2]
                 ) / (12 * dt)
-                an = f2(traj.states[k], p)
+                an = f2(states[k], p)
                 worst_traj = max(worst_traj, abs(an - fd) / max(abs(an), abs(fd)))
     # (b) directional derivative against Richardson-extrapolated differences
     g12 = GridSpec(modes=12)

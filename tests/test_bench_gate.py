@@ -12,10 +12,15 @@ The pins were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64, from the
 code before flow.evolve became a one-row evolve_block; the data files have
 not changed since. A change that alters rounding on purpose (an
 integrating-factor RK4, say) re-pins the values and says so in CHANGES.md.
+
+The tracer (perfbench/tracing.py) patches the qnls functions it names in
+LAYER_TARGETS, looked up with no default; every one of them must exist.
+
 The perfbench files are imported, never modified.
 """
 
 import hashlib
+import importlib
 import importlib.util
 from dataclasses import replace
 from pathlib import Path
@@ -91,3 +96,14 @@ def test_variant_0_passes_the_gate_with_pinned_data(workload, tmp_path):
             if path.name not in ("config.ini", "manifest.json")
         }
         assert digests == PINNED[workload][experiment], experiment
+
+
+def test_tracer_targets_resolve():
+    # a renamed or removed target would crash `perfbench/run.py --trace 1`
+    tracing = _load("tracing")
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in tracing.LAYER_TARGETS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert tracing.LAYER_TARGETS and missing == []

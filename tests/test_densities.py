@@ -16,7 +16,7 @@ from qnls import (
     n1_diag,
     zero_field,
 )
-from qnls.densities import continuity_scale, eleele_scale, write_density_csv
+from qnls.densities import continuity_scale, eleele_scale
 from qnls.spectral import TWO_PI
 
 from conftest import random_field
@@ -58,14 +58,6 @@ class TestDensities:
         w = TWO_PI / u.grid.phys_size
         assert w * np.sum(d.N) == pytest.approx(mass(u), rel=1e-10)
         assert w * np.sum(d.J) == pytest.approx(momentum(u), rel=1e-10)
-
-    def test_csv_dump(self, grid8, tmp_path):
-        u = field_from_modes(grid8, {1: 1.0})
-        path = tmp_path / "density.csv"
-        write_density_csv(u, 1, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,N,J,T"
-        assert len(lines) == 1 + grid8.phys_size
 
 
 class TestEleele:

@@ -9,17 +9,20 @@ from qnls import (
     GridSpec,
     MeasureSpec,
     bound_ratio,
+    derivative,
     e2,
     e2_directional,
     evolve,
     f2,
     field_from_modes,
+    lp_norm,
     project,
     r2,
     r2_lipschitz_probe,
     r2_truncation_curve,
     sample_mu,
     smoothing_bound,
+    sobolev_norm_sq,
     zero_field,
 )
 from qnls.energy import full_breakdown, h2_directional
@@ -109,9 +112,7 @@ class TestDirectional:
     def test_quadratic_homogeneity(self, grid16):
         # the H^2 part is quadratic: d/de ||u + e u||^2 at 0 equals 2 ||u||^2
         u = random_field(grid16, seed=6)
-        from qnls import sobolev_norm_sq
-
-        assert h2_directional(u, u) == pytest.approx(
+        assert h2_directional(u.coeffs, u.coeffs, u.grid) == pytest.approx(
             2 * sobolev_norm_sq(u, 2), rel=1e-13
         )
 
@@ -150,8 +151,8 @@ class TestF2:
         u0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
         dt = 2e-4
         p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-        traj = evolve(u0, p, 6 * dt, store_states=True)
-        states = traj.states
+        traj = evolve(u0, p, 6 * dt)
+        states = [FourierField(g, c) for c in traj.states]
         w = [project(s, cutoff) if cutoff else s for s in states]
         energies = [e2(s, sigma).e2 for s in w]
         for k in (2, 3):
@@ -175,6 +176,17 @@ class TestBounds:
     def test_bound_zero_field(self, grid8):
         assert smoothing_bound(zero_field(grid8)) == 1.0
         assert bound_ratio(zero_field(grid8), FlowParams()) == 0.0
+
+    @pytest.mark.parametrize("m0", [10, 6])
+    def test_bound_powers_are_python_float_powers(self, m0):
+        # the norms are row sums, their powers Python float powers: numpy's
+        # array ** rounds some of these powers differently in the last bit
+        grid = GridSpec(modes=32)
+        for idx in range(64):
+            u = sample_mu(MeasureSpec(s=2.0, M=32, base_seed=41), idx, grid)
+            h1 = sobolev_norm_sq(u, 1.0) ** 0.5
+            l4 = lp_norm(derivative(u, 1), 4)
+            assert smoothing_bound(u, m0) == (1.0 + h1**m0) * (1.0 + l4**4), idx
 
     def test_plane_wave_ratio_zero(self, grid8):
         u = field_from_modes(grid8, {1: 1.0})

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qnls import FourierField, GridSpec
+from qnls import FULL, FlowParams, FourierField, GridSpec
+from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
 from qnls.spectral import analyze, jet, synthesize
 
@@ -19,9 +20,9 @@ coefficient = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infin
 
 
 @st.composite
-def blocks(draw, min_rows, max_rows):
+def blocks(draw, min_rows, max_rows, modes=st.integers(1, 8)):
     """(grid, block): random rows on a random grid, some parts set to -0.0."""
-    modes = draw(st.integers(1, 8))
+    modes = draw(modes)
     rows = draw(st.integers(min_rows, max_rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = np.arange(-modes, modes + 1)
@@ -60,13 +61,39 @@ def test_jet_rows_are_the_one_row_calls(block, size_factor, order):
             assert got[i].tobytes() == want.tobytes()
 
 
+@st.composite
+def chunk_spanning_blocks(draw):
+    """(grid, block) whose rows run one to eight past the first row chunk."""
+    modes = draw(st.sampled_from([24, 64]))
+    rows = chunk_rows(GridSpec(modes=modes))
+    return draw(blocks(rows + 1, rows + 8, modes=st.just(modes)))
+
+
 @PROPERTY
-@given(block=blocks(65, 140), sigma=st.sampled_from([1, -1]))
+@given(block=chunk_spanning_blocks(), sigma=st.sampled_from([1, -1]))
 def test_observables_rows_are_the_one_row_calls(block, sigma):
-    # more than 64 rows: the block is evaluated in chunks
     grid, c = block
     whole = observables_rows(c, grid, sigma)
     assert list(whole) == list(OBSERVABLE_NAMES)
     one = [observables(FourierField(grid, row), sigma) for row in c]
     for name in OBSERVABLE_NAMES:
         assert whole[name].tobytes() == np.array([o[name] for o in one]).tobytes(), name
+
+
+@PROPERTY
+@given(block=chunk_spanning_blocks(), sigma=st.sampled_from([1, -1]), cutoff=st.sampled_from([FULL, 10]))
+def test_breakdown_and_projected_rates_rows_are_the_one_row_calls(block, sigma, cutoff):
+    grid, c = block
+    p = FlowParams(sigma=sigma, cutoff=cutoff)
+    whole = breakdown_rows(c, grid, p)
+    w, rate, raw = projected_rates(c, grid, p)
+    for i, row in enumerate(c):
+        one = full_breakdown(FourierField(grid, row), p)
+        got = {name: float(v[i]) for name, v in whole.items()}
+        want = {"h2_sq": one.h2_sq, "r2": one.r2, "e2": one.e2, "f2": one.f2, "bound": one.bound, **one.r2_terms}
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes(), i
+        ow, orate, oraw = projected_rates(row[np.newaxis], grid, p)
+        assert w[i].tobytes() == ow[0].tobytes()
+        assert rate[i].tobytes() == orate[0].tobytes()
+        assert [v[i].tobytes() for v in raw.values()] == [v[0].tobytes() for v in oraw.values()]

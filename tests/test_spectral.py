@@ -1,7 +1,5 @@
 """Spectral core: projections, norms, derivatives, dealiased quintic."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,15 +9,13 @@ from qnls import (
     derivative,
     field_from_modes,
     inner,
-    load_field,
     lp_norm,
     project,
     quintic,
-    save_field,
     sobolev_norm_sq,
     zero_field,
 )
-from qnls.spectral import TWO_PI, analyze, jet, quintic_convolution, synthesize
+from qnls.spectral import TWO_PI, analyze, jet, quintic_convolution, quintic_rows, synthesize
 
 from conftest import random_field
 
@@ -67,16 +63,6 @@ class TestFourierField:
             back = analyze(synthesize(block, grid16.modes, size), grid16.modes)
             rows = [analyze(synthesize(c, grid16.modes, size), grid16.modes) for c in block]
             assert back.tobytes() == np.stack(rows).tobytes()
-
-    def test_snapshot_file(self, grid8, tmp_path):
-        u = random_field(grid8, seed=2)
-        path = tmp_path / "field.json"
-        save_field(u, path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"M_g", "N_g", "coeffs"}
-        assert payload["M_g"] == 8
-        v = load_field(path)
-        assert np.array_equal(v.coeffs, u.coeffs)
 
 
 class TestProject:
@@ -200,6 +186,16 @@ class TestQuintic:
             assert np.max(np.abs(q.coeffs - oracle.coeffs)) < 1e-12 * max(
                 1.0, np.max(np.abs(oracle.coeffs))
             )
+
+    def test_block_against_convolution(self):
+        # the flow's right-hand side takes quintic_rows of (B, 2M+1) blocks
+        g = GridSpec(modes=5)
+        fields = [random_field(g, seed=40 + seed, decay=0.2 * seed) for seed in range(5)]
+        q = quintic_rows(np.stack([u.coeffs for u in fields]), g)
+        for row, u in zip(q, fields):
+            oracle = quintic_convolution(u).coeffs
+            assert np.max(np.abs(row - oracle)) < 1e-12 * max(1.0, np.max(np.abs(oracle)))
+            assert row.tobytes() == quintic(u).coeffs.tobytes()
 
 
 def test_jet_samples_are_the_synthesized_derivatives(grid16):
