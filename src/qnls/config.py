@@ -245,10 +245,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[run] t_end must be positive")
     if run.ensemble_size < 1:
         raise ConfigError("[run] ensemble_size must be >= 1")
-    # both would otherwise fail mid-run: tail_ratio after the whole ensemble
-    # is integrated, Strang splitting at the first step
+    # these would fail mid-run (tail_ratio after the whole ensemble, Strang at
+    # the first step, continuity at its first draw of modes) or check no field
     if name == "transport_mc" and run.ensemble_size < MIN_TAIL_SAMPLES:
         raise ConfigError(f"[run] transport_mc needs ensemble_size >= {MIN_TAIL_SAMPLES}")
+    if name == "continuity" and (params["n_fields"] < 1 or params["max_modes"] < 4):
+        raise ConfigError("[params] continuity needs n_fields >= 1 and max_modes >= 4")
     if flow.integrator == "strang" and flow.cutoff is not None:
         raise ConfigError("[flow] integrator = strang needs cutoff = full")
     return ExperimentConfig(

@@ -15,7 +15,9 @@ momentum residual below is the arbiter of that choice, not trust.
 
 All quantities are evaluated pointwise from exactly synthesized derivative
 fields on a padded grid (the same anti-aliasing depth as the quintic term),
-so the residuals measure algebra, not discretization.  Residual tolerances
+so the residuals measure algebra, not discretization.  The residuals act on
+(B, 2M+1) coefficient blocks from one 3-jet (residual_rows, both signs at
+once); the one-field functions are its one-row calls.  Residual tolerances
 scale with explicit norm factors to stay amplitude-independent.
 """
 
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import pad_chunked
 from .flow import FlowParams
-from .spectral import TWO_PI, FourierField, jet, sobolev_norm_sq
+from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_sq_rows
 
 
 @dataclass(frozen=True)
@@ -47,26 +50,52 @@ def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
     return DensityTriple(N=N, J=J, T=T)
 
 
-def eleele_residual(u: FourierField) -> float:
-    """sup |J^2 + (N_x)^2 - 4 N |u_x|^2| on the padded grid.
+@pad_chunked
+def residual_rows(c: np.ndarray, grid: GridSpec) -> dict[str, np.ndarray]:
+    """Residuals and diagnostics of each row of a (B, 2M+1) block c on `grid`,
+    from one 3-jet at the quintic pad, as name -> (B,) array:
 
-    Vanishes (to rounding) for every field; the identity is pointwise
-    algebra, not dynamics.
+        eleele          sup |J^2 + (N_x)^2 - 4 N |u_x|^2|
+        j0, n1          int dN/dt J^2 dx and int dN/dt (N_x)^2 dx
+        mass_p, mom_p   sup |dN/dt + dJ/dx| and sup |dJ/dt + dT/dx|, sigma = +1
+        mass_m, mom_m   the same for sigma = -1
+
+    du/dt = i u_xx - i sigma |u|^4 u is the untruncated equation, so no
+    Galerkin tail is dropped; only du/dt depends on sigma.  j0 and n1 take
+    dN/dt at sigma = +1: sigma enters it as Re(conj(u) (-i sigma N^2 u)) = 0.
     """
-    (_, ux), N, Nx, J = jet(u.coeffs, u.grid, u.grid.quintic_pad(), 1)
-    return float(np.max(np.abs(J**2 + Nx**2 - 4.0 * N * np.abs(ux) ** 2)))
-
-
-def _du_dt_values(j, sigma):
-    """Pointwise du/dt = i u_xx - i sigma |u|^4 u and its x-derivative from a 3-jet.
-
-    The substitution is the untruncated equation: pointwise products of exact
-    samples, so no Galerkin tail is dropped.
-    """
+    size = grid.quintic_pad()
+    j = jet(c, grid, size, 3)
     uu, ux, uxx, uxxx = j.d
-    ut = 1j * uxx - 1j * sigma * j.N**2 * uu
-    utx = 1j * uxxx - 1j * sigma * (2.0 * j.N * j.Nx * uu + j.N**2 * ux)
-    return ut, utx
+    N2 = j.N**2
+    Jx = 2.0 * np.imag(np.conj(ux) * ux + np.conj(uu) * uxx)  # d/dx 2Im(conj(u)u_x)
+    Nxxx = 6.0 * np.real(np.conj(ux) * uxx) + 2.0 * np.real(np.conj(uu) * uxxx)
+    out = {"eleele": np.max(np.abs(j.J**2 + j.Nx**2 - 4.0 * j.N * np.abs(ux) ** 2), axis=-1)}
+    for sigma, tag in ((1, "p"), (-1, "m")):
+        ut = 1j * uxx - 1j * sigma * N2 * uu
+        utx = 1j * uxxx - 1j * sigma * (2.0 * j.N * j.Nx * uu + N2 * ux)
+        Nt = 2.0 * np.real(np.conj(uu) * ut)
+        Jt = 2.0 * np.imag(np.conj(ut) * ux + np.conj(uu) * utx)
+        Tx = 8.0 * np.real(np.conj(ux) * uxx) - Nxxx + sigma * 4.0 * N2 * j.Nx
+        if sigma == 1:
+            out["j0"] = TWO_PI / size * np.sum(Nt * j.J**2, axis=-1)
+            out["n1"] = TWO_PI / size * np.sum(Nt * j.Nx**2, axis=-1)
+        out["mass_" + tag] = np.max(np.abs(Nt + Jx), axis=-1)
+        out["mom_" + tag] = np.max(np.abs(Jt + Tx), axis=-1)
+    return out
+
+
+def _one_row(u: FourierField, p: FlowParams | None = None) -> dict[str, float]:
+    """residual_rows of one field; p, if given, must be the FULL flow (its sigma
+    picks the continuity residuals; j0 and n1 are taken at sigma = +1)."""
+    if p is not None and p.cutoff is not None:
+        raise ValueError("continuity laws and diagnostics hold only for the FULL flow (cutoff=None)")
+    return {name: float(v[0]) for name, v in residual_rows(u.coeffs[np.newaxis], u.grid).items()}
+
+
+def eleele_residual(u: FourierField) -> float:
+    """sup |J^2 + (N_x)^2 - 4 N |u_x|^2| on the padded grid; 0 to rounding for any field."""
+    return _one_row(u)["eleele"]
 
 
 def continuity_residuals(u: FourierField, p: FlowParams) -> tuple[float, float]:
@@ -76,49 +105,34 @@ def continuity_residuals(u: FourierField, p: FlowParams) -> tuple[float, float]:
     commutator with (1 - P_M), so only the untruncated substitution is an
     algebraic identity.
     """
-    if p.cutoff is not None:
-        raise ValueError("continuity laws hold only for the FULL flow (cutoff=None)")
-    j = jet(u.coeffs, u.grid, u.grid.quintic_pad(), 3)
-    uu, ux, uxx, uxxx = j.d
-    ut, utx = _du_dt_values(j, p.sigma)
-
-    Nt = 2.0 * np.real(np.conj(uu) * ut)
-    Jx = 2.0 * np.imag(np.conj(ux) * ux + np.conj(uu) * uxx)  # d/dx 2Im(conj(u)u_x)
-    r_mass = float(np.max(np.abs(Nt + Jx)))
-
-    Jt = 2.0 * np.imag(np.conj(ut) * ux + np.conj(uu) * utx)
-    Nxxx = 6.0 * np.real(np.conj(ux) * uxx) + 2.0 * np.real(np.conj(uu) * uxxx)
-    Tx = 8.0 * np.real(np.conj(ux) * uxx) - Nxxx + p.sigma * 4.0 * j.N**2 * j.Nx
-    r_mom = float(np.max(np.abs(Jt + Tx)))
-    return r_mass, r_mom
-
-
-def _diag_integrals(u: FourierField, p: FlowParams):
-    if p.cutoff is not None:
-        raise ValueError("diagnostics are defined along the FULL flow (cutoff=None)")
-    size = u.grid.quintic_pad()
-    j = jet(u.coeffs, u.grid, size, 3)
-    ut, _ = _du_dt_values(j, p.sigma)
-    Nt = 2.0 * np.real(np.conj(j.d[0]) * ut)
-    w = TWO_PI / size
-    return float(w * np.sum(Nt * j.J**2)), float(w * np.sum(Nt * j.Nx**2))
+    r = _one_row(u, p)
+    tag = "p" if p.sigma == 1 else "m"
+    return r["mass_" + tag], r["mom_" + tag]
 
 
 def j0_diag(u: FourierField, p: FlowParams) -> float:
     """int dN/dt J^2 dx; vanishes identically (= -(1/3) int d/dx(J^3) = 0)."""
-    return _diag_integrals(u, p)[0]
+    return _one_row(u, p)["j0"]
 
 
 def n1_diag(u: FourierField, p: FlowParams) -> float:
     """int dN/dt (N_x)^2 dx; generically nonzero, kept for energy bookkeeping."""
-    return _diag_integrals(u, p)[1]
+    return _one_row(u, p)["n1"]
+
+
+def scale_rows(c: np.ndarray, grid: GridSpec) -> tuple[list[float], list[float]]:
+    """Amplitude factors 1 + ||u||_H1^4 (pointwise identity) and 1 + ||u||_H3^6
+    (continuity residuals) of each row of c on `grid`, as Python float
+    powers: numpy's array ** rounds some of them differently."""
+    h1, h3 = (sobolev_sq_rows(c, grid, s).tolist() for s in (1.0, 3.0))
+    return [1.0 + a**2 for a in h1], [1.0 + b**3 for b in h3]
 
 
 def eleele_scale(u: FourierField) -> float:
     """Amplitude factor 1 + ||u||_H1^4 for the pointwise identity residual."""
-    return 1.0 + sobolev_norm_sq(u, 1.0) ** 2
+    return scale_rows(u.coeffs[np.newaxis], u.grid)[0][0]
 
 
 def continuity_scale(u: FourierField) -> float:
     """Amplitude factor 1 + ||u||_H3^6 for the continuity residuals."""
-    return 1.0 + sobolev_norm_sq(u, 3.0) ** 3
+    return scale_rows(u.coeffs[np.newaxis], u.grid)[1][0]

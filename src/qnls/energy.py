@@ -153,10 +153,12 @@ def directional_terms(c: np.ndarray, v: np.ndarray, grid: GridSpec):
     rate = h2_directional(c, v, grid)
     size = grid.pad_for_degree(10)
     (uu, ux, uxx), N, Nx, J = jet(c, grid, size, 2)
-    vv, vx, vxx = jet(v, grid, size, 2).d
+    vv, vx = jet(v, grid, size, 1).d
     dN = 2.0 * np.real(np.conj(uu) * vv)
     dNx = 2.0 * np.real(np.conj(ux) * vv + np.conj(uu) * vx)
     dJ = 2.0 * np.imag(np.conj(vv) * ux + np.conj(uu) * vx)
+    del ux, vx  # not read below: freed before v_xx is synthesized
+    vxx = synthesize(v * (1j * grid.n) ** 2, grid.modes, size)
     w = TWO_PI / size
     raw = {
         "curv_quintic": w * np.sum(

@@ -130,6 +130,20 @@ class TestParse:
             parse_config(text.format(99))
         assert parse_config(text.format(100)).run.ensemble_size == 100
 
+    @pytest.mark.parametrize("n_fields", [0, -5])
+    def test_continuity_needs_a_field(self, n_fields):
+        # with no field every verdict would pass unchecked
+        text = f"[experiment]\nname = continuity\n\n[params]\nn_fields = {n_fields}\n"
+        with pytest.raises(ConfigError, match="n_fields >= 1"):
+            parse_config(text)
+
+    def test_continuity_needs_max_modes_of_at_least_4(self):
+        # modes are drawn from [4, max_modes]; 3 would fail at the first draw
+        text = "[experiment]\nname = continuity\n\n[params]\nmax_modes = {}\n"
+        with pytest.raises(ConfigError, match="max_modes >= 4"):
+            parse_config(text.format(3))
+        assert parse_config(text.format(4)).params["max_modes"] == 4
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", EXPERIMENTS)

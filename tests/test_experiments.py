@@ -5,12 +5,16 @@ scaled down to exercise the machinery.
 """
 
 import json
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from qnls import FlowParams, FourierField, GridSpec, spectral
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
+from qnls.densities import continuity_residuals, continuity_scale, eleele_residual, eleele_scale, j0_diag
 from qnls.experiments import RunManifest, emit_plots, run
 from qnls.flow import linear_flow
 from qnls.measure import (
@@ -24,6 +28,7 @@ from qnls.measure import (
     sample_mu,
     write_ensemble,
 )
+from qnls.spectral import synthesize
 
 from conftest import step_loop
 
@@ -86,6 +91,46 @@ class TestRun:
                 stat = ks_statistic([o[name] for o in before], [o[name] for o in after[t]])
                 lines.append(f"{name},{t!r},{stat!r},{crit!r},{'true' if stat < crit else 'false'}")
         assert (tmp_path / "li" / "ks.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_continuity_matches_the_per_field_loop(self, tmp_path):
+        cfg = default_config("continuity", output_dir=str(tmp_path / "ct"))
+        cfg = replace(cfg, params={**cfg.params, "n_fields": 40, "max_modes": 9})
+        assert run(cfg).error is None
+        rng = np.random.default_rng(cfg.params["seed"])
+        lines = ["field,modes,eleele,j0,mass_defoc,momentum_defoc,mass_foc,momentum_foc"]
+        modes_seen = set()
+        for i in range(40):
+            modes = int(rng.integers(4, 10))
+            grid = GridSpec(modes=modes)
+            n = grid.n
+            c = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)) / (1.0 + (n / 8.0) ** 2)
+            u = FourierField(grid, c)
+            c_scale = continuity_scale(u)
+            vals = [eleele_residual(u) / eleele_scale(u), abs(j0_diag(u, FlowParams(sigma=1))) / (1.0 + c_scale)]
+            vals += [r / c_scale for sigma in (1, -1) for r in continuity_residuals(u, FlowParams(sigma=sigma))]
+            lines.append(",".join([str(i), str(modes)] + [repr(v) for v in vals]))
+            modes_seen.add(modes)
+        assert len(modes_seen) >= 3
+        assert (tmp_path / "ct" / "residuals.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_continuity_synthesizes_one_jet_per_mode_count(self, tmp_path, monkeypatch):
+        # one 3-jet (4 transforms) per block of fields sharing a mode count
+        # (each block here fits in one row chunk); a jet per residual and
+        # field would make 14 per field
+        calls = []
+
+        def counting(coeffs, modes, size):
+            calls.append(modes)
+            return synthesize(coeffs, modes, size)
+
+        monkeypatch.setattr(spectral, "synthesize", counting)
+        cfg = default_config("continuity", output_dir=str(tmp_path / "ct"))
+        cfg = replace(cfg, params={**cfg.params, "n_fields": 60, "max_modes": 12})
+        assert run(cfg).passed
+        with open(tmp_path / "ct" / "residuals.csv") as fh:
+            modes = [int(line.split(",")[1]) for line in list(fh)[1:]]
+        assert len(modes) == 60 and len(set(modes)) > 1
+        assert Counter(calls) == {m: 4 for m in set(modes)}
 
     def test_manifest_on_failure(self, tmp_path):
         # an impossible grid/cutoff combination fails inside the runner

@@ -1,5 +1,5 @@
-"""Property tests: spectral round trips, and block functionals equal to their
-one-row calls bit for bit.
+"""Property tests: spectral round trips, Parseval and skew-adjointness, and
+block functionals equal to their one-row calls bit for bit.
 
 Examples are derandomized, so every run draws the same ones.
 """
@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qnls import FULL, FlowParams, FourierField, GridSpec
+from qnls.densities import continuity_residuals, eleele_residual, j0_diag, n1_diag, residual_rows
 from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
-from qnls.spectral import analyze, jet, synthesize
+from qnls.spectral import TWO_PI, analyze, derivative, inner, jet, sobolev_norm_sq, synthesize
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -47,6 +48,29 @@ def test_synthesize_analyze_round_trip(modes, extra, rows, data):
     back = analyze(synthesize(c, modes, 2 * modes + 1 + extra), modes)
     assert back.shape == c.shape
     assert np.allclose(back, c, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(c))))
+
+
+@PROPERTY
+@given(block=blocks(1, 1), extra=st.integers(0, 40))
+def test_parseval(block, extra):
+    grid, c = block
+    u = FourierField(grid, c[0])
+    size = 2 * grid.modes + 1 + extra
+    norm = inner(u, u)
+    assert abs(norm.imag) <= 1e-15 * norm.real
+    assert np.isclose(norm.real, sobolev_norm_sq(u, 0), rtol=1e-13, atol=0.0)
+    samples = TWO_PI / size * np.sum(np.abs(u.values(size)) ** 2)
+    assert np.isclose(norm.real, samples, rtol=1e-12, atol=1e-300)
+
+
+@PROPERTY
+@given(block=blocks(2, 2))
+def test_derivative_is_skew_adjoint(block):
+    grid, c = block
+    u, v = FourierField(grid, c[0]), FourierField(grid, c[1])
+    lhs, rhs = inner(derivative(u), v), -inner(u, derivative(v))
+    scale = grid.modes * TWO_PI * np.sum(np.abs(c[0]) * np.abs(c[1]))
+    assert abs(lhs - rhs) <= 1e-14 * scale
 
 
 @PROPERTY
@@ -97,3 +121,22 @@ def test_breakdown_and_projected_rates_rows_are_the_one_row_calls(block, sigma, 
         assert w[i].tobytes() == ow[0].tobytes()
         assert rate[i].tobytes() == orate[0].tobytes()
         assert [v[i].tobytes() for v in raw.values()] == [v[0].tobytes() for v in oraw.values()]
+
+
+@PROPERTY
+@given(block=blocks(1, 20, modes=st.sampled_from([4, 7, 16, 33, 64])))
+def test_residual_rows_are_the_one_row_calls(block):
+    grid, c = block
+    whole = residual_rows(c, grid)
+    assert list(whole) == ["eleele", "j0", "n1", "mass_p", "mom_p", "mass_m", "mom_m"]
+    for i, row in enumerate(c):
+        u = FourierField(grid, row)
+        one = {
+            "eleele": eleele_residual(u),
+            "j0": j0_diag(u, FlowParams(sigma=1)),
+            "n1": n1_diag(u, FlowParams(sigma=1)),
+        }
+        one["mass_p"], one["mom_p"] = continuity_residuals(u, FlowParams(sigma=1))
+        one["mass_m"], one["mom_m"] = continuity_residuals(u, FlowParams(sigma=-1))
+        got = np.array([whole[name][i] for name in one])
+        assert got.tobytes() == np.array(list(one.values())).tobytes(), i
