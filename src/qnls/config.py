@@ -9,14 +9,16 @@ Grammar (INI-style, parsed strictly):
     [grid]                        ; GridSpec fields
     [flow]                        ; FlowParams fields (cutoff = full or an int)
     [measure]                     ; MeasureSpec fields (used where relevant)
-    [run]                         ; horizon, ensemble size, sweep, observer stride
+    [run]                         ; horizon, ensemble size, sweep, and the
+                                  ; stride at which evolve records states
     [params]                      ; experiment-specific knobs, typed per schema
 
 Every key is typed and defaulted by a schema: the [grid] [flow] [measure]
 [run] schemas are read off the dataclass fields, [params] is listed per
 experiment below.  Unknown sections or keys are rejected (config drift
-guard).  Values: integers, floats (repr round-trip), booleans (true/false),
-strings, and comma-separated lists.
+guard), and so are settings that a run would fail partway through or pass
+having checked nothing.  Values: integers, floats (repr round-trip),
+booleans (true/false), strings, and comma-separated lists.
 serialize() emits a canonical form, so parse(serialize(c)) == c and replayed
 configs diff cleanly.
 """
@@ -51,6 +53,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSettings:
+    """observer_stride is the stride, in steps, at which evolve records the
+    states of conservation and growth (the name predates that)."""
+
     t_end: float = 1.0
     ensemble_size: int = 64
     m_sweep: tuple[int, ...] = (16, 32, 64, 128)
@@ -243,16 +248,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     if run.t_end <= 0:
         raise ConfigError("[run] t_end must be positive")
-    if run.ensemble_size < 1:
-        raise ConfigError("[run] ensemble_size must be >= 1")
-    # these would fail mid-run (tail_ratio after the whole ensemble, Strang at
-    # the first step, continuity at its first draw of modes) or check no field
-    if name == "transport_mc" and run.ensemble_size < MIN_TAIL_SAMPLES:
-        raise ConfigError(f"[run] transport_mc needs ensemble_size >= {MIN_TAIL_SAMPLES}")
-    if name == "continuity" and (params["n_fields"] < 1 or params["max_modes"] < 4):
-        raise ConfigError("[params] continuity needs n_fields >= 1 and max_modes >= 4")
+    if run.ensemble_size < 1 or run.observer_stride < 1:
+        raise ConfigError("[run] ensemble_size and observer_stride must be >= 1")
     if flow.integrator == "strang" and flow.cutoff is not None:
         raise ConfigError("[flow] integrator = strang needs cutoff = full")
+    unmet = _unmet_needs(name, params, grid, run)
+    if unmet:
+        raise ConfigError(f"{name} needs " + "; ".join(unmet))
     return ExperimentConfig(
         experiment=name,
         output_dir=output_dir,
@@ -262,6 +264,41 @@ def parse_config(text: str) -> ExperimentConfig:
         run=run,
         params=params,
     )
+
+
+def _unmet_needs(name: str, pm: dict, grid: GridSpec, run: RunSettings) -> list[str]:
+    """What experiment `name` needs of its settings and does not get: without
+    it a run fails partway through, or passes having checked nothing."""
+    needs = {}
+    if name == "plane_wave_order":
+        needs = {
+            "at least 2 dt_list entries": len(pm["dt_list"]) >= 2,
+            "|mode| <= [grid] modes": abs(pm["mode"]) <= grid.modes,
+        }
+    elif name == "continuity":
+        needs = {"n_fields >= 1": pm["n_fields"] >= 1, "max_modes >= 4": pm["max_modes"] >= 4}
+    elif name in ("linear_invariance", "focusing_local"):
+        key = "times" if name == "linear_invariance" else "amplitudes"
+        needs = {f"a {key} entry": len(pm[key]) >= 1}
+    elif name == "smoothing_sweep":
+        sweep = run.m_sweep
+        in_grid = all(1 <= M <= grid.modes for M in sweep)
+        needs = {"at least 2 m_sweep entries, in [1, [grid] modes]": len(sweep) >= 2 and in_grid}
+    elif name == "transport_mc":
+        t = pm["times"]
+        needs = {
+            f"ensemble_size >= {MIN_TAIL_SAMPLES}": run.ensemble_size >= MIN_TAIL_SAMPLES,
+            "times, positive and distinct": len(t) >= 1 and min(t) > 0 and len(set(t)) == len(t),
+        }
+    elif name == "truncation_convergence":
+        m, fm, top = pm["m_list"], pm["flow_m_list"], pm["flow_modes"]
+        needs = {
+            "n_samples >= 1": pm["n_samples"] >= 1,
+            "a strictly increasing m_list": len(m) >= 1 and all(a < b for a, b in zip(m, m[1:])),
+            "flow_modes >= 1 and at least 2 flow_m_list entries in [0, flow_modes]": not pm["with_flow"]
+            or (top >= 1 and len(fm) >= 2 and all(0 <= M <= top for M in fm)),
+        }
+    return [need for need, met in needs.items() if not met]
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

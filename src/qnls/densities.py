@@ -18,36 +18,16 @@ fields on a padded grid (the same anti-aliasing depth as the quintic term),
 so the residuals measure algebra, not discretization.  The residuals act on
 (B, 2M+1) coefficient blocks from one 3-jet (residual_rows, both signs at
 once); the one-field functions are its one-row calls.  Residual tolerances
-scale with explicit norm factors to stay amplitude-independent.
+scale with explicit norm factors (scale_rows) to stay amplitude-independent.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import pad_chunked
 from .flow import FlowParams
 from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_sq_rows
-
-
-@dataclass(frozen=True)
-class DensityTriple:
-    """N, J, T sampled on the physical grid points."""
-
-    N: np.ndarray
-    J: np.ndarray
-    T: np.ndarray
-
-
-def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
-    """Density triple at the physical grid points."""
-    (uu, ux, uxx), N, _, J = jet(u.coeffs, u.grid, u.grid.phys_size, 2)
-    # N_xx = 2|u_x|^2 + 2 Re(conj(u) u_xx), pointwise from exact samples
-    Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
-    T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3
-    return DensityTriple(N=N, J=J, T=T)
 
 
 @pad_chunked
@@ -115,24 +95,9 @@ def j0_diag(u: FourierField, p: FlowParams) -> float:
     return _one_row(u, p)["j0"]
 
 
-def n1_diag(u: FourierField, p: FlowParams) -> float:
-    """int dN/dt (N_x)^2 dx; generically nonzero, kept for energy bookkeeping."""
-    return _one_row(u, p)["n1"]
-
-
 def scale_rows(c: np.ndarray, grid: GridSpec) -> tuple[list[float], list[float]]:
     """Amplitude factors 1 + ||u||_H1^4 (pointwise identity) and 1 + ||u||_H3^6
     (continuity residuals) of each row of c on `grid`, as Python float
     powers: numpy's array ** rounds some of them differently."""
     h1, h3 = (sobolev_sq_rows(c, grid, s).tolist() for s in (1.0, 3.0))
     return [1.0 + a**2 for a in h1], [1.0 + b**3 for b in h3]
-
-
-def eleele_scale(u: FourierField) -> float:
-    """Amplitude factor 1 + ||u||_H1^4 for the pointwise identity residual."""
-    return scale_rows(u.coeffs[np.newaxis], u.grid)[0][0]
-
-
-def continuity_scale(u: FourierField) -> float:
-    """Amplitude factor 1 + ||u||_H3^6 for the continuity residuals."""
-    return scale_rows(u.coeffs[np.newaxis], u.grid)[1][0]

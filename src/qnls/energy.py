@@ -36,7 +36,7 @@ from functools import wraps
 import numpy as np
 
 from .flow import FlowParams, _cutoff_mask, _rhs_coeffs
-from .spectral import TWO_PI, FourierField, GridSpec, jet, project, sobolev_norm_sq, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_norm_sq, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -123,21 +123,12 @@ def r2_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1, overrides: dict[str, 
     return sum(terms.values()), terms
 
 
-def r2(u: FourierField, sigma: int = 1, overrides: dict[str, float] | None = None):
-    """r2_rows of one field, in floats."""
-    total, terms = r2_rows(u.coeffs, u.grid, sigma, overrides)
-    return float(total), {name: float(v) for name, v in terms.items()}
-
-
-def e2(
-    u: FourierField,
-    sigma: int = 1,
-    overrides: dict[str, float] | None = None,
-) -> EnergyBreakdown:
+def e2(u: FourierField, sigma: int = 1, overrides: dict[str, float] | None = None) -> EnergyBreakdown:
     """E_2 = ||u||_{H^2}^2 + R_2(u); E_2(0) = 0."""
     h2 = sobolev_norm_sq(u, 2.0)
-    total, terms = r2(u, sigma, overrides)
-    return EnergyBreakdown(h2_sq=h2, r2_terms=terms, r2=total, e2=h2 + total)
+    total, terms = r2_rows(u.coeffs, u.grid, sigma, overrides)
+    terms = {name: float(v) for name, v in terms.items()}
+    return EnergyBreakdown(h2_sq=h2, r2_terms=terms, r2=float(total), e2=h2 + float(total))
 
 
 def h2_directional(c: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -242,42 +233,15 @@ def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
     return float(smoothing_bound_rows(u.coeffs[np.newaxis], u.grid, m0)[0])
 
 
-def bound_ratio(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> float:
-    """|f2| / smoothing_bound at the projected state."""
-    b = full_breakdown(u, p, m0)
-    return abs(b.f2) / b.bound
-
-
-def r2_lipschitz_probe(
-    u: FourierField,
-    v: FourierField,
-    sigma: int = 1,
-    m0: int = DEFAULT_M0,
-) -> float | None:
-    """|R_2(u) - R_2(v)| / [||u-v||_{H^1} (1 + ||u||_{H^1}^{m0} + ||v||_{H^1}^{m0})].
-
-    Returns None (nothing to report) when the fields coincide bitwise.
-    """
-    if u.grid == v.grid and np.array_equal(u.coeffs, v.coeffs):
-        return None
-    du = FourierField(u.grid, u.coeffs - v.coeffs)
-    gap = sobolev_norm_sq(du, 1.0) ** 0.5
-    nu = sobolev_norm_sq(u, 1.0) ** 0.5
-    nv = sobolev_norm_sq(v, 1.0) ** 0.5
-    num = abs(r2(u, sigma)[0] - r2(v, sigma)[0])
-    return float(num / (gap * (1.0 + nu**m0 + nv**m0)))
-
-
-def r2_truncation_curve(
-    u: FourierField,
-    m_list: list[int],
-    sigma: int = 1,
-) -> np.ndarray:
-    """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list."""
+def r2_truncation_curve(u: FourierField, m_list: list[int], sigma: int = 1) -> np.ndarray:
+    """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, from one
+    r2_rows call on the block [u, P_{M_1} u, P_{M_2} u, ...]."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly increasing")
-    ref = r2(u, sigma)[0]
-    return np.array([abs(r2(project(u, M), sigma)[0] - ref) for M in m_list])
+    n = np.abs(u.grid.n)
+    block = np.stack([u.coeffs] + [np.where(n <= M, u.coeffs, 0.0) for M in m_list])
+    total, _ = r2_rows(block, u.grid, sigma)
+    return np.abs(total[1:] - total[0])
 
 
 @pad_chunked

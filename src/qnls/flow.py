@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, pointwise, quintic_rows, sobolev_norm_sq, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, pointwise, quintic_rows, sobolev_sq_rows, synthesize
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -99,11 +99,6 @@ def linear_flow_rows(c: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
     return c * np.exp(-1j * t * grid.n * grid.n)
 
 
-def linear_flow(u0: FourierField, t: float) -> FourierField:
-    """linear_flow_rows of one field."""
-    return FourierField(u0.grid, linear_flow_rows(u0.coeffs, u0.grid, t))
-
-
 @lru_cache(maxsize=256)
 def _cutoff_mask(modes: int, cutoff: int | None) -> np.ndarray | bool:
     """P_M as the mask |n| <= cutoff over n = -modes..modes (read-only,
@@ -141,12 +136,6 @@ def _rhs_coeffs(
     if mask is not True:
         q = np.where(mask, q, 0.0)
     return _linear_symbol(grid.modes) * c - 1j * p.sigma * q
-
-
-def rhs(u: FourierField, p: FlowParams) -> FourierField:
-    """du/dt = i u_xx - i sigma P_M(|P_M u|^4 P_M u) as a field."""
-    p.check_grid(u.grid)
-    return FourierField(u.grid, _rhs_coeffs(u.coeffs, u.grid, p))
 
 
 def _rk4_coeffs(
@@ -329,20 +318,10 @@ def evolve(u0: FourierField, p: FlowParams, t_end: float, stride: int = 1) -> Tr
     )
 
 
-def mass(u: FourierField) -> float:
-    """int |u|^2 dx."""
-    return sobolev_norm_sq(u, 0.0)
-
-
 def momentum_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """2 Im int conj(u) u_x dx = 4*pi * sum n |u_n|^2 (= int J dx), of a
     coefficient vector or of each row of a (B, 2M+1) block c on `grid`."""
     return 2.0 * TWO_PI * np.sum(grid.n * np.abs(c) ** 2, axis=-1)
-
-
-def momentum(u: FourierField) -> float:
-    """momentum_rows of one field."""
-    return float(momentum_rows(u.coeffs, u.grid))
 
 
 def l6_pow6(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -359,8 +338,3 @@ def hamiltonian_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1) -> np.ndarra
     n = grid.n
     kinetic = 0.5 * TWO_PI * np.sum(n * n * np.abs(c) ** 2, axis=-1)
     return kinetic + sigma / 6.0 * l6_pow6(c, grid)
-
-
-def hamiltonian(u: FourierField, sigma: int = 1) -> float:
-    """hamiltonian_rows of one field."""
-    return float(hamiltonian_rows(u.coeffs, u.grid, sigma))

@@ -73,11 +73,6 @@ class EnsembleRecord:
             {"index": self.index, "seed": self.seed, "observables": self.observables}
         )
 
-    @staticmethod
-    def from_json(line: str) -> "EnsembleRecord":
-        d = json.loads(line)
-        return EnsembleRecord(d["index"], d["seed"], d["observables"])
-
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     """Inverse-CDF normals from 53-bit uniforms offset by half an ulp."""
@@ -179,8 +174,3 @@ def write_ensemble(records: list[EnsembleRecord], path) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
-
-
-def read_ensemble(path) -> list[EnsembleRecord]:
-    with open(path) as fh:
-        return [EnsembleRecord.from_json(line) for line in fh if line.strip()]

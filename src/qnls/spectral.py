@@ -65,11 +65,6 @@ class GridSpec:
         """Mode indices -modes..modes in storage order (read-only, shared)."""
         return _mode_indices(self.modes)
 
-    @property
-    def x(self) -> np.ndarray:
-        """Physical quadrature points."""
-        return TWO_PI * np.arange(self.phys_size) / self.phys_size
-
     def pad_for_degree(self, degree: int) -> int:
         """Smallest FFT-friendly size integrating degree-`degree` products exactly."""
         return _fast_len(degree * self.modes + 1)
@@ -106,10 +101,6 @@ class FourierField:
     def values(self, size: int | None = None) -> np.ndarray:
         """Field values at `size` equispaced points (default: the physical grid)."""
         return synthesize(self.coeffs, self.grid.modes, size or self.grid.phys_size)
-
-
-def zero_field(grid: GridSpec) -> FourierField:
-    return FourierField(grid, np.zeros(2 * grid.modes + 1, dtype=np.complex128))
 
 
 def field_from_modes(grid: GridSpec, amplitudes: dict[int, complex]) -> FourierField:
@@ -231,22 +222,6 @@ def sobolev_sq_rows(c: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
     return TWO_PI * np.sum(_sobolev_weights(grid.modes, s) * np.abs(c) ** 2, axis=-1)
 
 
-def lp_norm(u: FourierField, p: float) -> float:
-    """L^p norm over the physical grid; p = inf gives max_j |u(x_j)|."""
-    vals = np.abs(u.values())
-    if np.isinf(p):
-        return float(np.max(vals)) if vals.size else 0.0
-    w = TWO_PI / u.grid.phys_size
-    return float((w * np.sum(vals**p)) ** (1.0 / p))
-
-
-def inner(a: FourierField, b: FourierField) -> complex:
-    """L2 pairing int a conj(b) dx = 2*pi * sum a_n conj(b_n)."""
-    if a.grid != b.grid:
-        raise ValueError("inner: fields live on different grids")
-    return complex(TWO_PI * np.sum(a.coeffs * np.conj(b.coeffs)))
-
-
 def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Coefficients of |u|^4 u for |n| <= modes, computed alias-free, of a
     coefficient vector or of each row of a (B, 2M+1) block c on `grid`.
@@ -255,39 +230,3 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     transform size is at least 6M + 1 (GridSpec.quintic_pad).
     """
     return pointwise(c, grid.modes, grid.quintic_pad(), lambda v: np.abs(v) ** 4 * v)
-
-
-def quintic(u: FourierField) -> FourierField:
-    """quintic_rows of one field."""
-    return FourierField(u.grid, quintic_rows(u.coeffs, u.grid))
-
-
-def quintic_convolution(u: FourierField) -> FourierField:
-    """Direct quintuple-convolution oracle for |u|^4 u = u u u conj(u) conj(u).
-
-    O(modes^5); used to validate the padded-FFT route on small fields.
-    """
-    g = u.grid
-    M = g.modes
-    c = u.coeffs
-    cc = np.conj(c)
-    acc = np.zeros(2 * M + 1, dtype=np.complex128)
-    idx = range(-M, M + 1)
-    for n1 in idx:
-        for n2 in idx:
-            s12 = c[n1 + M] * c[n2 + M]
-            if s12 == 0:
-                continue
-            for n3 in idx:
-                s123 = s12 * c[n3 + M]
-                if s123 == 0:
-                    continue
-                for n4 in idx:
-                    s = s123 * cc[n4 + M]
-                    if s == 0:
-                        continue
-                    for n5 in idx:
-                        n = n1 + n2 + n3 - n4 - n5
-                        if abs(n) <= M:
-                            acc[n + M] += s * cc[n5 + M]
-    return FourierField(g, acc)

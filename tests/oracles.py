@@ -1,0 +1,75 @@
+"""Reference functionals that tests compare qnls against, on one FourierField.
+
+No experiment reaches them, so they live with the tests, not in src/qnls.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from qnls import FourierField, GridSpec, sobolev_norm_sq
+from qnls.energy import DEFAULT_M0, r2_rows
+from qnls.spectral import TWO_PI, jet
+
+
+def zero_field(grid: GridSpec) -> FourierField:
+    return FourierField(grid, np.zeros(2 * grid.modes + 1, dtype=np.complex128))
+
+
+def lp_norm(u: FourierField, p: float) -> float:
+    """L^p norm over the physical grid; p = inf gives max_j |u(x_j)|."""
+    vals = np.abs(u.values())
+    if np.isinf(p):
+        return float(np.max(vals)) if vals.size else 0.0
+    w = TWO_PI / u.grid.phys_size
+    return float((w * np.sum(vals**p)) ** (1.0 / p))
+
+
+def inner(a: FourierField, b: FourierField) -> complex:
+    """L2 pairing int a conj(b) dx = 2*pi * sum a_n conj(b_n)."""
+    if a.grid != b.grid:
+        raise ValueError("inner: fields live on different grids")
+    return complex(TWO_PI * np.sum(a.coeffs * np.conj(b.coeffs)))
+
+
+def quintic_convolution(u: FourierField) -> FourierField:
+    """Direct convolution oracle for |u|^4 u = u u u conj(u) conj(u): the
+    coefficients of a product are the convolution of its factors'."""
+    c, M = u.coeffs, u.grid.modes
+    acc = c
+    for factor in (c, c, np.conj(c[::-1]), np.conj(c[::-1])):  # conj(u)_n = conj(u_{-n})
+        acc = np.convolve(acc, factor)
+    return FourierField(u.grid, acc[4 * M : 6 * M + 1])  # modes -5M..5M -> -M..M
+
+
+class DensityTriple(NamedTuple):
+    """N, J, T sampled on the physical grid points."""
+
+    N: np.ndarray
+    J: np.ndarray
+    T: np.ndarray
+
+
+def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
+    """Density triple at the physical grid points, with
+    T = 4|u_x|^2 - N_xx + sigma (4/3) N^3."""
+    (uu, ux, uxx), N, _, J = jet(u.coeffs, u.grid, u.grid.phys_size, 2)
+    # N_xx = 2|u_x|^2 + 2 Re(conj(u) u_xx), pointwise from exact samples
+    Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
+    T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3
+    return DensityTriple(N=N, J=J, T=T)
+
+
+def r2_lipschitz_probe(u: FourierField, v: FourierField, sigma: int = 1, m0: int = DEFAULT_M0) -> float | None:
+    """|R_2(u) - R_2(v)| / [||u-v||_{H^1} (1 + ||u||_{H^1}^{m0} + ||v||_{H^1}^{m0})].
+
+    Returns None (nothing to report) when the fields coincide bitwise.
+    """
+    if u.grid == v.grid and np.array_equal(u.coeffs, v.coeffs):
+        return None
+    du = FourierField(u.grid, u.coeffs - v.coeffs)
+    gap = sobolev_norm_sq(du, 1.0) ** 0.5
+    nu = sobolev_norm_sq(u, 1.0) ** 0.5
+    nv = sobolev_norm_sq(v, 1.0) ** 0.5
+    num = abs(r2_rows(u.coeffs, u.grid, sigma)[0] - r2_rows(v.coeffs, v.grid, sigma)[0])
+    return float(num / (gap * (1.0 + nu**m0 + nv**m0)))

@@ -32,7 +32,6 @@ from qnls import (
     evolve,
     f2,
     project,
-    r2_lipschitz_probe,
     sample_mu,
 )
 from qnls.config import default_config
@@ -40,6 +39,7 @@ from qnls.energy import R2_TERMS, corrected_rate, projected_rates
 from qnls.experiments import run
 
 from conftest import random_field
+from oracles import r2_lipschitz_probe
 
 
 def report(n, label, ok, detail=""):

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from qnls.config import parse_config, serialize_config
 from qnls.experiments import run
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -107,3 +108,12 @@ def test_tracer_targets_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert tracing.LAYER_TARGETS and missing == []
+
+
+def test_every_planned_config_passes_the_parse_time_checks():
+    # the benchmark edits its configs with dataclasses.replace, past the parser
+    workloads = _load("workloads")
+    for workload in workloads.WORKLOADS:
+        for variant in range(workloads.SEED_VARIANTS):
+            for _, cfg, _, _ in workloads.plan(workload, variant, None):
+                assert parse_config(serialize_config(cfg)) == cfg, (workload, variant)

@@ -1,6 +1,7 @@
 """Config grammar: parsing, validation, canonical round-trip."""
 
 import math
+import re
 
 import pytest
 
@@ -135,6 +136,32 @@ class TestParse:
         # with no field every verdict would pass unchecked
         text = f"[experiment]\nname = continuity\n\n[params]\nn_fields = {n_fields}\n"
         with pytest.raises(ConfigError, match="n_fields >= 1"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "name, setting, match",
+        [
+            ("plane_wave_order", "dt_list = 0.001", "dt_list"),  # no order to check
+            ("plane_wave_order", "mode = 9", "mode"),
+            ("truncation_convergence", "n_samples = 0", "n_samples"),  # no curve to check
+            ("truncation_convergence", "m_list = 16, 64, 32", "m_list"),
+            ("truncation_convergence", "flow_m_list = 8, 256", "flow_m_list"),
+            ("smoothing_sweep", "m_sweep = 16, 256", "m_sweep"),
+            ("smoothing_sweep", "m_sweep = 16", "m_sweep"),  # no slope to fit
+            ("transport_mc", "times =", "times"),
+            ("transport_mc", "times = 0.25, 0.25", "times"),
+            ("transport_mc", "times = 0.0, 0.5", "times"),
+            ("linear_invariance", "times =", "times"),  # no time to check
+            ("focusing_local", "amplitudes =", "amplitudes"),  # no amplitude to check
+            ("growth", "observer_stride = 0", "observer_stride"),
+        ],
+    )
+    def test_rejects_what_a_run_fails_on_or_checks_nothing_with(self, name, setting, match):
+        # the experiment's default config with one line replaced
+        key = setting.split(" =")[0]
+        text = re.sub(rf"^{key} = .*$", setting, serialize_config(default_config(name)), count=1, flags=re.M)
+        assert text != serialize_config(default_config(name))
+        with pytest.raises(ConfigError, match=match):
             parse_config(text)
 
     def test_continuity_needs_max_modes_of_at_least_4(self):

@@ -8,31 +8,27 @@ from qnls import (
     FourierField,
     GridSpec,
     MeasureSpec,
-    bound_ratio,
     derivative,
     e2,
     e2_directional,
     evolve,
     f2,
     field_from_modes,
-    lp_norm,
     project,
-    r2,
-    r2_lipschitz_probe,
     r2_truncation_curve,
     sample_mu,
     smoothing_bound,
     sobolev_norm_sq,
-    zero_field,
 )
-from qnls.energy import full_breakdown, h2_directional
+from qnls.energy import full_breakdown, h2_directional, r2_rows
 
 from conftest import random_field
+from oracles import lp_norm, r2_lipschitz_probe, zero_field
 
 
 class TestR2:
     def test_zero(self, grid8):
-        total, terms = r2(zero_field(grid8), sigma=1)
+        total, terms = r2_rows(zero_field(grid8).coeffs, grid8, sigma=1)
         assert total == 0.0
         assert all(v == 0.0 for v in terms.values())
 
@@ -40,7 +36,7 @@ class TestR2:
     def test_plane_wave_terms(self, grid8, n):
         # by hand: Re int u_xx conj(u)|u|^4 = -2 pi n^2, int N Nx^2 = 0,
         # int N J^2 = 8 pi n^2, int N^5 = 2 pi
-        total, terms = r2(field_from_modes(grid8, {n: 1.0}), sigma=1)
+        total, terms = r2_rows(field_from_modes(grid8, {n: 1.0}).coeffs, grid8, sigma=1)
         assert terms["curv_quintic"] == pytest.approx(4 * np.pi * n * n, rel=1e-12)
         assert terms["grad_density"] == pytest.approx(0.0, abs=1e-12)
         assert terms["current_sq"] == pytest.approx(4 * np.pi * n * n, rel=1e-12)
@@ -50,14 +46,14 @@ class TestR2:
     def test_finite_on_rough_sample(self):
         # samples of mu_2 live below H^2 but R_2 only needs H^1-type norms
         u = sample_mu(MeasureSpec(s=2.0, M=64, base_seed=5), 0)
-        total, _ = r2(u, sigma=1)
+        total, _ = r2_rows(u.coeffs, u.grid, sigma=1)
         assert np.isfinite(total)
 
     def test_sigma_placement(self, grid8):
         # sigma multiplies the first three terms; int N^5 keeps its sign
         u = random_field(grid8, seed=1, amp=0.5)
-        _, plus = r2(u, sigma=1)
-        _, minus = r2(u, sigma=-1)
+        _, plus = r2_rows(u.coeffs, grid8, sigma=1)
+        _, minus = r2_rows(u.coeffs, grid8, sigma=-1)
         for name in ("curv_quintic", "grad_density", "current_sq"):
             assert minus[name] == pytest.approx(-plus[name], rel=1e-13)
         assert minus["density_fifth"] == pytest.approx(plus["density_fifth"], rel=1e-13)
@@ -175,7 +171,8 @@ class TestF2:
 class TestBounds:
     def test_bound_zero_field(self, grid8):
         assert smoothing_bound(zero_field(grid8)) == 1.0
-        assert bound_ratio(zero_field(grid8), FlowParams()) == 0.0
+        b = full_breakdown(zero_field(grid8), FlowParams())
+        assert b.f2 == 0.0 and b.bound == 1.0
 
     @pytest.mark.parametrize("m0", [10, 6])
     def test_bound_powers_are_python_float_powers(self, m0):
@@ -189,8 +186,8 @@ class TestBounds:
             assert smoothing_bound(u, m0) == (1.0 + h1**m0) * (1.0 + l4**4), idx
 
     def test_plane_wave_ratio_zero(self, grid8):
-        u = field_from_modes(grid8, {1: 1.0})
-        assert bound_ratio(u, FlowParams()) < 1e-12
+        b = full_breakdown(field_from_modes(grid8, {1: 1.0}), FlowParams())
+        assert abs(b.f2) / b.bound < 1e-12
 
     def test_lipschitz_probe_identical(self, grid8):
         u = random_field(grid8, seed=9)

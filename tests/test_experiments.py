@@ -11,12 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnls import FlowParams, FourierField, GridSpec, spectral
+from qnls import FlowParams, FourierField, GridSpec, sobolev_norm_sq, spectral
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
-from qnls.densities import continuity_residuals, continuity_scale, eleele_residual, eleele_scale, j0_diag
+from qnls.densities import continuity_residuals, eleele_residual, j0_diag
 from qnls.experiments import RunManifest, emit_plots, run
-from qnls.flow import linear_flow
+from qnls.flow import linear_flow_rows
 from qnls.measure import (
     OBSERVABLE_NAMES,
     EnsembleRecord,
@@ -24,13 +24,17 @@ from qnls.measure import (
     ks_critical_value,
     ks_statistic,
     observables,
-    read_ensemble,
     sample_mu,
     write_ensemble,
 )
 from qnls.spectral import synthesize
 
 from conftest import step_loop
+
+
+def observables_in(path):
+    """The observables of each record in an ensemble file, in file order."""
+    return [json.loads(line)["observables"] for line in path.read_text().splitlines()]
 
 
 def tiny_conservation(tmp_path, **kw):
@@ -83,7 +87,10 @@ class TestRun:
         assert run(cfg).error is None
         members = [sample_mu(cfg.measure, i, cfg.grid) for i in range(65)]
         before = [observables(u) for u in members]
-        after = {t: [observables(linear_flow(u, t)) for u in members] for t in cfg.params["times"]}
+        after = {
+            t: [observables(FourierField(u.grid, linear_flow_rows(u.coeffs, u.grid, t))) for u in members]
+            for t in cfg.params["times"]
+        }
         crit = ks_critical_value(65, 65, cfg.params["alpha"])
         lines = ["observable,time,ks,critical,pass"]
         for name in OBSERVABLE_NAMES:
@@ -105,8 +112,8 @@ class TestRun:
             n = grid.n
             c = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)) / (1.0 + (n / 8.0) ** 2)
             u = FourierField(grid, c)
-            c_scale = continuity_scale(u)
-            vals = [eleele_residual(u) / eleele_scale(u), abs(j0_diag(u, FlowParams(sigma=1))) / (1.0 + c_scale)]
+            e_scale, c_scale = 1.0 + sobolev_norm_sq(u, 1.0) ** 2, 1.0 + sobolev_norm_sq(u, 3.0) ** 3
+            vals = [eleele_residual(u) / e_scale, abs(j0_diag(u, FlowParams(sigma=1))) / (1.0 + c_scale)]
             vals += [r / c_scale for sigma in (1, -1) for r in continuity_residuals(u, FlowParams(sigma=sigma))]
             lines.append(",".join([str(i), str(modes)] + [repr(v) for v in vals]))
             modes_seen.add(modes)
@@ -133,14 +140,10 @@ class TestRun:
         assert Counter(calls) == {m: 4 for m in set(modes)}
 
     def test_manifest_on_failure(self, tmp_path):
-        # an impossible grid/cutoff combination fails inside the runner
-        cfg = parse_config(
-            "[experiment]\nname = plane_wave_order\n"
-            f"output_dir = {tmp_path / 'bad'}\n"
-            "[grid]\nmodes = 4\n"
-            "[params]\nmode = 9\namplitude = 1.0\n"
-        )
-        manifest = run(cfg)
+        # a mode outside the grid fails inside the runner; parse_config
+        # rejects it, so the config is edited after parsing
+        cfg = default_config("plane_wave_order", output_dir=str(tmp_path / "bad"))
+        manifest = run(replace(cfg, params={**cfg.params, "mode": 9}))
         assert not manifest.passed
         assert manifest.error is not None
         assert (tmp_path / "bad" / "manifest.json").exists()
@@ -195,7 +198,7 @@ class TestBlowupIsExpectedOutcome(object):
         manifest = run(cfg)
         assert manifest.error is None
         snapshots = {
-            t: read_ensemble(tmp_path / "tr" / f"transported_{k}.jsonl")[48].observables or None
+            t: observables_in(tmp_path / "tr" / f"transported_{k}.jsonl")[48] or None
             for k, t in enumerate(cfg.params["times"])
         }
         assert snapshots == {0.05: None, 0.1: None}
@@ -207,10 +210,10 @@ class TestBlowupIsExpectedOutcome(object):
         cfg = replace(cfg, flow=replace(cfg.flow, blowup_threshold=1e-6))
         manifest = run(cfg)
         assert manifest.error is None
-        assert len(read_ensemble(tmp_path / "tr" / "ensemble.jsonl")[0].observables) == 6
+        assert len(observables_in(tmp_path / "tr" / "ensemble.jsonl")[0]) == 6
         for k in range(len(cfg.params["times"])):
-            records = read_ensemble(tmp_path / "tr" / f"transported_{k}.jsonl")
-            assert [r.observables for r in records] == [{}] * cfg.run.ensemble_size
+            records = observables_in(tmp_path / "tr" / f"transported_{k}.jsonl")
+            assert records == [{}] * cfg.run.ensemble_size
 
     def test_transport_files_match_the_per_member_loop(self, tmp_path):
         # the reference integrates one member at a time with a step() loop;

@@ -1,4 +1,4 @@
-"""Flow module: linear flow, rhs, integrators, conserved quantities, guards."""
+"""Flow module: linear flow, right-hand side, integrators, conserved quantities, guards."""
 
 from dataclasses import replace
 
@@ -13,45 +13,41 @@ from qnls import (
     evolve,
     evolve_block,
     field_from_modes,
-    hamiltonian,
-    linear_flow,
-    mass,
-    momentum,
     project,
-    rhs,
     sample_mu,
     sobolev_norm_sq,
     step,
-    zero_field,
 )
 from qnls.config import default_config
-from qnls.flow import FULL, linear_flow_rows
+from qnls.experiments import smooth_random_field
+from qnls.flow import FULL, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
 
 from conftest import random_field, step_loop
+from oracles import zero_field
 
 
-def smooth_field(grid, seed=42, amp=0.2, width=4.0, bias=0.25, bias_mode=2):
-    """Random smooth data with a momentum bias; tame enough for rk4 at dt=1e-3."""
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    c = amp * (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size))
-    c = c * np.exp(-((n / width) ** 2))
-    c[grid.modes + bias_mode] += bias
-    from qnls import FourierField
+def mass(u):
+    return sobolev_norm_sq(u, 0)
 
-    return FourierField(grid, c)
+
+def invariants(u, sigma=1):
+    """Mass, momentum and Hamiltonian of one field."""
+    return mass(u), momentum_rows(u.coeffs, u.grid), hamiltonian_rows(u.coeffs, u.grid, sigma)
+
+
+def smooth_field(grid):
+    """The conservation experiment's default initial field at `grid`."""
+    return smooth_random_field(grid, seed=42, amplitude=0.2, width=4.0, bias=0.25, bias_mode=2)
 
 
 class TestLinearFlow:
     def test_t_zero(self, grid16):
         u = random_field(grid16, seed=1)
-        v = linear_flow(u, 0.0)
-        assert np.array_equal(v.coeffs, u.coeffs)
+        assert np.array_equal(linear_flow_rows(u.coeffs, grid16, 0.0), u.coeffs)
 
     def test_plane_wave_phase(self, grid8):
-        u = field_from_modes(grid8, {2: 1.0})
-        v = linear_flow(u, 0.7)
-        assert v.coeffs[grid8.modes + 2] == pytest.approx(np.exp(-4j * 0.7), rel=1e-14)
+        v = linear_flow_rows(field_from_modes(grid8, {2: 1.0}).coeffs, grid8, 0.7)
+        assert v[grid8.modes + 2] == pytest.approx(np.exp(-4j * 0.7), rel=1e-14)
 
     def test_block_rounds_as_the_per_mode_phase(self):
         # linear_invariance's ks.csv holds only ranks of the observables, so
@@ -65,15 +61,15 @@ class TestLinearFlow:
             assert linear_flow_rows(c, cfg.grid, t).tobytes() == want.tobytes(), t
 
     def test_group_law(self, grid16):
-        u = random_field(grid16, seed=2)
-        lhs = linear_flow(linear_flow(u, 0.3), 0.9)
-        rhs_ = linear_flow(u, 1.2)
-        assert np.max(np.abs(lhs.coeffs - rhs_.coeffs)) < 1e-12
+        c = random_field(grid16, seed=2).coeffs
+        lhs = linear_flow_rows(linear_flow_rows(c, grid16, 0.3), grid16, 0.9)
+        assert np.max(np.abs(lhs - linear_flow_rows(c, grid16, 1.2))) < 1e-12
 
     def test_hs_isometry(self, grid16):
         u = random_field(grid16, seed=3)
+        v = FourierField(grid16, linear_flow_rows(u.coeffs, grid16, 2.1))
         for s in (0.0, 1.0, 1.75, 2.0):
-            assert sobolev_norm_sq(linear_flow(u, 2.1), s) == pytest.approx(
+            assert sobolev_norm_sq(v, s) == pytest.approx(
                 sobolev_norm_sq(u, s), rel=1e-13
             )
 
@@ -81,28 +77,26 @@ class TestLinearFlow:
 class TestRhs:
     def test_zero(self, grid8):
         p = FlowParams(sigma=1, cutoff=FULL)
-        assert np.all(rhs(zero_field(grid8), p).coeffs == 0)
+        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, p) == 0)
 
     def test_plane_wave(self, grid8):
         # |u|^4 u = u for e^{inx}, so du/dt = -i(n^2 + sigma) u
         p = FlowParams(sigma=1, cutoff=FULL)
         for n in (1, 3):
-            u = field_from_modes(grid8, {n: 1.0})
-            v = rhs(u, p)
-            assert v.coeffs[grid8.modes + n] == pytest.approx(-1j * (n * n + 1), rel=1e-13)
+            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}).coeffs, grid8, p)
+            assert v[grid8.modes + n] == pytest.approx(-1j * (n * n + 1), rel=1e-13)
 
     def test_projector_annihilates(self, grid8):
         # pi_1 e^{i2x} = 0 kills the nonlinearity entirely
         p = FlowParams(sigma=1, cutoff=1)
-        u = field_from_modes(grid8, {2: 1.0})
-        v = rhs(u, p)
-        assert v.coeffs[grid8.modes + 2] == pytest.approx(-4j, rel=1e-14)
-        others = np.delete(v.coeffs, grid8.modes + 2)
+        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}).coeffs, grid8, p)
+        assert v[grid8.modes + 2] == pytest.approx(-4j, rel=1e-14)
+        others = np.delete(v, grid8.modes + 2)
         assert np.max(np.abs(others)) < 1e-15
 
     def test_cutoff_exceeds_grid(self, grid8):
         with pytest.raises(ValueError, match="cutoff"):
-            rhs(zero_field(grid8), FlowParams(cutoff=9))
+            step(zero_field(grid8), FlowParams(cutoff=9))
 
 
 class TestStep:
@@ -141,7 +135,7 @@ class TestStep:
     def test_strang_second_order_multimode(self):
         # reference: fine-dt rk4; strang halves error by 4x per dt halving
         g = GridSpec(modes=16)
-        u0 = smooth_field(g, seed=3, amp=0.3, width=4.0, bias=0.2, bias_mode=1)
+        u0 = smooth_random_field(g, seed=3, amplitude=0.3, width=4.0, bias=0.2, bias_mode=1)
         ref = evolve(u0, FlowParams(dt=1e-5), 0.1).final
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
@@ -178,10 +172,8 @@ class TestEvolve:
         g = GridSpec(modes=32)
         u0 = smooth_field(g)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
-        ref = np.array([mass(u0), momentum(u0), hamiltonian(u0, 1)])
-        traj = evolve(u0, p, 1.0, stride=1000)
-        u = traj.final
-        got = np.array([mass(u), momentum(u), hamiltonian(u, 1)])
+        ref = np.array(invariants(u0))
+        got = np.array(invariants(evolve(u0, p, 1.0, stride=1000).final))
         assert np.all(np.abs((got - ref) / ref) < 1e-8), (got - ref) / ref
 
     def test_lands_on_t_end(self, grid8):
@@ -206,8 +198,6 @@ class TestEvolve:
         u0 = random_field(grid16, seed=5, amp=0.2, decay=0.3)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
         a = evolve(u0, p, 0.05).final
-        from qnls import FourierField
-
         theta = 0.713
         rotated = FourierField(grid16, u0.coeffs * np.exp(1j * theta))
         b = evolve(rotated, p, 0.05).final
@@ -246,13 +236,10 @@ class TestEvolve:
 
     def test_momentum_plane_wave(self, grid8):
         u = field_from_modes(grid8, {3: 1.0})
-        assert mass(u) == pytest.approx(2 * np.pi)
-        assert momentum(u) == pytest.approx(12 * np.pi)
-        assert hamiltonian(u, 1) == pytest.approx(9 * np.pi + np.pi / 3)
+        assert invariants(u) == pytest.approx((2 * np.pi, 12 * np.pi, 9 * np.pi + np.pi / 3))
 
     def test_invariants_zero_field(self, grid8):
-        z = zero_field(grid8)
-        assert mass(z) == momentum(z) == hamiltonian(z, -1) == 0.0
+        assert invariants(zero_field(grid8), -1) == (0.0, 0.0, 0.0)
 
 
 class TestEvolveBlock:

@@ -1,19 +1,24 @@
-"""Property tests: spectral round trips, Parseval and skew-adjointness, and
-block functionals equal to their one-row calls bit for bit.
+"""Property tests: spectral round trips, Parseval and skew-adjointness, the
+linearity of E_2's first variation, and block functionals and block flows
+equal to their one-row calls bit for bit.
 
 Examples are derandomized, so every run draws the same ones.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qnls import FULL, FlowParams, FourierField, GridSpec
-from qnls.densities import continuity_residuals, eleele_residual, j0_diag, n1_diag, residual_rows
-from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates
+from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve, evolve_block, project
+from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
+from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
-from qnls.spectral import TWO_PI, analyze, derivative, inner, jet, sobolev_norm_sq, synthesize
+from qnls.spectral import TWO_PI, analyze, derivative, jet, sobolev_norm_sq, synthesize
+
+from oracles import inner
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -134,9 +139,49 @@ def test_residual_rows_are_the_one_row_calls(block):
         one = {
             "eleele": eleele_residual(u),
             "j0": j0_diag(u, FlowParams(sigma=1)),
-            "n1": n1_diag(u, FlowParams(sigma=1)),
+            "n1": residual_rows(row[np.newaxis], grid)["n1"][0],
         }
         one["mass_p"], one["mom_p"] = continuity_residuals(u, FlowParams(sigma=1))
         one["mass_m"], one["mom_m"] = continuity_residuals(u, FlowParams(sigma=-1))
         got = np.array([whole[name][i] for name in one])
         assert got.tobytes() == np.array(list(one.values())).tobytes(), i
+
+
+@PROPERTY
+@given(block=blocks(3, 3), a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0), sigma=st.sampled_from([1, -1]))
+def test_e2_directional_is_linear_in_v(block, a, b, sigma):
+    grid, c = block
+    u, v, w = (FourierField(grid, row) for row in c)
+    dv, dw = e2_directional(u, v, sigma), e2_directional(u, w, sigma)
+    both = e2_directional(u, FourierField(grid, a * c[1] + b * c[2]), sigma)
+    assert abs(both - (a * dv + b * dw)) <= 1e-13 * (abs(a * dv) + abs(b * dw))
+    # a power of two scales every product of the variation exactly
+    assert e2_directional(u, FourierField(grid, 4.0 * c[1]), sigma) == 4.0 * dv
+
+
+@PROPERTY
+@given(block=blocks(1, 5, modes=st.integers(2, 8)), data=st.data(), sigma=st.sampled_from([1, -1]))
+def test_evolve_block_rows_are_evolve_runs(block, data, sigma):
+    # mixed per-row cutoffs; a guard threshold drawn near the rows' H^1 norms
+    # trips some of them
+    grid, c = block
+    choices = st.sampled_from([FULL, 0, 1, grid.modes // 2, grid.modes])
+    cutoffs = data.draw(st.lists(choices, min_size=len(c), max_size=len(c)))
+    p = FlowParams(sigma=sigma, dt=1e-3, blowup_threshold=data.draw(st.floats(3.0, 12.0)))
+    t_end = 0.0105  # ten full steps and a partial one
+    out, live, trip_times = evolve_block(c, np.ones(len(c), dtype=bool), grid, p, t_end, cutoffs)
+    for row, c0, cutoff, ok, trip_time in zip(out, c, cutoffs, live, trip_times):
+        traj = evolve(FourierField(grid, c0), replace(p, cutoff=cutoff), t_end)
+        assert row.tobytes() == traj.final.coeffs.tobytes()
+        assert traj.blowup_time == (None if ok else trip_time)
+
+
+@PROPERTY
+@given(block=blocks(1, 1, modes=st.integers(1, 24)), data=st.data(), sigma=st.sampled_from([1, -1]))
+def test_r2_truncation_curve_is_the_per_cutoff_loop(block, data, sigma):
+    grid, c = block
+    m_list = sorted(data.draw(st.sets(st.integers(0, grid.modes + 2), min_size=1, max_size=5)))
+    u = FourierField(grid, c[0])
+    ref = r2_rows(c[0], grid, sigma)[0]
+    want = [abs(r2_rows(project(u, M).coeffs, grid, sigma)[0] - ref) for M in m_list]
+    assert r2_truncation_curve(u, m_list, sigma).tobytes() == np.array(want).tobytes()

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qnls"
@@ -51,3 +52,41 @@ def test_config_flows_are_replaced_not_rebuilt():
         and any(_reads_cfg_flow(arg) for arg in [*node.args, *node.keywords])
     ]
     assert rebuilt == [], f"FlowParams built from cfg.flow fields: {rebuilt}"
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+# FourierField primitives and the paper's F_2: kept for the tests and for
+# library users, with or without a caller in src/
+KEPT_WITHOUT_CALLER = {"project", "derivative", "sobolev_norm_sq", "field_from_modes", "f2"}
+
+
+def _identifiers(tree: ast.AST, strings: bool = False) -> Counter:
+    """Reads of names and attributes in `tree`, and string constants if asked
+    (the benchmark's tracer looks its targets up by name)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def test_every_src_name_has_a_caller():
+    # __init__.py only re-exports, so its names do not count as callers
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    reads = sum((_identifiers(tree) for tree in trees.values()), Counter())
+    reads += sum((_identifiers(ast.parse(p.read_text()), strings=True) for p in PERFBENCH.rglob("*.py")), Counter())
+    tops = [(name, node) for name, tree in trees.items() for node in tree.body]
+    tops = [(name, node) for name, node in tops if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert KEPT_WITHOUT_CALLER <= {node.name for _, node in tops}
+    # a read inside the definition itself (recursion) is no caller
+    uncalled = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in tops
+        if node.name not in KEPT_WITHOUT_CALLER and reads[node.name] == _identifiers(node)[node.name]
+    ]
+    assert uncalled == [], f"defined in src/qnls but never called: {uncalled}"
