@@ -29,7 +29,7 @@ from .experiments import RunManifest, emit_plots, run
 def _add_overrides(sub):
     sub.add_argument("--output-dir", help="where data files and manifest go")
     sub.add_argument("--seed", type=int, help="ensemble base seed override")
-    sub.add_argument("--dt", type=float, help="integrator step override")
+    sub.add_argument("--dt", type=float, help="RK4 step size override")
     sub.add_argument("--t-end", type=float, help="time horizon override")
 
 

@@ -6,7 +6,7 @@ Grammar (INI-style, parsed strictly):
     name = conservation          ; one of EXPERIMENTS
     output_dir = runs/conservation
 
-    [grid]                        ; GridSpec fields
+    [grid]                        ; modes, the GridSpec's one field
     [flow]                        ; FlowParams fields (cutoff = full or an int)
     [measure]                     ; MeasureSpec fields (used where relevant)
     [run]                         ; horizon, ensemble size, sweep, and the
@@ -18,7 +18,7 @@ Every key is typed and defaulted by a schema: the [grid] [flow] [measure]
 experiment below.  Unknown sections or keys are rejected (config drift
 guard), and so are settings that a run would fail partway through or pass
 having checked nothing.  Values: integers, floats (repr round-trip),
-booleans (true/false), strings, and comma-separated lists.
+booleans (true/false), cutoffs, and comma-separated lists.
 serialize() emits a canonical form, so parse(serialize(c)) == c and replayed
 configs diff cleanly.
 """
@@ -33,19 +33,6 @@ from dataclasses import dataclass, field, fields, replace
 from .flow import FlowParams
 from .measure import MIN_TAIL_SAMPLES, MeasureSpec
 from .spectral import GridSpec
-
-EXPERIMENTS = (
-    "conservation",
-    "plane_wave_order",
-    "continuity",
-    "linear_invariance",
-    "smoothing_sweep",
-    "growth",
-    "transport_mc",
-    "truncation_convergence",
-    "focusing_local",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (field-level diagnostics)."""
@@ -73,13 +60,12 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-# a schema maps key -> (type tag, default); type tags: int, float, bool, str,
+# a schema maps key -> (type tag, default); type tags: int, float, bool,
 # cutoff, int_list, float_list.  Section schemas take the tag from the field's
 # annotation through _TAGS.
 _TAGS = {
     "int": "int",
     "float": "float",
-    "str": "str",
     "int | None": "cutoff",
     "tuple[int, ...]": "int_list",
 }
@@ -154,6 +140,8 @@ PARAMS_SCHEMA: dict[str, dict] = {
     },
 }
 
+EXPERIMENTS = tuple(PARAMS_SCHEMA)  # one [params] schema per experiment, in CLI order
+
 _SECTIONS = {
     "grid": _schema(GridSpec, modes=32),
     "flow": _schema(FlowParams),
@@ -175,8 +163,6 @@ def _parse_value(tag: str, raw: str, where: str):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if tag == "str":
-            return raw
         if tag == "cutoff":
             return None if raw.lower() == "full" else int(raw)
         if tag == "int_list":
@@ -250,8 +236,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[run] t_end must be positive")
     if run.ensemble_size < 1 or run.observer_stride < 1:
         raise ConfigError("[run] ensemble_size and observer_stride must be >= 1")
-    if flow.integrator == "strang" and flow.cutoff is not None:
-        raise ConfigError("[flow] integrator = strang needs cutoff = full")
     unmet = _unmet_needs(name, params, grid, run)
     if unmet:
         raise ConfigError(f"{name} needs " + "; ".join(unmet))
@@ -271,8 +255,12 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, run: RunSettings) -> list[
     it a run fails partway through, or passes having checked nothing."""
     needs = {}
     if name == "plane_wave_order":
+        # the run takes round(t_end / dt) steps and compares at t_end
+        steps = [run.t_end / dt for dt in pm["dt_list"] if dt > 0]
         needs = {
             "at least 2 dt_list entries": len(pm["dt_list"]) >= 2,
+            "dt_list entries that divide t_end into whole steps": len(steps) == len(pm["dt_list"])
+            and all(abs(n - round(n)) <= 1e-9 * n for n in steps),
             "|mode| <= [grid] modes": abs(pm["mode"]) <= grid.modes,
         }
     elif name == "continuity":

@@ -169,11 +169,14 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
         first, last = columns[k][[0, -1]].tolist()
         drifts[k] = abs(last - first) / abs(first)
     tol = pm["drift_tol"]
+    stats = {"tolerance": tol, **{f"drift_{k}": v for k, v in drifts.items()}}
+    if traj.blowup_time is not None:  # the drifts cover only [0, blowup_time]
+        stats["blowup_time"] = traj.blowup_time
     verdicts = [
         Verdict(
             "conserved_quantities_drift",
-            all(v < tol for v in drifts.values()),
-            {"tolerance": tol, **{f"drift_{k}": v for k, v in drifts.items()}},
+            traj.blowup_time is None and all(v < tol for v in drifts.values()),
+            stats,
         )
     ]
     return {"trajectory.csv": out / "trajectory.csv", "breakdowns.jsonl": out / "breakdowns.jsonl"}, verdicts
@@ -341,6 +344,10 @@ def run_growth(cfg: ExperimentConfig, out: Path):
     u0 = smooth_random_field(cfg.grid, pm["seed"], pm["amplitude"], pm["width"])
     traj = evolve(u0, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
     columns = _write_trajectory(out / "growth.csv", traj, cfg.flow)
+    if traj.blowup_time is not None:  # the fits need the whole horizon
+        return {"growth.csv": out / "growth.csv"}, [
+            Verdict("e2_linear_bound", False, {"blowup_time": traj.blowup_time})
+        ]
 
     times, e2s, h2s = traj.times, columns["e2"], columns["h2_sq"]
     # fitted exponent of ||u||_{H^2} ~ t^alpha on the upper half of the run

@@ -7,13 +7,9 @@ coefficient form:
 
     du_n/dt = -i n^2 u_n - i sigma * (P_M |P_M u|^4 P_M u)_n.
 
-The reference integrator is classical RK4 on this coefficient ODE system
-with the exactly dealiased quintic; Strang splitting (exact half linear
-phases around the pointwise nonlinear rotation u <- u e^{-i sigma |u|^4 dt})
-is provided for speed on untruncated runs only.  Both evaluate their
-pointwise nonlinearity on the quintic pad, GridSpec.quintic_pad() >= 6M + 1;
-for Strang the rotation is not a polynomial, so that pad reduces its aliasing
-error but cannot remove it.
+Time steps are classical RK4 on this coefficient ODE system, with the
+quintic extracted alias-free on GridSpec.quintic_pad() >= 6M + 1, for every
+Galerkin cutoff.
 
 RK4 is neutrally stable on the imaginary axis up to |n^2 dt| ~ 2.8; pick dt
 accordingly for the largest grid mode.
@@ -36,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, pointwise, quintic_rows, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, quintic_rows, sobolev_sq_rows, synthesize
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -44,14 +40,10 @@ FULL = None  # cutoff value meaning "no Galerkin projector"
 class BlowUpError(RuntimeError):
     """H^1 guard exceeded (or the state left the representable range)."""
 
-    def __init__(self, message: str, h1: float = float("inf")):
-        super().__init__(message)
-        self.h1 = h1
-
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Nonlinearity sign, Galerkin cutoff, integrator and step size.
+    """Nonlinearity sign, Galerkin cutoff and RK4 step size.
 
     cutoff None means the full (untruncated-on-grid) flow.
     blowup_threshold caps ||u||_{H^1}; focusing runs are only local in time.
@@ -59,15 +51,12 @@ class FlowParams:
 
     sigma: int = 1
     cutoff: int | None = FULL
-    integrator: str = "rk4"
     dt: float = 1e-3
     blowup_threshold: float = 1e3
 
     def __post_init__(self):
         if self.sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-        if self.integrator not in ("rk4", "strang"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.blowup_threshold <= 0:
@@ -139,39 +128,14 @@ def _rhs_coeffs(
 
 
 def _rk4_coeffs(
-    c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool | None
+    c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool | None = None
 ) -> np.ndarray:
+    """One RK4 step of a coefficient vector or (B, 2M+1) block."""
     k1 = _rhs_coeffs(c, grid, p, mask)
     k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
     k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
     k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
     return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _strang_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float) -> np.ndarray:
-    c = pointwise(
-        linear_flow_rows(c, grid, dt / 2.0),
-        grid.modes,
-        grid.quintic_pad(),
-        lambda v: v * np.exp(-1j * p.sigma * np.abs(v) ** 4 * dt),
-    )
-    return linear_flow_rows(c, grid, dt / 2.0)
-
-
-def _advance(
-    c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool | None = None
-) -> np.ndarray:
-    """One integrator step of a coefficient vector or (B, 2M+1) block."""
-    if p.integrator == "rk4":
-        return _rk4_coeffs(c, grid, p, dt, mask)
-    return _strang_coeffs(c, grid, p, dt)
-
-
-def _check(grid: GridSpec, p: FlowParams) -> None:
-    """Reject a cutoff the grid or the integrator cannot take."""
-    p.check_grid(grid)
-    if p.integrator == "strang" and p.cutoff is not FULL:
-        raise ValueError("strang splitting is valid only for cutoff = FULL")
 
 
 def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -196,19 +160,18 @@ def _schedule(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierField:
-    """One integrator step of size dt (default p.dt).
+    """One RK4 step of size dt (default p.dt).
 
     Raises BlowUpError when ||u||_{H^1} reaches the guard before the step or
-    the state is no longer finite after it; Strang splitting is rejected for
-    finite cutoffs (the projected nonlinearity is not a pointwise phase).
+    the state is no longer finite after it.
     """
-    _check(u.grid, p)
+    p.check_grid(u.grid)
     h1 = float(_h1_norms(u.coeffs, u.grid))
     if _guard_tripped(h1, p):
-        raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}", h1)
-    c = _advance(u.coeffs, u.grid, p, p.dt if dt is None else dt)
+        raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
+    c = _rk4_coeffs(u.coeffs, u.grid, p, p.dt if dt is None else dt)
     if not _finite_rows(c):
-        raise BlowUpError("state left the representable range during a step", float("inf"))
+        raise BlowUpError("state left the representable range during a step")
     return FourierField(u.grid, c)
 
 
@@ -223,7 +186,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     live.
     """
     for m in set(cutoffs):
-        _check(grid, replace(p, cutoff=m))
+        replace(p, cutoff=m).check_grid(grid)
     n_steps, remainder = _schedule(t_end, p.dt)
     masks = [_cutoff_mask(grid.modes, m) for m in cutoffs]
     mask = True  # no projector anywhere, else one mask row per live row
@@ -247,7 +210,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         if not good.all():
             leave(good)
         if rows.size:
-            nxt = _advance(block, grid, p, p.dt if k <= n_steps else remainder, mask)
+            nxt = _rk4_coeffs(block, grid, p, p.dt if k <= n_steps else remainder, mask)
             good = _finite_rows(nxt)
             if not good.all():
                 leave(good)

@@ -40,25 +40,19 @@ def _mode_indices(modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mode cutoff and physical quadrature size.
-
-    modes:     coefficients are kept for |n| <= modes.
-    phys_size: number of physical quadrature points x_j = 2*pi*j/phys_size;
-               must be >= 2*modes + 1 so the field is representable.
-    """
+    """Mode cutoff: coefficients are kept for |n| <= modes."""
 
     modes: int
-    phys_size: int = 0
 
     def __post_init__(self):
         if self.modes < 1:
             raise ValueError(f"modes must be >= 1, got {self.modes}")
-        if self.phys_size == 0:
-            object.__setattr__(self, "phys_size", next_fast_len(2 * self.modes + 1))
-        if self.phys_size < 2 * self.modes + 1:
-            raise ValueError(
-                f"phys_size {self.phys_size} < 2*modes+1 = {2 * self.modes + 1}"
-            )
+
+    @property
+    def phys_size(self) -> int:
+        """Physical quadrature points x_j = 2*pi*j/phys_size: the smallest
+        FFT-friendly size >= 2*modes + 1, so the field is representable."""
+        return _fast_len(2 * self.modes + 1)
 
     @property
     def n(self) -> np.ndarray:
@@ -150,17 +144,6 @@ def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     return a.take(_bins(modes, size), axis=-1)
 
 
-def pointwise(c: np.ndarray, modes: int, size: int, f) -> np.ndarray:
-    """Coefficients |n| <= modes of f(values of c at `size` points).
-
-    c may be one coefficient vector or a (B, 2*modes+1) block of them.
-    Overflow in f is left to the caller's finiteness check.
-    """
-    values = synthesize(c, modes, size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return analyze(f(values), modes)
-
-
 class Jet(NamedTuple):
     """Exact samples d[k] of the k-th x-derivative of a field, with the
     densities N = |u|^2, N_x = 2 Re(conj(u) u_x) and J = 2 Im(conj(u) u_x)."""
@@ -227,6 +210,9 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     coefficient vector or of each row of a (B, 2M+1) block c on `grid`.
 
     A 5-fold product of band-M fields occupies modes up to 5M, so the
-    transform size is at least 6M + 1 (GridSpec.quintic_pad).
+    transform size is at least 6M + 1 (GridSpec.quintic_pad).  Overflow is
+    left to the caller's finiteness check.
     """
-    return pointwise(c, grid.modes, grid.quintic_pad(), lambda v: np.abs(v) ** 4 * v)
+    v = synthesize(c, grid.modes, grid.quintic_pad())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return analyze(np.abs(v) ** 4 * v, grid.modes)

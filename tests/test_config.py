@@ -8,14 +8,17 @@ import pytest
 from qnls import FlowParams, GridSpec, MeasureSpec
 from qnls.cli import main
 from qnls.config import (
-    ConfigError,
+    EXPERIMENT_DEFAULTS,
     EXPERIMENTS,
+    PARAMS_SCHEMA,
+    ConfigError,
     RunSettings,
     apply_overrides,
     default_config,
     parse_config,
     serialize_config,
 )
+from qnls.experiments import _RUNNERS
 
 
 MINIMAL = """
@@ -96,6 +99,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key 'workers'"):
             parse_config(MINIMAL + "[run]\nworkers = 1\n")
 
+    @pytest.mark.parametrize("section, line", [("flow", "integrator = rk4"), ("grid", "phys_size = 17")])
+    def test_removed_keys_are_not_keys(self, tmp_path, capsys, section, line):
+        # config.ini echoes written when [flow] chose an integrator and
+        # [grid] carried a quadrature size
+        text = MINIMAL + f"[{section}]\n{line}\n"
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(text)
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
     def test_unknown_param(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "[params]\nnot_a_knob = 1\n")
@@ -116,15 +132,6 @@ class TestParse:
         with pytest.raises(ConfigError, match="cutoff"):
             parse_config(MINIMAL + "[grid]\nmodes = 8\n\n[flow]\ncutoff = 16\n")
 
-    def test_strang_needs_full_cutoff(self):
-        # cutoff = modes is rejected too: Strang takes only FULL
-        for cutoff in (4, 8):
-            with pytest.raises(ConfigError, match="strang"):
-                parse_config(
-                    MINIMAL + f"[grid]\nmodes = 8\n\n[flow]\nintegrator = strang\ncutoff = {cutoff}\n"
-                )
-        assert parse_config(MINIMAL + "[flow]\nintegrator = strang\n").flow.cutoff is None
-
     def test_transport_needs_enough_members_for_tail_ratio(self):
         text = "[experiment]\nname = transport_mc\n\n[run]\nensemble_size = {}\n"
         with pytest.raises(ConfigError, match="ensemble_size"):
@@ -143,6 +150,8 @@ class TestParse:
         [
             ("plane_wave_order", "dt_list = 0.001", "dt_list"),  # no order to check
             ("plane_wave_order", "mode = 9", "mode"),
+            ("plane_wave_order", "dt_list = 0.003, 0.0015, 0.00075", "whole steps"),  # t_end = 0.5
+            ("plane_wave_order", "dt_list = 0.004, 0.0", "whole steps"),
             ("truncation_convergence", "n_samples = 0", "n_samples"),  # no curve to check
             ("truncation_convergence", "m_list = 16, 64, 32", "m_list"),
             ("truncation_convergence", "flow_m_list = 8, 256", "flow_m_list"),
@@ -170,6 +179,12 @@ class TestParse:
         with pytest.raises(ConfigError, match="max_modes >= 4"):
             parse_config(text.format(3))
         assert parse_config(text.format(4)).params["max_modes"] == 4
+
+
+def test_one_experiment_registry():
+    # the experiments are the [params] schemas; each has a runner and defaults
+    assert EXPERIMENTS == tuple(PARAMS_SCHEMA)
+    assert set(_RUNNERS) == set(EXPERIMENT_DEFAULTS) == set(EXPERIMENTS)
 
 
 class TestRoundTrip:

@@ -191,6 +191,20 @@ class TestBlowupIsExpectedOutcome(object):
         names = {v.name: v.passed for v in manifest.verdicts}
         assert names["large_amplitude_trips_guard"]
 
+    @pytest.mark.parametrize("name, verdict", [("conservation", "conserved_quantities_drift"), ("growth", "e2_linear_bound")])
+    def test_trajectory_trip_fails_the_verdict(self, tmp_path, name, verdict):
+        # a guard below the initial field's H^1 norm (about 4) stops evolve at t = 0
+        cfg = parse_config(
+            f"[experiment]\nname = {name}\n"
+            f"output_dir = {tmp_path / name}\n"
+            "[flow]\nblowup_threshold = 0.5\n"
+            "[run]\nt_end = 0.05\n"
+        )
+        manifest = run(cfg)
+        assert manifest.error is None
+        [v] = manifest.verdicts
+        assert (v.name, v.passed, v.stats["blowup_time"]) == (verdict, False, 0.0)
+
     def test_transport_trip_leaves_every_later_checkpoint_empty(self, tmp_path):
         # member 48 at this seed is unstable at dt = 1e-3 and trips the H^1
         # guard at t = 0.002, before the first checkpoint

@@ -1,4 +1,4 @@
-"""Flow module: linear flow, right-hand side, integrators, conserved quantities, guards."""
+"""Flow module: linear flow, right-hand side, RK4 steps, conserved quantities, guards."""
 
 from dataclasses import replace
 
@@ -122,35 +122,6 @@ class TestStep:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert all(3.7 <= o <= 4.3 for o in orders), orders
 
-    def test_strang_plane_wave_exact(self, grid8):
-        # both substeps are exact phase rotations on a plane wave
-        n = 3
-        u = field_from_modes(grid8, {n: 1.0})
-        p = FlowParams(sigma=1, cutoff=FULL, integrator="strang", dt=0.05)
-        for _ in range(20):
-            u = step(u, p)
-        exact = np.exp(-1j * (n * n + 1) * 1.0)
-        assert abs(u.coeffs[grid8.modes + n] - exact) < 1e-12
-
-    def test_strang_second_order_multimode(self):
-        # reference: fine-dt rk4; strang halves error by 4x per dt halving
-        g = GridSpec(modes=16)
-        u0 = smooth_random_field(g, seed=3, amplitude=0.3, width=4.0, bias=0.2, bias_mode=1)
-        ref = evolve(u0, FlowParams(dt=1e-5), 0.1).final
-        errs = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            p = FlowParams(integrator="strang", dt=dt)
-            got = evolve(u0, p, 0.1).final
-            errs.append(np.max(np.abs(got.coeffs - ref.coeffs)))
-            assert abs(mass(got) - mass(u0)) / mass(u0) < 1e-7
-        orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-        assert all(1.8 <= o <= 2.2 for o in orders), orders
-
-    def test_strang_rejects_cutoff(self, grid8):
-        p = FlowParams(cutoff=4, integrator="strang")
-        with pytest.raises(ValueError, match="strang"):
-            step(random_field(grid8, seed=4, amp=0.1), p)
-
     def test_single_step_mass_drift(self):
         g = GridSpec(modes=32)
         u = smooth_field(g)
@@ -250,9 +221,8 @@ class TestEvolveBlock:
         [
             FlowParams(sigma=1, cutoff=10, dt=1e-3),
             FlowParams(sigma=-1, cutoff=FULL, dt=1e-3),
-            FlowParams(sigma=1, cutoff=FULL, integrator="strang", dt=1e-3),
         ],
-        ids=["rk4-cutoff", "rk4-full", "strang-full"],
+        ids=["rk4-cutoff", "rk4-full"],
     )
     def test_rows_are_single_member_runs(self, grid16, p):
         block = np.stack([random_field(grid16, seed=s, amp=0.3, decay=0.3).coeffs for s in range(4)])
@@ -367,7 +337,5 @@ class TestParams:
             FlowParams(sigma=0)
         with pytest.raises(ValueError):
             FlowParams(dt=0.0)
-        with pytest.raises(ValueError):
-            FlowParams(integrator="euler")
         with pytest.raises(ValueError):
             FlowParams(blowup_threshold=-1.0)

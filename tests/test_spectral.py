@@ -16,10 +16,6 @@ class TestGridSpec:
         assert g.phys_size >= 17
         assert g.quintic_pad() >= 6 * 8 + 1
 
-    def test_rejects_small_phys(self):
-        with pytest.raises(ValueError, match="phys_size"):
-            GridSpec(modes=8, phys_size=16)
-
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="modes"):
             GridSpec(modes=0)
