@@ -5,7 +5,7 @@
     qnls config <experiment>               print the default config
     qnls plots <run-dir>                   write the gnuplot stub for a run
 
-Overrides: --output-dir, --seed, --dt, --t-end.
+Overrides, each the config line it sets, checked as one: --output-dir, --seed, --dt, --t-end.
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error.
 """
 
@@ -18,7 +18,6 @@ from pathlib import Path
 from .config import (
     ConfigError,
     EXPERIMENTS,
-    apply_overrides,
     default_config,
     parse_config,
     serialize_config,
@@ -27,10 +26,10 @@ from .experiments import RunManifest, emit_plots, run
 
 
 def _add_overrides(sub):
-    sub.add_argument("--output-dir", help="where data files and manifest go")
-    sub.add_argument("--seed", type=int, help="ensemble base seed override")
-    sub.add_argument("--dt", type=float, help="RK4 step size override")
-    sub.add_argument("--t-end", type=float, help="time horizon override")
+    sub.add_argument("--output-dir", help="sets [experiment] output_dir: where data files and manifest go")
+    sub.add_argument("--seed", type=int, help="sets [measure] base_seed, the ensemble base seed")
+    sub.add_argument("--dt", type=float, help="sets [flow] dt, the RK4 step size")
+    sub.add_argument("--t-end", type=float, help="sets [run] t_end, the time horizon")
 
 
 def _overrides(args) -> dict:
@@ -84,8 +83,7 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
             return 0
         if args.command == "run":
-            text = Path(args.config).read_text()
-            cfg = apply_overrides(parse_config(text), **_overrides(args))
+            cfg = parse_config(Path(args.config).read_text(), **_overrides(args))
         else:
             cfg = default_config(args.command, **_overrides(args))
     except (ConfigError, OSError) as exc:

@@ -17,8 +17,9 @@ Every key is typed and defaulted by a schema: the [grid] [flow] [measure]
 [run] schemas are read off the dataclass fields, [params] is listed per
 experiment below.  Unknown sections or keys are rejected (config drift
 guard), and so are settings that a run would fail partway through or pass
-having checked nothing.  Values: integers, floats (repr round-trip),
-booleans (true/false), cutoffs, and comma-separated lists.
+having checked nothing.  Values: integers, finite floats (repr round-trip),
+booleans (true/false), cutoffs, and comma-separated lists.  An override is
+the config line it sets (_OVERRIDES), and it is checked as one.
 serialize() emits a canonical form, so parse(serialize(c)) == c and replayed
 configs diff cleanly.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .flow import FlowParams
 from .measure import MIN_TAIL_SAMPLES, MeasureSpec
@@ -149,6 +150,21 @@ _SECTIONS = {
     "run": _schema(RunSettings),
 }
 
+# override name -> the (section, key) of the config line it sets
+_OVERRIDES = {
+    "output_dir": ("experiment", "output_dir"),
+    "base_seed": ("measure", "base_seed"),
+    "dt": ("flow", "dt"),
+    "t_end": ("run", "t_end"),
+}
+
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
 
 def _parse_value(tag: str, raw: str, where: str):
     raw = raw.strip()
@@ -156,7 +172,7 @@ def _parse_value(tag: str, raw: str, where: str):
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
+            return _finite(raw)
         if tag == "bool":
             if raw.lower() in ("true", "yes", "1"):
                 return True
@@ -168,7 +184,7 @@ def _parse_value(tag: str, raw: str, where: str):
         if tag == "int_list":
             return tuple(int(x) for x in raw.split(",") if x.strip())
         if tag == "float_list":
-            return tuple(float(x) for x in raw.split(",") if x.strip())
+            return tuple(_finite(x) for x in raw.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}: unknown type tag {tag}")
@@ -198,13 +214,20 @@ def _read_section(cp, name, schema) -> dict:
     return out
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """The config `text` describes, each non-None override set first as its line (_OVERRIDES)."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keep keys case-sensitive (M vs m)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    for name, value in overrides.items():
+        if name not in _OVERRIDES:
+            raise TypeError(f"unknown override {name!r}; choose from {tuple(_OVERRIDES)}")
+        if value is not None:
+            section, key = _OVERRIDES[name]
+            cp.read_dict({section: {key: value}})
 
     if not cp.has_section("experiment") or not cp.has_option("experiment", "name"):
         raise ConfigError("[experiment] section with a name key is required")
@@ -236,7 +259,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("[run] t_end must be positive")
     if run.ensemble_size < 1 or run.observer_stride < 1:
         raise ConfigError("[run] ensemble_size and observer_stride must be >= 1")
-    unmet = _unmet_needs(name, params, grid, run)
+    unmet = _unmet_needs(name, params, grid, flow, run)
     if unmet:
         raise ConfigError(f"{name} needs " + "; ".join(unmet))
     return ExperimentConfig(
@@ -250,7 +273,7 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _unmet_needs(name: str, pm: dict, grid: GridSpec, run: RunSettings) -> list[str]:
+def _unmet_needs(name: str, pm: dict, grid: GridSpec, flow: FlowParams, run: RunSettings) -> list[str]:
     """What experiment `name` needs of its settings and does not get: without
     it a run fails partway through, or passes having checked nothing."""
     needs = {}
@@ -265,9 +288,11 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, run: RunSettings) -> list[
         }
     elif name == "continuity":
         needs = {"n_fields >= 1": pm["n_fields"] >= 1, "max_modes >= 4": pm["max_modes"] >= 4}
-    elif name in ("linear_invariance", "focusing_local"):
-        key = "times" if name == "linear_invariance" else "amplitudes"
-        needs = {f"a {key} entry": len(pm[key]) >= 1}
+    elif name == "linear_invariance":
+        # alpha = 0 makes the KS critical value infinite
+        needs = {"a times entry": len(pm["times"]) >= 1, "0 < alpha < 1": 0 < pm["alpha"] < 1}
+    elif name == "focusing_local":
+        needs = {"an amplitudes entry": len(pm["amplitudes"]) >= 1}
     elif name == "smoothing_sweep":
         sweep = run.m_sweep
         in_grid = all(1 <= M <= grid.modes for M in sweep)
@@ -277,6 +302,15 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, run: RunSettings) -> list[
         needs = {
             f"ensemble_size >= {MIN_TAIL_SAMPLES}": run.ensemble_size >= MIN_TAIL_SAMPLES,
             "times, positive and distinct": len(t) >= 1 and min(t) > 0 and len(set(t)) == len(t),
+            "0 < quantile < 1": 0 < pm["quantile"] < 1,
+        }
+    elif name == "growth":
+        # C is fitted on the states recorded at 0 < t <= fit_fraction * t_end and
+        # checked on the rest; evolve records the first one at observer_stride * dt
+        first, window = run.observer_stride * flow.dt, pm["fit_fraction"] * run.t_end
+        needs = {
+            "0 < fit_fraction < 1": 0 < pm["fit_fraction"] < 1,
+            "a recorded state in the fit window: observer_stride * dt <= fit_fraction * t_end": first <= window,
         }
     elif name == "truncation_convergence":
         m, fm, top = pm["m_list"], pm["flow_m_list"], pm["flow_modes"]
@@ -285,6 +319,7 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, run: RunSettings) -> list[
             "a strictly increasing m_list": len(m) >= 1 and all(a < b for a, b in zip(m, m[1:])),
             "flow_modes >= 1 and at least 2 flow_m_list entries in [0, flow_modes]": not pm["with_flow"]
             or (top >= 1 and len(fm) >= 2 and all(0 <= M <= top for M in fm)),
+            "flow_dt > 0": not pm["with_flow"] or pm["flow_dt"] > 0,
         }
     return [need for need, met in needs.items() if not met]
 
@@ -321,35 +356,20 @@ EXPERIMENT_DEFAULTS: dict[str, str] = {
 
 
 def default_config(experiment: str, **overrides) -> ExperimentConfig:
-    """Default configuration for an experiment, with keyword overrides.
-
-    Recognized overrides: output_dir, base_seed, dt, t_end.
-    """
+    """Default configuration for an experiment. Each keyword override sets its
+    config line, checked like the rest: output_dir sets [experiment] output_dir,
+    base_seed [measure] base_seed, dt [flow] dt and t_end [run] t_end."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    text = f"[experiment]\nname = {experiment}\n" + EXPERIMENT_DEFAULTS[experiment]
-    cfg = parse_config(text)
-    return apply_overrides(cfg, **overrides)
+    return parse_config(f"[experiment]\nname = {experiment}\n" + EXPERIMENT_DEFAULTS[experiment], **overrides)
 
 
-def apply_overrides(
-    cfg: ExperimentConfig,
-    output_dir: str | None = None,
-    base_seed: int | None = None,
-    workers: int | None = None,
-    dt: float | None = None,
-    t_end: float | None = None,
-) -> ExperimentConfig:
-    if output_dir is not None:
-        cfg = replace(cfg, output_dir=output_dir)
-    if base_seed is not None:
-        cfg = replace(cfg, measure=replace(cfg.measure, base_seed=base_seed))
+def apply_overrides(cfg: ExperimentConfig, *, workers: int | None = None, **overrides) -> ExperimentConfig:
+    """cfg reparsed from its canonical text, with default_config's overrides:
+    output_dir sets [experiment] output_dir, base_seed [measure] base_seed,
+    dt [flow] dt and t_end [run] t_end, each checked like the rest."""
     # ensembles run as one coefficient block in one process; `workers` stays
     # a parameter so callers that pin the old default of 1 keep working
     if workers not in (None, 1):
         raise ConfigError(f"workers = {workers}: ensembles run in one process")
-    if dt is not None:
-        cfg = replace(cfg, flow=replace(cfg.flow, dt=dt))
-    if t_end is not None:
-        cfg = replace(cfg, run=replace(cfg.run, t_end=t_end))
-    return cfg
+    return parse_config(serialize_config(cfg), **overrides)

@@ -3,11 +3,13 @@
 No experiment reaches them, so they live with the tests, not in src/qnls.
 """
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from qnls import FourierField, GridSpec, sobolev_norm_sq
+from qnls.config import ExperimentConfig
 from qnls.energy import DEFAULT_M0, r2_rows
 from qnls.spectral import TWO_PI, jet
 
@@ -73,3 +75,23 @@ def r2_lipschitz_probe(u: FourierField, v: FourierField, sigma: int = 1, m0: int
     nv = sobolev_norm_sq(v, 1.0) ** 0.5
     num = abs(r2_rows(u.coeffs, u.grid, sigma)[0] - r2_rows(v.coeffs, v.grid, sigma)[0])
     return float(num / (gap * (1.0 + nu**m0 + nv**m0)))
+
+
+def replace_overrides(
+    cfg: ExperimentConfig,
+    output_dir: str | None = None,
+    base_seed: int | None = None,
+    dt: float | None = None,
+    t_end: float | None = None,
+) -> ExperimentConfig:
+    """The overrides set field by field with dataclasses.replace, past the
+    parser: what a valid override must come to when it is parsed as a line."""
+    if output_dir is not None:
+        cfg = replace(cfg, output_dir=output_dir)
+    if base_seed is not None:
+        cfg = replace(cfg, measure=replace(cfg.measure, base_seed=base_seed))
+    if dt is not None:
+        cfg = replace(cfg, flow=replace(cfg.flow, dt=dt))
+    if t_end is not None:
+        cfg = replace(cfg, run=replace(cfg.run, t_end=t_end))
+    return cfg

@@ -20,6 +20,8 @@ from qnls.config import (
 )
 from qnls.experiments import _RUNNERS
 
+from oracles import replace_overrides
+
 
 MINIMAL = """
 [experiment]
@@ -163,6 +165,12 @@ class TestParse:
             ("linear_invariance", "times =", "times"),  # no time to check
             ("focusing_local", "amplitudes =", "amplitudes"),  # no amplitude to check
             ("growth", "observer_stride = 0", "observer_stride"),
+            ("growth", "fit_fraction = 0.0", "0 < fit_fraction < 1"),  # nothing to fit C on
+            ("growth", "fit_fraction = 1.0", "0 < fit_fraction < 1"),  # nothing to check C on
+            ("growth", "fit_fraction = 0.0004", "fit window"),  # first state at t = 0.1 > 0.08
+            ("linear_invariance", "alpha = 0.0", "0 < alpha < 1"),  # infinite KS critical value
+            ("transport_mc", "quantile = 1.5", "0 < quantile < 1"),
+            ("truncation_convergence", "flow_dt = 0.0", "flow_dt > 0"),
         ],
     )
     def test_rejects_what_a_run_fails_on_or_checks_nothing_with(self, name, setting, match):
@@ -172,6 +180,21 @@ class TestParse:
         assert text != serialize_config(default_config(name))
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
+
+    @pytest.mark.parametrize(
+        "name, section, line",
+        [
+            ("conservation", "flow", "dt = nan"),
+            ("conservation", "run", "t_end = inf"),
+            ("conservation", "flow", "blowup_threshold = -inf"),
+            ("conservation", "params", "drift_tol = nan"),
+            ("linear_invariance", "params", "times = 0.1, inf"),
+        ],
+    )
+    def test_rejects_non_finite_floats(self, name, section, line):
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: not a finite number"):
+            parse_config(f"[experiment]\nname = {name}\n\n[{section}]\n{line}\n")
 
     def test_continuity_needs_max_modes_of_at_least_4(self):
         # modes are drawn from [4, max_modes]; 3 would fail at the first draw
@@ -229,3 +252,47 @@ class TestOverrides:
     def test_none_overrides_are_inert(self):
         cfg = default_config("conservation")
         assert apply_overrides(cfg) == cfg
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_valid_overrides_set_the_fields_they_name(self, name):
+        cfg = default_config(name)
+        every = {
+            "output_dir": "elsewhere",
+            "base_seed": cfg.measure.base_seed + 3,
+            "dt": cfg.flow.dt / 2,
+            "t_end": 2 * cfg.run.t_end,
+        }
+        for overrides in [every, *({key: value} for key, value in every.items())]:
+            expected = replace_overrides(cfg, **overrides)
+            assert parse_config(serialize_config(cfg), **overrides) == expected, overrides
+            assert default_config(name, **overrides) == expected, overrides
+            assert apply_overrides(cfg, **overrides) == expected, overrides
+
+    def test_unknown_override_is_an_error(self):
+        # even when None, so a misspelt override is not silently ignored
+        with pytest.raises(TypeError, match="'seed'"):
+            parse_config(MINIMAL, seed=None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "plane_wave_order --t-end 0.31",  # no whole number of 0.004 steps
+            "conservation --dt -1",
+            "conservation --t-end -1",
+            "conservation --dt nan",
+            "conservation --t-end inf",
+            "conservation --t-end nan",
+        ],
+    )
+    def test_cli_rejects_bad_overrides_before_the_run(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv.split(), "--output-dir", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_overrides_are_checked_as_file_lines(self, tmp_path, capsys):
+        path = tmp_path / "conservation.ini"
+        path.write_text(serialize_config(default_config("conservation", output_dir=str(tmp_path / "out"))))
+        assert main(["run", str(path), "--dt", "inf"]) == 2
+        assert "[flow] dt: not a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

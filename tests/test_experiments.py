@@ -193,12 +193,13 @@ class TestBlowupIsExpectedOutcome(object):
 
     @pytest.mark.parametrize("name, verdict", [("conservation", "conserved_quantities_drift"), ("growth", "e2_linear_bound")])
     def test_trajectory_trip_fails_the_verdict(self, tmp_path, name, verdict):
-        # a guard below the initial field's H^1 norm (about 4) stops evolve at t = 0
+        # a guard below the initial field's H^1 norm (about 4) stops evolve at t = 0;
+        # stride 1 records a state inside growth's fit window, as the parser asks
         cfg = parse_config(
             f"[experiment]\nname = {name}\n"
             f"output_dir = {tmp_path / name}\n"
             "[flow]\nblowup_threshold = 0.5\n"
-            "[run]\nt_end = 0.05\n"
+            "[run]\nt_end = 0.05\nobserver_stride = 1\n"
         )
         manifest = run(cfg)
         assert manifest.error is None

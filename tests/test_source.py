@@ -54,6 +54,35 @@ def test_config_flows_are_replaced_not_rebuilt():
     assert rebuilt == [], f"FlowParams built from cfg.flow fields: {rebuilt}"
 
 
+def test_experiment_configs_come_only_from_parse_config():
+    # one construction path, so every config passes the parse-time checks
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> innermost enclosing function (ast.walk is breadth first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        sites += [
+            f"{path.name}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ExperimentConfig"
+        ]
+    assert sites == ["config.py:parse_config"]
+
+
+def test_configs_are_not_edited_past_the_parser():
+    # every dataclass config.py and cli.py handle is an ExperimentConfig or one
+    # of its sections; replace() on one would skip the parse-time checks
+    edits = [
+        f"{name}:{node.lineno}"
+        for name in ("config.py", "cli.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("replace", "dataclasses.replace")
+    ]
+    assert edits == [], f"configs edited with dataclasses.replace: {edits}"
+
+
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 # FourierField primitives and the paper's F_2: kept for the tests and for
