@@ -1,10 +1,10 @@
 """Pseudospectral quintic NLS on the torus: flows, densities, modified energy,
 Gaussian ensembles, and a reproducible experiment harness."""
 
-from .spectral import GridSpec, FourierField, field_from_modes, project, derivative, sobolev_norm_sq
+from .spectral import GridSpec, FourierField, field_from_modes, sobolev_sq_rows
 from .flow import FULL, FlowParams, Trajectory, BlowUpError, step, evolve, evolve_block
 from .densities import eleele_residual, continuity_residuals, j0_diag
-from .energy import EnergyBreakdown, e2, e2_directional, f2, smoothing_bound, r2_truncation_curve
+from .energy import EnergyBreakdown, e2, e2_directional, smoothing_bound, r2_truncation_curve
 from .measure import MeasureSpec, EnsembleRecord, sample_mu, observables, ks_statistic, ks_critical_value, tail_ratio
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ import io
 import math
 from dataclasses import dataclass, field, fields
 
-from .flow import FlowParams
+from .flow import RK4_IMAGINARY_LIMIT, FlowParams
 from .measure import MIN_TAIL_SAMPLES, MeasureSpec
 from .spectral import GridSpec
 
@@ -275,10 +275,11 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 
 def _unmet_needs(name: str, pm: dict, grid: GridSpec, flow: FlowParams, run: RunSettings) -> list[str]:
     """What experiment `name` needs of its settings and does not get: without
-    it a run fails partway through, or passes having checked nothing."""
+    it a run fails partway through, passes having checked nothing, or takes
+    RK4's own blow-up for the flow's."""
     needs = {}
     if name == "plane_wave_order":
-        # the run takes round(t_end / dt) steps and compares at t_end
+        # each entry steps to t_end in whole steps of dt, where it meets the exact wave
         steps = [run.t_end / dt for dt in pm["dt_list"] if dt > 0]
         needs = {
             "at least 2 dt_list entries": len(pm["dt_list"]) >= 2,
@@ -321,6 +322,18 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, flow: FlowParams, run: Run
             or (top >= 1 and len(fm) >= 2 and all(0 <= M <= top for M in fm)),
             "flow_dt > 0": not pm["with_flow"] or pm["flow_dt"] > 0,
         }
+    # the largest linear rate n^2 dt a stepping experiment takes; beyond RK4's
+    # limit on the imaginary axis a numerical blow-up passes for a focusing trip
+    rate = None
+    if name in ("conservation", "growth", "transport_mc", "focusing_local"):
+        rate = "modes^2 * dt", grid.modes**2 * flow.dt
+    elif name == "plane_wave_order" and pm["dt_list"]:
+        rate = "modes^2 * max(dt_list)", grid.modes**2 * max(pm["dt_list"])
+    elif name == "truncation_convergence" and pm["with_flow"]:
+        rate = "flow_modes^2 * flow_dt", pm["flow_modes"] ** 2 * pm["flow_dt"]
+    if rate is not None:
+        what, value = rate
+        needs[f"{what} <= 2*sqrt(2), RK4's stability limit"] = value <= RK4_IMAGINARY_LIMIT
     return [need for need, met in needs.items() if not met]
 
 

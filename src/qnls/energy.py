@@ -36,7 +36,7 @@ from functools import wraps
 import numpy as np
 
 from .flow import FlowParams, _cutoff_mask, _rhs_coeffs
-from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_norm_sq, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -125,7 +125,7 @@ def r2_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1, overrides: dict[str, 
 
 def e2(u: FourierField, sigma: int = 1, overrides: dict[str, float] | None = None) -> EnergyBreakdown:
     """E_2 = ||u||_{H^2}^2 + R_2(u); E_2(0) = 0."""
-    h2 = sobolev_norm_sq(u, 2.0)
+    h2 = float(sobolev_sq_rows(u.coeffs, u.grid, 2.0))
     total, terms = r2_rows(u.coeffs, u.grid, sigma, overrides)
     terms = {name: float(v) for name, v in terms.items()}
     return EnergyBreakdown(h2_sq=h2, r2_terms=terms, r2=float(total), e2=h2 + float(total))
@@ -199,20 +199,6 @@ def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
     return (c, *directional_terms(c, v, grid))
 
 
-def f2(
-    u: FourierField,
-    p: FlowParams,
-    overrides: dict[str, float] | None = None,
-) -> float:
-    """F_2^(M)(P_M u): the time derivative of t -> E_2(P_M Phi_M(t) u0).
-
-    Evaluated as the first variation of E_2 at the projected state along the
-    projected equation right-hand side.
-    """
-    _, rate, raw = projected_rates(u.coeffs[np.newaxis], u.grid, p)
-    return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
-
-
 def smoothing_bound_rows(c: np.ndarray, grid: GridSpec, m0: int = DEFAULT_M0) -> np.ndarray:
     """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4) of each row of a (B, 2M+1)
     block c on `grid`, the L^4 norm taken over the physical grid.
@@ -233,14 +219,15 @@ def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
     return float(smoothing_bound_rows(u.coeffs[np.newaxis], u.grid, m0)[0])
 
 
-def r2_truncation_curve(u: FourierField, m_list: list[int], sigma: int = 1) -> np.ndarray:
-    """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, from one
-    r2_rows call on the block [u, P_{M_1} u, P_{M_2} u, ...]."""
+def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma: int = 1) -> np.ndarray:
+    """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, of the
+    coefficient row c on `grid`, from one r2_rows call on the block
+    [c, P_{M_1} c, P_{M_2} c, ...]."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly increasing")
-    n = np.abs(u.grid.n)
-    block = np.stack([u.coeffs] + [np.where(n <= M, u.coeffs, 0.0) for M in m_list])
-    total, _ = r2_rows(block, u.grid, sigma)
+    n = np.abs(grid.n)
+    block = np.stack([c] + [np.where(n <= M, c, 0.0) for M in m_list])
+    total, _ = r2_rows(block, grid, sigma)
     return np.abs(total[1:] - total[0])
 
 

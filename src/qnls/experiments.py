@@ -21,7 +21,8 @@ from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .densities import residual_rows, scale_rows
 from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
-from .flow import FULL, FlowParams, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows, step
+from .flow import FULL, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows
+from .flow import step  # no experiment steps; bound here for perfbench's tracer test, which patches it
 from .measure import (
     EnsembleRecord,
     derive_seed,
@@ -33,7 +34,7 @@ from .measure import (
     write_ensemble,
     OBSERVABLE_NAMES,
 )
-from .spectral import FourierField, GridSpec, field_from_modes, sobolev_norm_sq, sobolev_sq_rows
+from .spectral import GridSpec, field_from_modes, sobolev_sq_rows
 
 TRAJECTORY_COLUMNS = (
     "time",
@@ -108,8 +109,9 @@ def smooth_random_field(
     width: float,
     bias: float = 0.0,
     bias_mode: int = 0,
-) -> FourierField:
-    """Random data with a Gaussian spectral envelope e^{-(n/width)^2}.
+) -> np.ndarray:
+    """Coefficient row on `grid` of random data with a Gaussian spectral
+    envelope e^{-(n/width)^2}.
 
     A deterministic bias on one mode keeps the momentum away from zero so
     relative-drift verdicts are meaningful.
@@ -120,7 +122,7 @@ def smooth_random_field(
     c = c * np.exp(-((n / width) ** 2))
     if bias:
         c[grid.modes + bias_mode] += bias
-    return FourierField(grid, c)
+    return c
 
 
 def _records(obs: dict[str, np.ndarray]) -> list[dict[str, float]]:
@@ -128,10 +130,10 @@ def _records(obs: dict[str, np.ndarray]) -> list[dict[str, float]]:
     return [dict(zip(obs, row)) for row in zip(*(v.tolist() for v in obs.values()))]
 
 
-def _write_trajectory(path: Path, traj, p: FlowParams) -> dict[str, np.ndarray]:
+def _write_trajectory(path: Path, traj, cfg: ExperimentConfig) -> dict[str, np.ndarray]:
     """Write the TRAJECTORY_COLUMNS of each recorded state as CSV and return
     them, with the rest of the states' breakdown_rows, as name -> (K,) array."""
-    c, grid = traj.states, traj.final.grid
+    c, grid, p = traj.states, cfg.grid, cfg.flow
     columns = {
         "time": traj.times,
         "mass": sobolev_sq_rows(c, grid, 0.0),
@@ -160,8 +162,8 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     u0 = smooth_random_field(
         cfg.grid, pm["seed"], pm["amplitude"], pm["width"], pm["bias"], pm["bias_mode"]
     )
-    traj = evolve(u0, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
-    columns = _write_trajectory(out / "trajectory.csv", traj, cfg.flow)
+    traj = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    columns = _write_trajectory(out / "trajectory.csv", traj, cfg)
     _write_breakdowns(out / "breakdowns.jsonl", columns)
 
     drifts = {}
@@ -185,17 +187,16 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
 def run_plane_wave_order(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     n, amp = pm["mode"], pm["amplitude"]
-    u0 = field_from_modes(cfg.grid, {n: amp})
+    c0 = field_from_modes(cfg.grid, {n: amp})[np.newaxis]
     t_end = cfg.run.t_end
     freq = n * n + cfg.flow.sigma * abs(amp) ** 4
+    exact = amp * np.exp(-1j * freq * t_end)
     errors = []
     for dt in pm["dt_list"]:
-        p = replace(cfg.flow, dt=dt)
-        u = u0
-        for _ in range(int(round(t_end / dt))):
-            u = step(u, p)
-        exact = amp * np.exp(-1j * freq * t_end)
-        errors.append(abs(u.coeffs[cfg.grid.modes + n] - exact))
+        c, live, trip_times = evolve_block(c0, np.ones(1, dtype=bool), cfg.grid, replace(cfg.flow, dt=dt), t_end)
+        if not live[0]:  # the errors and orders need every dt to reach t_end
+            return {}, [Verdict("rk4_order", False, {"dt": dt, "blowup_time": float(trip_times[0])})]
+        errors.append(abs(c[0, cfg.grid.modes + n] - exact))
     orders = [
         float(np.log(errors[i] / errors[i + 1]) / np.log(pm["dt_list"][i] / pm["dt_list"][i + 1]))
         for i in range(len(errors) - 1)
@@ -254,7 +255,7 @@ def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = list(pm["times"])
     n_samp = cfg.run.ensemble_size
-    c = np.stack([sample_mu(cfg.measure, i, cfg.grid).coeffs for i in range(n_samp)])
+    c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_samp)])
     columns = {0.0: observables_rows(c, cfg.grid)}
     columns.update((t, observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid)) for t in times)
     crit = ks_critical_value(n_samp, n_samp, pm["alpha"])
@@ -287,7 +288,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     for name in term_names:
         scale_sets[name] = {name: 1.0 + pm["perturbation"]}
 
-    c = np.stack([sample_mu(cfg.measure, i, grid).coeffs for i in range(cfg.run.ensemble_size)])
+    c = np.stack([sample_mu(cfg.measure, i, grid) for i in range(cfg.run.ensemble_size)])
     # max over the members of each rate's |rate| / bound, per M
     max_ratio = {k: [] for k in scale_sets}
     unc = []
@@ -342,8 +343,8 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
 def run_growth(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     u0 = smooth_random_field(cfg.grid, pm["seed"], pm["amplitude"], pm["width"])
-    traj = evolve(u0, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
-    columns = _write_trajectory(out / "growth.csv", traj, cfg.flow)
+    traj = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    columns = _write_trajectory(out / "growth.csv", traj, cfg)
     if traj.blowup_time is not None:  # the fits need the whole horizon
         return {"growth.csv": out / "growth.csv"}, [
             Verdict("e2_linear_bound", False, {"blowup_time": traj.blowup_time})
@@ -376,7 +377,7 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     times = sorted(pm["times"])
     sigma = cfg.flow.sigma
     n_members = cfg.run.ensemble_size
-    c = np.stack([sample_mu(cfg.measure, i, cfg.grid).coeffs for i in range(n_members)])
+    c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_members)])
     initial = _records(observables_rows(c, cfg.grid, sigma))
     # snapshots[t][i]: observables of member i at checkpoint t, or None once
     # the member has tripped the guard (at that checkpoint and every later one)
@@ -446,8 +447,8 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
     rows = []
     mono_all, final_all = True, True
     for idx in range(pm["n_samples"]):
-        u = sample_mu(cfg.measure, idx, cfg.grid)
-        curve = r2_truncation_curve(u, m_list, cfg.flow.sigma)
+        c = sample_mu(cfg.measure, idx, cfg.grid)
+        curve = r2_truncation_curve(c, cfg.grid, m_list, cfg.flow.sigma)
         for M, d in zip(m_list, curve):
             rows.append([idx, M, d])
         mono_all = mono_all and bool(np.all(np.diff(curve) <= 0.0))
@@ -480,7 +481,8 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
             t_end,
             cutoffs,
         )
-        errs = [sobolev_norm_sq(FourierField(grid, uM - flows[0]), 1.75) ** 0.5 for uM in flows[1:]]
+        # Python float square roots: numpy's array ** rounds some differently
+        errs = [e**0.5 for e in sobolev_sq_rows(flows[1:] - flows[0], grid, 1.75).tolist()]
         _write_csv(
             out / "flow_convergence.csv",
             ("M", "h74_error"),
@@ -499,15 +501,12 @@ def run_focusing_local(cfg: ExperimentConfig, out: Path):
     # the last row is the large-amplitude control: the guard must trip,
     # reported as expected
     amps = list(pm["amplitudes"]) + [pm["trip_amplitude"]]
-    u0s = [field_from_modes(cfg.grid, {1: amp, -1: amp}) for amp in amps]
+    c0 = np.stack([field_from_modes(cfg.grid, {1: amp, -1: amp}) for amp in amps])
     t_end = cfg.run.t_end
-    _, live, trip_times = evolve_block(
-        np.stack([u0.coeffs for u0 in u0s]), np.ones(len(amps), dtype=bool), cfg.grid, cfg.flow, t_end
-    )
+    _, live, trip_times = evolve_block(c0, np.ones(len(amps), dtype=bool), cfg.grid, cfg.flow, t_end)
     rows = []
-    for amp, u0, ok, T in zip(amps, u0s, live, trip_times):
-        R = sobolev_norm_sq(u0, 1.75) ** 0.5
-        rows.append([amp, R, t_end if ok else float(T), not ok])
+    for amp, r, ok, T in zip(amps, sobolev_sq_rows(c0, cfg.grid, 1.75).tolist(), live, trip_times):
+        rows.append([amp, r**0.5, t_end if ok else float(T), not ok])
     _write_csv(out / "focusing.csv", ("amplitude", "R_h74", "T_achieved", "tripped"), rows)
 
     achieved, (amp, R, _, control_tripped) = rows[:-1], rows[-1]

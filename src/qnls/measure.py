@@ -80,16 +80,13 @@ def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
     return ndtri(u)
 
 
-def sample_mu(
-    spec: MeasureSpec, index: int, grid: GridSpec | None = None
-) -> FourierField:
-    """Draw the index-th ensemble member of mu_s, deterministic per (spec, index).
+def sample_mu(spec: MeasureSpec, index: int, grid: GridSpec) -> np.ndarray:
+    """The coefficient row on `grid` of the index-th ensemble member of mu_s,
+    deterministic per (spec, index).
 
     Normals are drawn as an (2M+1, 2) block in mode order n = -M..M,
     columns (h_n, l_n).
     """
-    if grid is None:
-        grid = GridSpec(modes=max(spec.M, 1))
     if grid.modes < spec.M:
         raise ValueError(f"grid modes {grid.modes} < sample cutoff {spec.M}")
     rng = np.random.Generator(np.random.Philox(key=derive_seed(spec.base_seed, index)))
@@ -98,7 +95,7 @@ def sample_mu(
     n = np.arange(-spec.M, spec.M + 1)
     c = np.zeros(2 * grid.modes + 1, dtype=np.complex128)
     c[n + grid.modes] = g / (1.0 + n * n) ** (spec.s / 2.0)
-    return FourierField(grid, c)
+    return c
 
 
 OBSERVABLE_NAMES = ("mass", "h1_sq", "hs_half_eps", "u0_sq", "l6_pow6", "e2")

@@ -97,14 +97,14 @@ class FourierField:
         return synthesize(self.coeffs, self.grid.modes, size or self.grid.phys_size)
 
 
-def field_from_modes(grid: GridSpec, amplitudes: dict[int, complex]) -> FourierField:
-    """Build a field from a {mode: amplitude} map."""
+def field_from_modes(grid: GridSpec, amplitudes: dict[int, complex]) -> np.ndarray:
+    """The coefficient row on `grid` of a {mode: amplitude} map."""
     c = np.zeros(2 * grid.modes + 1, dtype=np.complex128)
     for n, a in amplitudes.items():
         if abs(n) > grid.modes:
             raise ValueError(f"mode {n} outside grid with modes={grid.modes}")
         c[n + grid.modes] = a
-    return FourierField(grid, c)
+    return c
 
 
 @lru_cache(maxsize=256)
@@ -158,38 +158,10 @@ def jet(c: np.ndarray, grid: GridSpec, size: int, order: int) -> Jet:
     """Jet at `size` equispaced points, derivatives 0..order (order >= 1), of
     a coefficient vector or of each row of a (B, 2M+1) block c on `grid`.
 
-    The k-th derivative has the coefficients of derivative(u, k)."""
+    The k-th derivative has the coefficients c * (in)^k."""
     d = [synthesize(c * (1j * grid.n) ** k, grid.modes, size) for k in range(order + 1)]
     flux = np.conj(d[0]) * d[1]
     return Jet(d, np.abs(d[0]) ** 2, 2.0 * flux.real, 2.0 * flux.imag)
-
-
-def project(u: FourierField, cutoff: int) -> FourierField:
-    """Dirichlet projector: zero all coefficients with |n| > cutoff.
-
-    Acts as the identity when cutoff >= grid modes.
-    """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    if cutoff >= u.grid.modes:
-        return u
-    c = u.coeffs.copy()
-    c[np.abs(u.grid.n) > cutoff] = 0.0
-    return FourierField(u.grid, c)
-
-
-def derivative(u: FourierField, order: int = 1) -> FourierField:
-    """Spectral derivative: coefficient-wise multiplication by (in)^order."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if order == 0:
-        return u
-    return FourierField(u.grid, u.coeffs * (1j * u.grid.n) ** order)
-
-
-def sobolev_norm_sq(u: FourierField, s: float) -> float:
-    """2*pi * sum (1+n^2)^s |u_n|^2; s = 0 reproduces int |u|^2 dx."""
-    return float(sobolev_sq_rows(u.coeffs, u.grid, s))
 
 
 @lru_cache(maxsize=256)
@@ -201,7 +173,8 @@ def _sobolev_weights(modes: int, s: float) -> np.ndarray:
 
 
 def sobolev_sq_rows(c: np.ndarray, grid: GridSpec, s: float) -> np.ndarray:
-    """sobolev_norm_sq of each coefficient row (last axis) of c on `grid`."""
+    """2*pi * sum (1+n^2)^s |c_n|^2 of each coefficient row (last axis) of c
+    on `grid`; s = 0 reproduces int |u|^2 dx."""
     return TWO_PI * np.sum(_sobolev_weights(grid.modes, s) * np.abs(c) ** 2, axis=-1)
 
 

@@ -8,14 +8,62 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qnls import FourierField, GridSpec, sobolev_norm_sq
+from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sample_mu, sobolev_sq_rows
 from qnls.config import ExperimentConfig
-from qnls.energy import DEFAULT_M0, r2_rows
+from qnls.energy import DEFAULT_M0, corrected_rate, projected_rates, r2_rows
 from qnls.spectral import TWO_PI, jet
 
 
 def zero_field(grid: GridSpec) -> FourierField:
     return FourierField(grid, np.zeros(2 * grid.modes + 1, dtype=np.complex128))
+
+
+def mode_field(grid: GridSpec, amplitudes: dict[int, complex]) -> FourierField:
+    """field_from_modes as a field."""
+    return FourierField(grid, field_from_modes(grid, amplitudes))
+
+
+def sample_field(spec: MeasureSpec, index: int, grid: GridSpec) -> FourierField:
+    """sample_mu as a field."""
+    return FourierField(grid, sample_mu(spec, index, grid))
+
+
+def project(u: FourierField, cutoff: int) -> FourierField:
+    """Dirichlet projector: zero all coefficients with |n| > cutoff.
+
+    Acts as the identity when cutoff >= grid modes.
+    """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    if cutoff >= u.grid.modes:
+        return u
+    c = u.coeffs.copy()
+    c[np.abs(u.grid.n) > cutoff] = 0.0
+    return FourierField(u.grid, c)
+
+
+def derivative(u: FourierField, order: int = 1) -> FourierField:
+    """Spectral derivative: coefficient-wise multiplication by (in)^order."""
+    if order < 0:
+        raise ValueError("derivative order must be >= 0")
+    if order == 0:
+        return u
+    return FourierField(u.grid, u.coeffs * (1j * u.grid.n) ** order)
+
+
+def sobolev_norm_sq(u: FourierField, s: float) -> float:
+    """2*pi * sum (1+n^2)^s |u_n|^2; s = 0 reproduces int |u|^2 dx."""
+    return float(sobolev_sq_rows(u.coeffs, u.grid, s))
+
+
+def f2(u: FourierField, p: FlowParams, overrides: dict[str, float] | None = None) -> float:
+    """F_2^(M)(P_M u): the time derivative of t -> E_2(P_M Phi_M(t) u0).
+
+    Evaluated as the first variation of E_2 at the projected state along the
+    projected equation right-hand side.
+    """
+    _, rate, raw = projected_rates(u.coeffs[np.newaxis], u.grid, p)
+    return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
 
 
 def lp_norm(u: FourierField, p: float) -> float:

@@ -30,8 +30,6 @@ from qnls import (
     e2,
     e2_directional,
     evolve,
-    f2,
-    project,
     sample_mu,
 )
 from qnls.config import default_config
@@ -39,7 +37,7 @@ from qnls.energy import R2_TERMS, corrected_rate, projected_rates
 from qnls.experiments import run
 
 from conftest import random_field
-from oracles import r2_lipschitz_probe
+from oracles import f2, project, r2_lipschitz_probe, sobolev_norm_sq
 
 
 def report(n, label, ok, detail=""):
@@ -86,7 +84,7 @@ def shell_flux():
     scalings = {"shipped": None}
     for name, _, _ in R2_TERMS:
         scalings[name] = {name: 1.0 + cfg.params["perturbation"]}
-    c = np.stack([sample_mu(cfg.measure, idx, cfg.grid).coeffs for idx in range(cfg.run.ensemble_size)])
+    c = np.stack([sample_mu(cfg.measure, idx, cfg.grid) for idx in range(cfg.run.ensemble_size)])
     rates = {key: [] for key in ("uncorrected", *scalings)}
     for M in sweep:
         _, rate, raw = projected_rates(c, cfg.grid, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
@@ -155,10 +153,10 @@ def test_criterion_3_energy_correctness():
     g = GridSpec(modes=16)
     for sigma in (1, -1):
         for cutoff in (None, 8):
-            u0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
+            c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
             dt = 2e-4
             p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-            traj = evolve(u0, p, 6 * dt)
+            traj = evolve(c0, g, p, 6 * dt)
             states = [FourierField(g, c) for c in traj.states]
             proj = [project(s, cutoff) if cutoff else s for s in states]
             energies = [e2(s, sigma).e2 for s in proj]
@@ -286,8 +284,6 @@ def test_criterion_5_lipschitz_and_truncation(truncation_manifest):
     rng = np.random.default_rng(31)
 
     def normalized(seed, target):
-        from qnls import sobolev_norm_sq
-
         w = random_field(g, seed=seed, decay=0.1)
         scale = target / sobolev_norm_sq(w, 1.0) ** 0.5
         return FourierField(g, w.coeffs * scale)

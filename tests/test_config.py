@@ -171,6 +171,13 @@ class TestParse:
             ("linear_invariance", "alpha = 0.0", "0 < alpha < 1"),  # infinite KS critical value
             ("transport_mc", "quantile = 1.5", "0 < quantile < 1"),
             ("truncation_convergence", "flow_dt = 0.0", "flow_dt > 0"),
+            # n^2 dt of the top mode beyond RK4's limit 2*sqrt(2) on the imaginary axis
+            ("conservation", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),  # 32^2 * 0.003 = 3.07
+            ("growth", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
+            ("transport_mc", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
+            ("focusing_local", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
+            ("plane_wave_order", "dt_list = 0.05, 0.025", r"max\(dt_list\) <= 2\*sqrt\(2\)"),  # 8^2 * 0.05 = 3.2
+            ("truncation_convergence", "flow_dt = 0.0002", r"flow_modes\^2 \* flow_dt <= 2\*sqrt\(2\)"),  # 3.28
         ],
     )
     def test_rejects_what_a_run_fails_on_or_checks_nothing_with(self, name, setting, match):
@@ -195,6 +202,17 @@ class TestParse:
         key = line.split(" =")[0]
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: not a finite number"):
             parse_config(f"[experiment]\nname = {name}\n\n[{section}]\n{line}\n")
+
+    def test_rk4_limit_is_2_sqrt_2(self):
+        # RK4 amplifies i*z for |z| > 2*sqrt(2) = 2.828...; smoothing_sweep and
+        # continuity never step, so their [flow] dt is not checked
+        text = "[experiment]\nname = {}\n\n[flow]\ndt = {!r}\n"
+        assert parse_config(text.format("conservation", 2.82 / 32**2)).flow.dt == 2.82 / 32**2
+        with pytest.raises(ConfigError, match="RK4's stability limit"):
+            parse_config(text.format("conservation", 2.83 / 32**2))
+        for name in ("smoothing_sweep", "continuity"):
+            text = re.sub(r"^dt = .*$", "dt = 0.01", serialize_config(default_config(name)), count=1, flags=re.M)
+            assert parse_config(text).flow.dt == 0.01
 
     def test_continuity_needs_max_modes_of_at_least_4(self):
         # modes are drawn from [4, max_modes]; 3 would fail at the first draw

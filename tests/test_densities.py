@@ -3,25 +3,25 @@
 import numpy as np
 import pytest
 
-from qnls import FlowParams, GridSpec, continuity_residuals, eleele_residual, field_from_modes, j0_diag, sobolev_norm_sq
+from qnls import FlowParams, GridSpec, continuity_residuals, eleele_residual, j0_diag
 from qnls.densities import residual_rows, scale_rows
 from qnls.flow import momentum_rows
 from qnls.spectral import TWO_PI
 
 from conftest import random_field
-from oracles import densities, zero_field
+from oracles import densities, mode_field, sobolev_norm_sq, zero_field
 
 
 class TestDensities:
     def test_plane_wave(self, grid8):
         for n in (1, 4):
-            d = densities(field_from_modes(grid8, {n: 1.0}), sigma=1)
+            d = densities(mode_field(grid8, {n: 1.0}), sigma=1)
             assert np.allclose(d.N, 1.0)
             assert np.allclose(d.J, 2.0 * n)
             assert np.allclose(d.T, 4.0 * n * n + 4.0 / 3.0)
 
     def test_plane_wave_focusing(self, grid8):
-        d = densities(field_from_modes(grid8, {2: 1.0}), sigma=-1)
+        d = densities(mode_field(grid8, {2: 1.0}), sigma=-1)
         assert np.allclose(d.T, 16.0 - 4.0 / 3.0)
 
     def test_zero(self, grid8):
@@ -30,7 +30,7 @@ class TestDensities:
 
     def test_real_field_zero_current(self, grid8):
         # u = 2cos(x): N = 4cos^2(x), J = 0
-        u = field_from_modes(grid8, {1: 1.0, -1: 1.0})
+        u = mode_field(grid8, {1: 1.0, -1: 1.0})
         d = densities(u, sigma=1)
         x = TWO_PI * np.arange(grid8.phys_size) / grid8.phys_size
         assert np.max(np.abs(d.N - 4.0 * np.cos(x) ** 2)) < 1e-12
@@ -52,7 +52,7 @@ class TestDensities:
 
 class TestEleele:
     def test_plane_wave(self, grid8):
-        assert eleele_residual(field_from_modes(grid8, {3: 1.0})) < 1e-12
+        assert eleele_residual(mode_field(grid8, {3: 1.0})) < 1e-12
 
     def test_zero(self, grid8):
         assert eleele_residual(zero_field(grid8)) == 0.0
@@ -75,7 +75,7 @@ class TestContinuity:
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_plane_wave(self, grid8, sigma):
         r_mass, r_mom = continuity_residuals(
-            field_from_modes(grid8, {2: 1.0}), FlowParams(sigma=sigma)
+            mode_field(grid8, {2: 1.0}), FlowParams(sigma=sigma)
         )
         assert r_mass < 1e-12 and r_mom < 1e-11
 
@@ -99,7 +99,7 @@ class TestContinuity:
 
 class TestDiagnostics:
     def test_plane_wave(self, grid8):
-        u = field_from_modes(grid8, {2: 1.0})
+        u = mode_field(grid8, {2: 1.0})
         p = FlowParams()
         assert abs(j0_diag(u, p)) < 1e-12
         assert abs(residual_rows(u.coeffs[np.newaxis], grid8)["n1"][0]) < 1e-12
@@ -115,7 +115,7 @@ class TestDiagnostics:
 
     def test_j0_real_field(self, grid8):
         # J vanishes identically for real fields
-        u = field_from_modes(grid8, {1: 0.7, -1: 0.7})
+        u = mode_field(grid8, {1: 0.7, -1: 0.7})
         assert j0_diag(u, FlowParams()) == pytest.approx(0.0, abs=1e-14)
 
     def test_n1_generically_nonzero(self, grid16):

@@ -8,22 +8,18 @@ from qnls import (
     FourierField,
     GridSpec,
     MeasureSpec,
-    derivative,
     e2,
     e2_directional,
     evolve,
-    f2,
     field_from_modes,
-    project,
     r2_truncation_curve,
     sample_mu,
     smoothing_bound,
-    sobolev_norm_sq,
 )
 from qnls.energy import full_breakdown, h2_directional, r2_rows
 
 from conftest import random_field
-from oracles import lp_norm, r2_lipschitz_probe, zero_field
+from oracles import derivative, f2, lp_norm, mode_field, project, r2_lipschitz_probe, sample_field, sobolev_norm_sq, zero_field
 
 
 class TestR2:
@@ -36,7 +32,7 @@ class TestR2:
     def test_plane_wave_terms(self, grid8, n):
         # by hand: Re int u_xx conj(u)|u|^4 = -2 pi n^2, int N Nx^2 = 0,
         # int N J^2 = 8 pi n^2, int N^5 = 2 pi
-        total, terms = r2_rows(field_from_modes(grid8, {n: 1.0}).coeffs, grid8, sigma=1)
+        total, terms = r2_rows(field_from_modes(grid8, {n: 1.0}), grid8, sigma=1)
         assert terms["curv_quintic"] == pytest.approx(4 * np.pi * n * n, rel=1e-12)
         assert terms["grad_density"] == pytest.approx(0.0, abs=1e-12)
         assert terms["current_sq"] == pytest.approx(4 * np.pi * n * n, rel=1e-12)
@@ -45,8 +41,8 @@ class TestR2:
 
     def test_finite_on_rough_sample(self):
         # samples of mu_2 live below H^2 but R_2 only needs H^1-type norms
-        u = sample_mu(MeasureSpec(s=2.0, M=64, base_seed=5), 0)
-        total, _ = r2_rows(u.coeffs, u.grid, sigma=1)
+        grid = GridSpec(modes=64)
+        total, _ = r2_rows(sample_mu(MeasureSpec(s=2.0, M=64, base_seed=5), 0, grid), grid, sigma=1)
         assert np.isfinite(total)
 
     def test_sigma_placement(self, grid8):
@@ -71,7 +67,7 @@ class TestE2:
         assert b.r2 == pytest.approx(sum(b.r2_terms.values()), rel=1e-14)
 
     def test_plane_wave(self, grid8):
-        b = e2(field_from_modes(grid8, {1: 1.0}), sigma=1)
+        b = e2(mode_field(grid8, {1: 1.0}), sigma=1)
         assert b.h2_sq == pytest.approx(8 * np.pi, rel=1e-13)
         assert b.e2 == pytest.approx(8 * np.pi + 8 * np.pi + 8 * np.pi / 15, rel=1e-12)
 
@@ -134,7 +130,7 @@ class TestF2:
 
     def test_plane_wave_invariant_profile(self, grid8):
         # plane waves evolve by a phase, and E_2 is gauge-invariant
-        u = field_from_modes(grid8, {2: 1.0})
+        u = mode_field(grid8, {2: 1.0})
         p = FlowParams(sigma=1)
         scale = 1.0 + abs(e2(u, 1).e2)
         assert abs(f2(u, p)) < 1e-9 * scale
@@ -144,10 +140,10 @@ class TestF2:
     def test_matches_trajectory_derivative(self, sigma, cutoff):
         # 4th-order FD of t -> E_2(P_M u(t)) along an rk4 trajectory
         g = GridSpec(modes=16)
-        u0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
+        c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
         dt = 2e-4
         p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-        traj = evolve(u0, p, 6 * dt)
+        traj = evolve(c0, g, p, 6 * dt)
         states = [FourierField(g, c) for c in traj.states]
         w = [project(s, cutoff) if cutoff else s for s in states]
         energies = [e2(s, sigma).e2 for s in w]
@@ -180,13 +176,13 @@ class TestBounds:
         # array ** rounds some of these powers differently in the last bit
         grid = GridSpec(modes=32)
         for idx in range(64):
-            u = sample_mu(MeasureSpec(s=2.0, M=32, base_seed=41), idx, grid)
+            u = sample_field(MeasureSpec(s=2.0, M=32, base_seed=41), idx, grid)
             h1 = sobolev_norm_sq(u, 1.0) ** 0.5
             l4 = lp_norm(derivative(u, 1), 4)
             assert smoothing_bound(u, m0) == (1.0 + h1**m0) * (1.0 + l4**4), idx
 
     def test_plane_wave_ratio_zero(self, grid8):
-        b = full_breakdown(field_from_modes(grid8, {1: 1.0}), FlowParams())
+        b = full_breakdown(mode_field(grid8, {1: 1.0}), FlowParams())
         assert abs(b.f2) / b.bound < 1e-12
 
     def test_lipschitz_probe_identical(self, grid8):
@@ -226,20 +222,21 @@ class TestBounds:
 
 class TestTruncationCurve:
     def test_supported_field(self, grid8):
-        u = field_from_modes(grid8, {4: 0.5, -2: 0.3, 0: 1.0})
-        curve = r2_truncation_curve(u, [4, 6, 8])
+        c = field_from_modes(grid8, {4: 0.5, -2: 0.3, 0: 1.0})
+        curve = r2_truncation_curve(c, grid8, [4, 6, 8])
         assert np.max(curve) < 1e-12
 
     def test_zero(self, grid8):
-        assert np.all(r2_truncation_curve(zero_field(grid8), [2, 4]) == 0.0)
+        assert np.all(r2_truncation_curve(zero_field(grid8).coeffs, grid8, [2, 4]) == 0.0)
 
     def test_requires_increasing(self, grid8):
         with pytest.raises(ValueError, match="increasing"):
-            r2_truncation_curve(zero_field(grid8), [4, 4])
+            r2_truncation_curve(zero_field(grid8).coeffs, grid8, [4, 4])
 
     def test_mu2_sample_decreases(self):
-        u = sample_mu(MeasureSpec(s=2.0, M=64, base_seed=17), 1)
-        curve = r2_truncation_curve(u, [8, 16, 32, 64])
+        grid = GridSpec(modes=64)
+        c = sample_mu(MeasureSpec(s=2.0, M=64, base_seed=17), 1, grid)
+        curve = r2_truncation_curve(c, grid, [8, 16, 32, 64])
         assert curve[-1] < 1e-12  # final M equals the sample cutoff
         assert curve[0] > curve[-2]
 
@@ -258,7 +255,7 @@ class TestCutoffFlatness:
             p = FlowParams(sigma=-1, cutoff=M)
             good, bad = 0.0, 0.0
             for idx in range(8):
-                u = sample_mu(spec, idx, grid)
+                u = sample_field(spec, idx, grid)
                 w = project(u, M)
                 b = smoothing_bound(w)
                 good = max(good, abs(f2(u, p)) / b)

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnls import FlowParams, FourierField, GridSpec, sobolev_norm_sq, spectral
+from qnls import FlowParams, FourierField, GridSpec, spectral
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag
@@ -24,12 +24,12 @@ from qnls.measure import (
     ks_critical_value,
     ks_statistic,
     observables,
-    sample_mu,
     write_ensemble,
 )
 from qnls.spectral import synthesize
 
 from conftest import step_loop
+from oracles import sample_field, sobolev_norm_sq
 
 
 def observables_in(path):
@@ -85,7 +85,7 @@ class TestRun:
         cfg = default_config("linear_invariance", output_dir=str(tmp_path / "li"))
         cfg = replace(cfg, run=replace(cfg.run, ensemble_size=65))
         assert run(cfg).error is None
-        members = [sample_mu(cfg.measure, i, cfg.grid) for i in range(65)]
+        members = [sample_field(cfg.measure, i, cfg.grid) for i in range(65)]
         before = [observables(u) for u in members]
         after = {
             t: [observables(FourierField(u.grid, linear_flow_rows(u.coeffs, u.grid, t))) for u in members]
@@ -149,16 +149,18 @@ class TestRun:
         assert (tmp_path / "bad" / "manifest.json").exists()
 
     def test_plane_wave_order_keeps_the_config_guard(self, tmp_path):
-        # a [flow] blowup_threshold below the plane wave's H^1 norm must stop it
+        # a [flow] blowup_threshold below the plane wave's H^1 norm (about 5.6)
+        # stops it before the first step of the first dt: rk4_order fails
         cfg = parse_config(
             "[experiment]\nname = plane_wave_order\n"
             f"output_dir = {tmp_path / 'pw'}\n"
             "[grid]\nmodes = 8\n"
-            "[flow]\nblowup_threshold = 0.5\n"
+            "[flow]\nblowup_threshold = 1.0\n"
         )
         manifest = run(cfg)
-        assert manifest.error is not None
-        assert manifest.error.startswith("BlowUpError: H^1 guard tripped")
+        assert manifest.error is None
+        [v] = manifest.verdicts
+        assert (v.name, v.passed, v.stats) == ("rk4_order", False, {"dt": 4e-3, "blowup_time": 0.0})
 
     def test_emit_plots(self, tmp_path):
         run(tiny_conservation(tmp_path))
@@ -239,7 +241,7 @@ class TestBlowupIsExpectedOutcome(object):
         records = {0.0: []} | {t: [] for t in cfg.params["times"]}
         for i in range(cfg.run.ensemble_size):
             seed = derive_seed(cfg.measure.base_seed, i)
-            u = sample_mu(cfg.measure, i, cfg.grid)
+            u = sample_field(cfg.measure, i, cfg.grid)
             records[0.0].append(EnsembleRecord(i, seed, observables(u, sigma)))
             t_prev, tripped = 0.0, False
             for t in cfg.params["times"]:

@@ -13,9 +13,7 @@ from qnls import (
     evolve,
     evolve_block,
     field_from_modes,
-    project,
     sample_mu,
-    sobolev_norm_sq,
     step,
 )
 from qnls.config import default_config
@@ -23,7 +21,7 @@ from qnls.experiments import smooth_random_field
 from qnls.flow import FULL, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
 
 from conftest import random_field, step_loop
-from oracles import zero_field
+from oracles import mode_field, project, sample_field, sobolev_norm_sq, zero_field
 
 
 def mass(u):
@@ -37,7 +35,7 @@ def invariants(u, sigma=1):
 
 def smooth_field(grid):
     """The conservation experiment's default initial field at `grid`."""
-    return smooth_random_field(grid, seed=42, amplitude=0.2, width=4.0, bias=0.25, bias_mode=2)
+    return FourierField(grid, smooth_random_field(grid, seed=42, amplitude=0.2, width=4.0, bias=0.25, bias_mode=2))
 
 
 class TestLinearFlow:
@@ -46,7 +44,7 @@ class TestLinearFlow:
         assert np.array_equal(linear_flow_rows(u.coeffs, grid16, 0.0), u.coeffs)
 
     def test_plane_wave_phase(self, grid8):
-        v = linear_flow_rows(field_from_modes(grid8, {2: 1.0}).coeffs, grid8, 0.7)
+        v = linear_flow_rows(field_from_modes(grid8, {2: 1.0}), grid8, 0.7)
         assert v[grid8.modes + 2] == pytest.approx(np.exp(-4j * 0.7), rel=1e-14)
 
     def test_block_rounds_as_the_per_mode_phase(self):
@@ -54,7 +52,7 @@ class TestLinearFlow:
         # a reordered phase product, which rounds differently, would change
         # no data file; this pins the rounding of c * e^{-i t n^2}
         cfg = default_config("linear_invariance")
-        c = np.stack([sample_mu(cfg.measure, i, cfg.grid).coeffs for i in range(50)])
+        c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(50)])
         n = np.arange(-cfg.grid.modes, cfg.grid.modes + 1)
         for t in cfg.params["times"]:
             want = c * np.exp(-1j * t * n * n)
@@ -83,13 +81,13 @@ class TestRhs:
         # |u|^4 u = u for e^{inx}, so du/dt = -i(n^2 + sigma) u
         p = FlowParams(sigma=1, cutoff=FULL)
         for n in (1, 3):
-            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}).coeffs, grid8, p)
+            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p)
             assert v[grid8.modes + n] == pytest.approx(-1j * (n * n + 1), rel=1e-13)
 
     def test_projector_annihilates(self, grid8):
         # pi_1 e^{i2x} = 0 kills the nonlinearity entirely
         p = FlowParams(sigma=1, cutoff=1)
-        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}).coeffs, grid8, p)
+        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}), grid8, p)
         assert v[grid8.modes + 2] == pytest.approx(-4j, rel=1e-14)
         others = np.delete(v, grid8.modes + 2)
         assert np.max(np.abs(others)) < 1e-15
@@ -108,7 +106,7 @@ class TestStep:
     def test_plane_wave_order(self, grid8):
         # exact solution e^{i(nx - (n^2+1)t)}; rk4 global error order in [3.7, 4.3]
         n = 2
-        u0 = field_from_modes(grid8, {n: 1.0})
+        u0 = mode_field(grid8, {n: 1.0})
         t_end = 0.5
         errs = []
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
@@ -131,7 +129,7 @@ class TestStep:
         assert abs(m1 - m0) / m0 < 1e-10
 
     def test_guard_raises(self, grid8):
-        u = field_from_modes(grid8, {1: 100.0})
+        u = mode_field(grid8, {1: 100.0})
         p = FlowParams(sigma=-1, dt=1e-3, blowup_threshold=10.0)
         with pytest.raises(BlowUpError):
             step(u, p)
@@ -144,43 +142,41 @@ class TestEvolve:
         u0 = smooth_field(g)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
         ref = np.array(invariants(u0))
-        got = np.array(invariants(evolve(u0, p, 1.0, stride=1000).final))
+        got = np.array(invariants(FourierField(g, evolve(u0.coeffs, g, p, 1.0, stride=1000).states[-1])))
         assert np.all(np.abs((got - ref) / ref) < 1e-8), (got - ref) / ref
 
     def test_lands_on_t_end(self, grid8):
-        u0 = field_from_modes(grid8, {1: 0.5})
         p = FlowParams(dt=0.3)
-        traj = evolve(u0, p, 1.0)
+        traj = evolve(field_from_modes(grid8, {1: 0.5}), grid8, p, 1.0)
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-15)
         # 3 full steps + remainder 0.1; coarse dt, so only O(dt^4) phase accuracy
         exact = 0.5 * np.exp(-1j * (1 + 0.5**4) * 1.0)
-        assert abs(traj.final.coeffs[grid8.modes + 1] - exact) < 1e-3
+        assert abs(traj.states[-1][grid8.modes + 1] - exact) < 1e-3
 
     def test_observer_stride(self, grid8):
-        u0 = field_from_modes(grid8, {1: 0.1})
+        c0 = field_from_modes(grid8, {1: 0.1})
         p = FlowParams(dt=0.1)
-        traj = evolve(u0, p, 1.0, stride=3)
+        traj = evolve(c0, grid8, p, 1.0, stride=3)
         assert list(traj.times) == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
         assert traj.states.shape == (5, 2 * grid8.modes + 1)
-        assert traj.states[0].tobytes() == u0.coeffs.tobytes()
-        assert traj.states[-1].tobytes() == traj.final.coeffs.tobytes()
+        assert traj.states[0].tobytes() == c0.tobytes()
+        assert traj.states[-1].tobytes() == step_loop(FourierField(grid8, c0), p, 1.0)[0].coeffs.tobytes()
 
     def test_gauge_covariance(self, grid16):
         u0 = random_field(grid16, seed=5, amp=0.2, decay=0.3)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
-        a = evolve(u0, p, 0.05).final
+        a = evolve(u0.coeffs, grid16, p, 0.05).states[-1]
         theta = 0.713
-        rotated = FourierField(grid16, u0.coeffs * np.exp(1j * theta))
-        b = evolve(rotated, p, 0.05).final
-        assert np.max(np.abs(b.coeffs - a.coeffs * np.exp(1j * theta))) < 1e-10
+        b = evolve(u0.coeffs * np.exp(1j * theta), grid16, p, 0.05).states[-1]
+        assert np.max(np.abs(b - a * np.exp(1j * theta))) < 1e-10
 
     def test_high_mode_stays_linear(self, grid8):
         # cutoff M=1: the nonlinearity sees only pi_1 u, so the n=2 coefficient
         # rotates by e^{-i n^2 t} up to integrator error
-        u0 = field_from_modes(grid8, {1: 0.4, -1: 0.2j, 2: 0.3})
+        c0 = field_from_modes(grid8, {1: 0.4, -1: 0.2j, 2: 0.3})
         p = FlowParams(sigma=1, cutoff=1, dt=1e-3)
-        traj = evolve(u0, p, 0.1)
-        got = traj.final.coeffs[grid8.modes + 2]
+        traj = evolve(c0, grid8, p, 0.1)
+        got = traj.states[-1][grid8.modes + 2]
         assert abs(got - 0.3 * np.exp(-4j * 0.1)) < 1e-10
 
     def test_split_mass_conservation(self, grid8):
@@ -190,23 +186,23 @@ class TestEvolve:
         p = FlowParams(sigma=1, cutoff=M, dt=5e-4)
         low0 = mass(project(u0, M))
         tot0 = mass(u0)
-        traj = evolve(u0, p, 0.2)
-        low1 = mass(project(traj.final, M))
-        tot1 = mass(traj.final)
+        u1 = FourierField(grid8, evolve(u0.coeffs, grid8, p, 0.2).states[-1])
+        low1 = mass(project(u1, M))
+        tot1 = mass(u1)
         assert abs(low1 - low0) / low0 < 1e-9
         assert abs((tot1 - tot0) - (low1 - low0)) < 1e-8 * tot0
 
     def test_focusing_guard_records_time(self):
         # 4cos(x) focuses hard enough on a 32-mode grid to trip the H^1 guard
         g = GridSpec(modes=32)
-        u0 = field_from_modes(g, {1: 2.0, -1: 2.0})
+        c0 = field_from_modes(g, {1: 2.0, -1: 2.0})
         p = FlowParams(sigma=-1, cutoff=FULL, dt=5e-4, blowup_threshold=1e3)
-        traj = evolve(u0, p, 1.0)
+        traj = evolve(c0, g, p, 1.0)
         assert traj.blowup_time is not None
         assert 0.0 < traj.blowup_time < 1.0
 
     def test_momentum_plane_wave(self, grid8):
-        u = field_from_modes(grid8, {3: 1.0})
+        u = mode_field(grid8, {3: 1.0})
         assert invariants(u) == pytest.approx((2 * np.pi, 12 * np.pi, 9 * np.pi + np.pi / 3))
 
     def test_invariants_zero_field(self, grid8):
@@ -255,7 +251,7 @@ class TestEvolveBlock:
         # guard at t = 0.002; its neighbours run to t_end
         cfg = default_config("transport_mc")
         spec = replace(cfg.measure, base_seed=cfg.measure.base_seed + 25)
-        members = [sample_mu(spec, i, cfg.grid) for i in (46, 47, 48, 49)]
+        members = [sample_field(spec, i, cfg.grid) for i in (46, 47, 48, 49)]
         live = np.array([True, True, True, False])
         c, live, trip_times = evolve_block(
             np.stack([u.coeffs for u in members]), live, cfg.grid, cfg.flow, 0.05
@@ -280,7 +276,7 @@ class TestEvolveBlock:
     )
     def test_failing_row_is_frozen_where_step_raises(self, grid8, amp, p, why):
         # the guard trips before the first step, or |u|^4 u overflows in it
-        tame, bad = field_from_modes(grid8, {1: 0.5}), field_from_modes(grid8, {1: amp})
+        tame, bad = mode_field(grid8, {1: 0.5}), mode_field(grid8, {1: amp})
         with pytest.raises(BlowUpError, match=why):
             step(bad, p)
         block = np.stack([tame.coeffs, bad.coeffs])
@@ -289,13 +285,13 @@ class TestEvolveBlock:
         assert c[0].tobytes() == step_loop(tame, p, 0.01)[0].coeffs.tobytes()
         assert c[1].tobytes() == bad.coeffs.tobytes()
         assert np.isnan(trip_times[0]) and trip_times[1] == 0.0
-        assert evolve(bad, p, 0.01).blowup_time == step_loop(bad, p, 0.01)[1] == 0.0
+        assert evolve(bad.coeffs, grid8, p, 0.01).blowup_time == step_loop(bad, p, 0.01)[1] == 0.0
 
     def test_trip_in_the_partial_step(self, grid8):
         # a threshold between the H^1 norms of the last two full-step states
         # trips the guard before the partial step: the last good state is
         # n_steps * dt, not t_end
-        u0 = field_from_modes(grid8, {1: 1.2, -1: 1.2})
+        u0 = mode_field(grid8, {1: 1.2, -1: 1.2})
         p = FlowParams(sigma=-1, dt=1e-3, blowup_threshold=1e300)
         t_end, n_steps = 0.0205, 20
         u = u0
@@ -310,7 +306,7 @@ class TestEvolveBlock:
         c, live, trip_times = evolve_block(u0.coeffs[None], np.ones(1, dtype=bool), grid8, p, t_end)
         assert not live[0] and trip_times[0] == blowup_time
         assert c[0].tobytes() == ref.coeffs.tobytes()
-        traj = evolve(u0, p, t_end, stride=7)
+        traj = evolve(u0.coeffs, grid8, p, t_end, stride=7)
         assert traj.blowup_time == blowup_time
         assert list(traj.times) == step_loop(u0, p, t_end, stride=7)[2]
 
@@ -319,15 +315,14 @@ class TestEvolveBlock:
     def test_evolve_records_where_the_step_loop_does(self, stride, t_end):
         # 4cos(x) trips the guard before t = 0.6 at dt = 5e-4
         g = GridSpec(modes=32)
-        u0 = field_from_modes(g, {1: 2.0, -1: 2.0})
+        u0 = mode_field(g, {1: 2.0, -1: 2.0})
         p = FlowParams(sigma=-1, dt=5e-4)
-        traj = evolve(u0, p, t_end, stride=stride)
+        traj = evolve(u0.coeffs, g, p, t_end, stride=stride)
         ref, blowup_time, times = step_loop(u0, p, t_end, stride=stride)
         assert list(traj.times) == times
         assert traj.states.shape == (len(times), 2 * g.modes + 1)
         assert traj.blowup_time == blowup_time
         assert (blowup_time is not None) == (t_end == 0.6)
-        assert traj.final.coeffs.tobytes() == ref.coeffs.tobytes()
         assert traj.states[-1].tobytes() == ref.coeffs.tobytes()
 
 

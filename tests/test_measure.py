@@ -14,25 +14,26 @@ from qnls import (
     ks_statistic,
     observables,
     sample_mu,
-    sobolev_norm_sq,
+    sobolev_sq_rows,
     tail_ratio,
 )
 from qnls.flow import linear_flow_rows
 from qnls.measure import EnsembleRecord, derive_seed, write_ensemble
 
-from oracles import zero_field
+from oracles import mode_field, sample_field, zero_field
 
 
 class TestSampler:
     def test_deterministic(self):
         spec = MeasureSpec(s=2.0, M=16, base_seed=77)
-        a = sample_mu(spec, 5)
-        b = sample_mu(spec, 5)
-        assert np.array_equal(a.coeffs, b.coeffs)
+        a = sample_mu(spec, 5, GridSpec(modes=16))
+        b = sample_mu(spec, 5, GridSpec(modes=16))
+        assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self):
         spec = MeasureSpec(s=2.0, M=16, base_seed=77)
-        assert not np.array_equal(sample_mu(spec, 0).coeffs, sample_mu(spec, 1).coeffs)
+        grid = GridSpec(modes=16)
+        assert not np.array_equal(sample_mu(spec, 0, grid), sample_mu(spec, 1, grid))
 
     def test_seed_derivation_spreads(self):
         seeds = {derive_seed(1, i) for i in range(1000)}
@@ -46,20 +47,21 @@ class TestSampler:
     def test_single_mode_second_moment(self):
         # M = 0: one complex gaussian with E|u_0|^2 = 2
         spec = MeasureSpec(s=3.0, M=0, base_seed=123)
-        vals = [abs(sample_mu(spec, i).coeffs[1]) ** 2 for i in range(10_000)]
+        vals = [abs(sample_mu(spec, i, GridSpec(modes=1))[1]) ** 2 for i in range(10_000)]
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - 2.0) < 3 * se
 
     def test_mean_mass_s2_m1(self):
         # E||u||_L2^2 = 2 pi sum 2/(1+n^2)^2 over |n|<=1 = 6 pi
         spec = MeasureSpec(s=2.0, M=1, base_seed=321)
-        vals = [sobolev_norm_sq(sample_mu(spec, i), 0) for i in range(10_000)]
+        grid = GridSpec(modes=1)
+        vals = sobolev_sq_rows(np.stack([sample_mu(spec, i, grid) for i in range(10_000)]), grid, 0.0)
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - 6 * np.pi) < 3 * se
 
     def test_per_mode_moments(self):
         spec = MeasureSpec(s=2.0, M=8, base_seed=555)
-        samples = np.array([sample_mu(spec, i).coeffs for i in range(10_000)])
+        samples = np.array([sample_mu(spec, i, GridSpec(modes=8)) for i in range(10_000)])
         n = np.arange(-8, 9)
         expected = 2.0 / (1.0 + n * n) ** 2
         for k in range(17):
@@ -70,7 +72,7 @@ class TestSampler:
     def test_rotation_invariance_re_im(self):
         # real and imaginary parts of each coefficient share one law
         spec = MeasureSpec(s=2.0, M=4, base_seed=999)
-        samples = np.array([sample_mu(spec, i).coeffs for i in range(1000)])
+        samples = np.array([sample_mu(spec, i, GridSpec(modes=4)) for i in range(1000)])
         crit = ks_critical_value(1000, 1000)
         for k in (0, 4, 8):
             stat = ks_statistic(samples[:, k].real, samples[:, k].imag)
@@ -83,9 +85,7 @@ class TestObservables:
         assert all(v == 0.0 for v in obs.values())
 
     def test_plane_wave(self, grid8):
-        from qnls import field_from_modes
-
-        obs = observables(field_from_modes(grid8, {1: 1.0}))
+        obs = observables(mode_field(grid8, {1: 1.0}))
         assert obs["mass"] == pytest.approx(2 * np.pi)
         assert obs["u0_sq"] == 0.0
 
@@ -94,7 +94,7 @@ class TestObservables:
         # change ensemble files in the last bit
         spec = MeasureSpec(s=2.0, M=8)
         for i in range(200):
-            u = sample_mu(spec, i)
+            u = sample_field(spec, i, GridSpec(modes=8))
             assert observables(u)["u0_sq"] == float(abs(u.coeffs[8]) ** 2)
 
     def test_e2_delegates(self, grid16):
@@ -140,7 +140,7 @@ class TestLinearInvariance:
         # the statistical content of the linear-flow invariance of mu_s
         spec = MeasureSpec(s=2.0, M=16, base_seed=2024)
         n_samp = 400
-        fields = [sample_mu(spec, i) for i in range(n_samp)]
+        fields = [sample_field(spec, i, GridSpec(modes=16)) for i in range(n_samp)]
         before = {k: [] for k in ("l6_pow6", "e2")}
         after = {k: [] for k in ("l6_pow6", "e2")}
         for u in fields:

@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve, evolve_block, project
+from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve, evolve_block
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
 from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
-from qnls.spectral import TWO_PI, analyze, derivative, jet, sobolev_norm_sq, synthesize
+from qnls.spectral import TWO_PI, analyze, jet, synthesize
 
-from oracles import inner
+from oracles import derivative, inner, project, sobolev_norm_sq
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -171,8 +171,8 @@ def test_evolve_block_rows_are_evolve_runs(block, data, sigma):
     t_end = 0.0105  # ten full steps and a partial one
     out, live, trip_times = evolve_block(c, np.ones(len(c), dtype=bool), grid, p, t_end, cutoffs)
     for row, c0, cutoff, ok, trip_time in zip(out, c, cutoffs, live, trip_times):
-        traj = evolve(FourierField(grid, c0), replace(p, cutoff=cutoff), t_end)
-        assert row.tobytes() == traj.final.coeffs.tobytes()
+        traj = evolve(c0, grid, replace(p, cutoff=cutoff), t_end)
+        assert row.tobytes() == traj.states[-1].tobytes()
         assert traj.blowup_time == (None if ok else trip_time)
 
 
@@ -184,4 +184,4 @@ def test_r2_truncation_curve_is_the_per_cutoff_loop(block, data, sigma):
     u = FourierField(grid, c[0])
     ref = r2_rows(c[0], grid, sigma)[0]
     want = [abs(r2_rows(project(u, M).coeffs, grid, sigma)[0] - ref) for M in m_list]
-    assert r2_truncation_curve(u, m_list, sigma).tobytes() == np.array(want).tobytes()
+    assert r2_truncation_curve(c[0], grid, m_list, sigma).tobytes() == np.array(want).tobytes()

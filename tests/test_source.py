@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qnls"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -21,11 +22,27 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def _perfbench_reads(module: str) -> set[str]:
+    """Names the benchmark reads as attributes of qnls.<module>."""
+    return {
+        node.attr
+        for path in PERFBENCH.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module
+    }
+
+
 def test_no_unused_imports():
-    # __init__.py imports to re-export
+    # __init__.py imports to re-export; a name the benchmark reads off a
+    # module (perfbench's tracer test checks experiments.step) is used
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
-    unused = [hit for path in modules for hit in _unused_imports(path)]
+    unused = [
+        hit
+        for path in modules
+        for hit in _unused_imports(path)
+        if hit.split()[-1] not in _perfbench_reads(path.stem)
+    ]
     assert unused == [], f"imported but never used: {unused}"
 
 
@@ -83,13 +100,6 @@ def test_configs_are_not_edited_past_the_parser():
     assert edits == [], f"configs edited with dataclasses.replace: {edits}"
 
 
-PERFBENCH = SRC.parents[1] / "perfbench"
-
-# FourierField primitives and the paper's F_2: kept for the tests and for
-# library users, with or without a caller in src/
-KEPT_WITHOUT_CALLER = {"project", "derivative", "sobolev_norm_sq", "field_from_modes", "f2"}
-
-
 def _identifiers(tree: ast.AST, strings: bool = False) -> Counter:
     """Reads of names and attributes in `tree`, and string constants if asked
     (the benchmark's tracer looks its targets up by name)."""
@@ -111,11 +121,19 @@ def test_every_src_name_has_a_caller():
     reads += sum((_identifiers(ast.parse(p.read_text()), strings=True) for p in PERFBENCH.rglob("*.py")), Counter())
     tops = [(name, node) for name, tree in trees.items() for node in tree.body]
     tops = [(name, node) for name, node in tops if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    assert KEPT_WITHOUT_CALLER <= {node.name for _, node in tops}
     # a read inside the definition itself (recursion) is no caller
     uncalled = [
         f"{name}:{node.lineno} {node.name}"
         for name, node in tops
-        if node.name not in KEPT_WITHOUT_CALLER and reads[node.name] == _identifiers(node)[node.name]
+        if reads[node.name] == _identifiers(node)[node.name]
     ]
     assert uncalled == [], f"defined in src/qnls but never called: {uncalled}"
+
+
+def test_experiments_name_no_fourier_field():
+    # every experiment computes on (B, 2M+1) coefficient rows; FourierField
+    # is the one-field form of the tracer's pinned shims and of the tests
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    names = _identifiers(tree)
+    names.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names)
+    assert names["FourierField"] == 0

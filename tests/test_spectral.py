@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from qnls import FourierField, GridSpec, derivative, field_from_modes, project, sobolev_norm_sq
+from qnls import FourierField, GridSpec, field_from_modes
 from qnls.spectral import TWO_PI, analyze, jet, quintic_rows, synthesize
 
 from conftest import random_field
-from oracles import inner, lp_norm, quintic_convolution, zero_field
+from oracles import derivative, inner, lp_norm, mode_field, project, quintic_convolution, sobolev_norm_sq, zero_field
 
 
 class TestGridSpec:
@@ -51,9 +51,20 @@ class TestFourierField:
             assert back.tobytes() == np.stack(rows).tobytes()
 
 
+class TestFieldFromModes:
+    def test_row_in_storage_order(self, grid8):
+        c = field_from_modes(grid8, {-8: 2.0, 3: 1j})
+        assert c.shape == (17,) and c.dtype == np.complex128
+        assert c[0] == 2.0 and c[grid8.modes + 3] == 1j and np.count_nonzero(c) == 2
+
+    def test_rejects_mode_outside_grid(self, grid8):
+        with pytest.raises(ValueError, match="outside grid"):
+            field_from_modes(grid8, {9: 1.0})
+
+
 class TestProject:
     def test_cutoff(self, grid8):
-        u = field_from_modes(grid8, {2: 1.0, 1: 1.0})
+        u = mode_field(grid8, {2: 1.0, 1: 1.0})
         v = project(u, 1)
         assert v.coeffs[grid8.modes + 1] == 1.0
         assert v.coeffs[grid8.modes + 2] == 0.0
@@ -81,7 +92,7 @@ class TestProject:
 
 class TestNorms:
     def test_single_mode_h2(self, grid8):
-        u = field_from_modes(grid8, {2: 1.0})
+        u = mode_field(grid8, {2: 1.0})
         assert sobolev_norm_sq(u, 2) == pytest.approx(50 * np.pi, rel=1e-14)
 
     def test_zero(self, grid8):
@@ -89,7 +100,7 @@ class TestNorms:
 
     def test_two_mode_h1_vs_quadrature(self, grid8):
         # oracle: quadrature of int(|u|^2 + |u_x|^2) on a fine grid
-        u = field_from_modes(grid8, {1: 1.0, -1: 1.0})
+        u = mode_field(grid8, {1: 1.0, -1: 1.0})
         size = 4 * grid8.modes + 3
         vals = u.values(size)
         dvals = derivative(u, 1).values(size)
@@ -103,7 +114,7 @@ class TestNorms:
         assert quad == pytest.approx(sobolev_norm_sq(u, 0), rel=1e-10)
 
     def test_lp_plane_wave(self, grid8):
-        u = field_from_modes(grid8, {3: 1.0})
+        u = mode_field(grid8, {3: 1.0})
         assert lp_norm(u, 4) == pytest.approx(TWO_PI ** 0.25, rel=1e-12)
 
     def test_lp_inf_zero(self, grid8):
@@ -111,7 +122,7 @@ class TestNorms:
 
     def test_lp2_against_coefficients(self, grid8):
         # int |1 + e^{ix}|^2 = 4*pi, so the L2 norm is 2 sqrt(pi)
-        u = field_from_modes(grid8, {0: 1.0, 1: 1.0})
+        u = mode_field(grid8, {0: 1.0, 1: 1.0})
         assert TWO_PI * np.sum(np.abs(u.coeffs) ** 2) == pytest.approx(4 * np.pi)
         assert lp_norm(u, 2) == pytest.approx(2 * np.sqrt(np.pi), rel=1e-10)
 
@@ -122,7 +133,7 @@ class TestNorms:
 
 class TestDerivative:
     def test_single_mode(self, grid8):
-        u = field_from_modes(grid8, {2: 1.0})
+        u = mode_field(grid8, {2: 1.0})
         d = derivative(u, 1)
         assert d.coeffs[grid8.modes + 2] == pytest.approx(2j)
 
@@ -146,7 +157,7 @@ class TestDerivative:
 
 class TestQuintic:
     def test_plane_wave_fixed_point(self, grid8):
-        u = field_from_modes(grid8, {5: 1.0})
+        u = mode_field(grid8, {5: 1.0})
         q = quintic_rows(u.coeffs, grid8)
         assert np.max(np.abs(q - u.coeffs)) < 1e-13
 
@@ -157,7 +168,7 @@ class TestQuintic:
     def test_two_cosine_against_convolution(self, grid8):
         # |2cos x|^4 (2cos x) = 32 cos^5 x = 2cos5x + 10cos3x + 20cos x,
         # so the e^{ix} coefficient is 10 (convolution oracle agrees).
-        u = field_from_modes(grid8, {1: 1.0, -1: 1.0})
+        u = mode_field(grid8, {1: 1.0, -1: 1.0})
         q = quintic_rows(u.coeffs, grid8)
         oracle = quintic_convolution(u)
         assert np.max(np.abs(q - oracle.coeffs)) < 1e-12
@@ -196,12 +207,12 @@ def test_jet_samples_are_the_synthesized_derivatives(grid16):
 
 class TestInner:
     def test_same_mode(self, grid8):
-        u = field_from_modes(grid8, {1: 1.0})
+        u = mode_field(grid8, {1: 1.0})
         assert inner(u, u) == pytest.approx(TWO_PI)
 
     def test_orthogonal(self, grid8):
-        u = field_from_modes(grid8, {1: 1.0})
-        v = field_from_modes(grid8, {2: 1.0})
+        u = mode_field(grid8, {1: 1.0})
+        v = mode_field(grid8, {2: 1.0})
         assert abs(inner(u, v)) < 1e-15
 
     def test_norm_consistency(self, grid16):
