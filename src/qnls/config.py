@@ -279,7 +279,7 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, flow: FlowParams, run: Run
     RK4's own blow-up for the flow's."""
     needs = {}
     if name == "plane_wave_order":
-        # each entry steps to t_end in whole steps of dt, where it meets the exact wave
+        # the run takes round(t_end / dt) steps and compares at t_end
         steps = [run.t_end / dt for dt in pm["dt_list"] if dt > 0]
         needs = {
             "at least 2 dt_list entries": len(pm["dt_list"]) >= 2,

@@ -26,7 +26,8 @@ at the step where step() would raise, and its trip time (the time of that
 state) is returned, while the other rows run on.  Each row is bit-for-bit a
 loop of step() calls on that row.  evolve is a one-row block that returns
 the states it records as a block: there is one schedule loop and one guard.
-step is the one-field reference that the rows are compared against.
+step advances one field: the tests hold the rows to it, and plane_wave_order
+steps with it.
 """
 
 from __future__ import annotations

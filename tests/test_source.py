@@ -5,7 +5,6 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qnls"
-PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -22,27 +21,11 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
-def _perfbench_reads(module: str) -> set[str]:
-    """Names the benchmark reads as attributes of qnls.<module>."""
-    return {
-        node.attr
-        for path in PERFBENCH.rglob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module
-    }
-
-
 def test_no_unused_imports():
-    # __init__.py imports to re-export; a name the benchmark reads off a
-    # module (perfbench's tracer test checks experiments.step) is used
+    # __init__.py imports to re-export
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert modules
-    unused = [
-        hit
-        for path in modules
-        for hit in _unused_imports(path)
-        if hit.split()[-1] not in _perfbench_reads(path.stem)
-    ]
+    unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == [], f"imported but never used: {unused}"
 
 
@@ -100,6 +83,9 @@ def test_configs_are_not_edited_past_the_parser():
     assert edits == [], f"configs edited with dataclasses.replace: {edits}"
 
 
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
 def _identifiers(tree: ast.AST, strings: bool = False) -> Counter:
     """Reads of names and attributes in `tree`, and string constants if asked
     (the benchmark's tracer looks its targets up by name)."""
@@ -130,10 +116,12 @@ def test_every_src_name_has_a_caller():
     assert uncalled == [], f"defined in src/qnls but never called: {uncalled}"
 
 
-def test_experiments_name_no_fourier_field():
-    # every experiment computes on (B, 2M+1) coefficient rows; FourierField
-    # is the one-field form of the tracer's pinned shims and of the tests
+def test_experiments_name_fourier_field_only_to_step():
+    # every experiment computes on (B, 2M+1) coefficient rows but
+    # plane_wave_order, which steps one FourierField with flow.step because the
+    # benchmark's tracer test checks that it patches experiments.step
     tree = ast.parse((SRC / "experiments.py").read_text())
-    names = _identifiers(tree)
-    names.update(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names)
-    assert names["FourierField"] == 0
+    [pw] = [node for node in tree.body if getattr(node, "name", None) == "run_plane_wave_order"]
+    imports = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert _identifiers(tree)["FourierField"] == _identifiers(pw)["FourierField"] == 1
+    assert imports.count("FourierField") == 1
