@@ -259,7 +259,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         raise ConfigError("[run] t_end must be positive")
     if run.ensemble_size < 1 or run.observer_stride < 1:
         raise ConfigError("[run] ensemble_size and observer_stride must be >= 1")
-    unmet = _unmet_needs(name, params, grid, flow, run)
+    unmet = _unmet_needs(name, params, grid, flow, measure, run)
     if unmet:
         raise ConfigError(f"{name} needs " + "; ".join(unmet))
     return ExperimentConfig(
@@ -273,7 +273,9 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     )
 
 
-def _unmet_needs(name: str, pm: dict, grid: GridSpec, flow: FlowParams, run: RunSettings) -> list[str]:
+def _unmet_needs(
+    name: str, pm: dict, grid: GridSpec, flow: FlowParams, measure: MeasureSpec, run: RunSettings
+) -> list[str]:
     """What experiment `name` needs of its settings and does not get: without
     it a run fails partway through, passes having checked nothing, or takes
     RK4's own blow-up for the flow's."""
@@ -334,6 +336,9 @@ def _unmet_needs(name: str, pm: dict, grid: GridSpec, flow: FlowParams, run: Run
     if rate is not None:
         what, value = rate
         needs[f"{what} <= 2*sqrt(2), RK4's stability limit"] = value <= RK4_IMAGINARY_LIMIT
+    # sample_mu draws modes |n| <= M onto the grid
+    if name in ("linear_invariance", "smoothing_sweep", "transport_mc", "truncation_convergence"):
+        needs["[measure] M <= [grid] modes"] = measure.M <= grid.modes
     return [need for need, met in needs.items() if not met]
 
 

@@ -26,11 +26,13 @@ that cancel second derivatives.
 
 Every integrand here has total degree <= 10 in (u, conj u, v, conj v), so a
 padded transform of size >= 10*modes + 1 makes all integrals exact.
+
+Results on a block of coefficient rows are name -> (B,) arrays
+(breakdown_rows); e2 and full_breakdown give one field's as floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
@@ -80,19 +82,7 @@ def pad_chunked(rows_fn):
     return chunked
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """H^2 part, correction terms, totals, and (optionally) f2 and the bound."""
-
-    h2_sq: float
-    r2_terms: dict[str, float]
-    r2: float
-    e2: float
-    f2: float | None = None
-    bound: float | None = None
-
-
-def _term_scales(sigma: int, overrides: dict[str, float] | None):
+def _term_scales(sigma: int, overrides: dict[str, float] | None = None):
     scales = {}
     for name, coef, parity in R2_TERMS:
         c = coef * (sigma**parity)
@@ -102,13 +92,9 @@ def _term_scales(sigma: int, overrides: dict[str, float] | None):
     return scales
 
 
-def r2_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1, overrides: dict[str, float] | None = None):
+def r2_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1):
     """Correction functional R_2 with its per-term breakdown, of a coefficient
-    vector or of each row of a (B, 2M+1) block c on `grid`.
-
-    `overrides` rescales named coefficients; it exists for the perturbation
-    oracle (a wrong coefficient must break the cutoff-uniformity sweep).
-    """
+    vector or of each row of a (B, 2M+1) block c on `grid`."""
     size = grid.pad_for_degree(10)
     (uu, _, uxx), N, Nx, J = jet(c, grid, size, 2)
     w = TWO_PI / size
@@ -118,17 +104,18 @@ def r2_rows(c: np.ndarray, grid: GridSpec, sigma: int = 1, overrides: dict[str, 
         "current_sq": w * np.sum(N * J**2, axis=-1),
         "density_fifth": w * np.sum(N**5, axis=-1),
     }
-    scales = _term_scales(sigma, overrides)
+    scales = _term_scales(sigma)
     terms = {name: scales[name] * raw[name] for name in raw}
     return sum(terms.values()), terms
 
 
-def e2(u: FourierField, sigma: int = 1, overrides: dict[str, float] | None = None) -> EnergyBreakdown:
-    """E_2 = ||u||_{H^2}^2 + R_2(u); E_2(0) = 0."""
+def e2(u: FourierField, sigma: int = 1) -> dict[str, float]:
+    """E_2 = ||u||_{H^2}^2 + R_2(u) of one field with its parts, as floats
+    h2_sq, r2, e2 and then the R_2 term names; E_2(0) = 0."""
     h2 = float(sobolev_sq_rows(u.coeffs, u.grid, 2.0))
-    total, terms = r2_rows(u.coeffs, u.grid, sigma, overrides)
-    terms = {name: float(v) for name, v in terms.items()}
-    return EnergyBreakdown(h2_sq=h2, r2_terms=terms, r2=float(total), e2=h2 + float(total))
+    total, terms = r2_rows(u.coeffs, u.grid, sigma)
+    r2 = float(total)
+    return {"h2_sq": h2, "r2": r2, "e2": h2 + r2, **{name: float(v) for name, v in terms.items()}}
 
 
 def h2_directional(c: np.ndarray, v: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -166,21 +153,20 @@ def directional_terms(c: np.ndarray, v: np.ndarray, grid: GridSpec):
 
 def corrected_rate(rate, raw, sigma: int = 1, overrides: dict[str, float] | None = None):
     """The H^2 rate plus the R_2 variations scaled by their coefficients,
-    of floats or per row of arrays."""
+    of floats or per row of arrays.
+
+    `overrides` rescales named coefficients; it exists for the perturbation
+    check (a wrong coefficient must break the cutoff-uniformity sweep).
+    """
     scales = _term_scales(sigma, overrides)
     return rate + sum(scales[k] * raw[k] for k in raw)
 
 
-def e2_directional(
-    u: FourierField,
-    v: FourierField,
-    sigma: int = 1,
-    overrides: dict[str, float] | None = None,
-) -> float:
+def e2_directional(u: FourierField, v: FourierField, sigma: int = 1) -> float:
     """lim_{eps->0} (E_2(u + eps v) - E_2(u))/eps, term by term analytically."""
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
-    return float(corrected_rate(*directional_terms(u.coeffs, v.coeffs, u.grid), sigma, overrides))
+    return float(corrected_rate(*directional_terms(u.coeffs, v.coeffs, u.grid), sigma))
 
 
 @pad_chunked
@@ -233,7 +219,7 @@ def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma:
 
 @pad_chunked
 def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams, m0: int = DEFAULT_M0):
-    """EnergyBreakdown of each row's projected state, with f2 and the bound,
+    """E_2 of each row's projected state with its parts, F_2 and the bound,
     as name -> (B,) array for a (B, 2M+1) coefficient block c on `grid`: the
     keys are h2_sq, r2, e2, f2, bound and then the R_2 term names."""
     w, rate, raw = projected_rates(c, grid, p)
@@ -249,8 +235,6 @@ def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams, m0: int = DEFAU
     }
 
 
-def full_breakdown(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> EnergyBreakdown:
-    """breakdown_rows of one field, as an EnergyBreakdown."""
-    b = {name: float(v[0]) for name, v in breakdown_rows(u.coeffs[np.newaxis], u.grid, p, m0).items()}
-    terms = {name: b.pop(name) for name, _, _ in R2_TERMS}
-    return EnergyBreakdown(r2_terms=terms, **b)
+def full_breakdown(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> dict[str, float]:
+    """breakdown_rows of one field, as floats."""
+    return {name: float(v[0]) for name, v in breakdown_rows(u.coeffs[np.newaxis], u.grid, p, m0).items()}

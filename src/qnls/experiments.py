@@ -23,7 +23,6 @@ from .densities import residual_rows, scale_rows
 from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
 from .flow import FULL, BlowUpError, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows, step
 from .measure import (
-    EnsembleRecord,
     derive_seed,
     ks_critical_value,
     ks_statistic,
@@ -71,12 +70,6 @@ class RunManifest:
         d = asdict(self)
         return json.dumps(d, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "RunManifest":
-        d = json.loads(text)
-        d["verdicts"] = [Verdict(**v) for v in d["verdicts"]]
-        return RunManifest(**d)
-
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -122,11 +115,6 @@ def smooth_random_field(
     if bias:
         c[grid.modes + bias_mode] += bias
     return c
-
-
-def _records(obs: dict[str, np.ndarray]) -> list[dict[str, float]]:
-    """Per-row dicts of an observables_rows result."""
-    return [dict(zip(obs, row)) for row in zip(*(v.tolist() for v in obs.values()))]
 
 
 def _write_trajectory(path: Path, traj, cfg: ExperimentConfig) -> dict[str, np.ndarray]:
@@ -382,40 +370,38 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     times = sorted(pm["times"])
     sigma = cfg.flow.sigma
     n_members = cfg.run.ensemble_size
-    c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_members)])
-    initial = _records(observables_rows(c, cfg.grid, sigma))
-    # snapshots[t][i]: observables of member i at checkpoint t, or None once
-    # the member has tripped the guard (at that checkpoint and every later one)
-    snapshots = {}
-    live = np.ones(n_members, dtype=bool)
-    t_prev = 0.0
-    for t in times:
-        c, live, _ = evolve_block(c, live, cfg.grid, cfg.flow, t - t_prev)
-        done = iter(_records(observables_rows(c[live], cfg.grid, sigma)))
-        snapshots[t] = [next(done) if ok else None for ok in live]
-        t_prev = t
-
     seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(n_members)]
-    files = {}
-    columns = {"ensemble.jsonl": initial}
-    columns.update((f"transported_{k}.jsonl", snapshots[t]) for k, t in enumerate(times))
-    for name, column in columns.items():
-        recs = [EnsembleRecord(i, seed, obs or {}) for i, (seed, obs) in enumerate(zip(seeds, column))]
-        write_ensemble(recs, out / name)
-        files[name] = out / name
+    c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_members)])
+    live = np.ones(n_members, dtype=bool)
+    initial = observables_rows(c, cfg.grid, sigma)
+    write_ensemble(out / "ensemble.jsonl", seeds, live, initial)
+    files = {"ensemble.jsonl": out / "ensemble.jsonl"}
+    # after[t]: the observables at checkpoint t, +inf for a member that has
+    # tripped the guard (at that checkpoint and every later one)
+    after = {}
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        c, live, _ = evolve_block(c, live, cfg.grid, cfg.flow, t - t_prev)
+        after[t] = {}
+        # of the live rows only: a tripped member's frozen row can overflow
+        for name, v in observables_rows(c[live], cfg.grid, sigma).items():
+            after[t][name] = np.full(n_members, np.inf)
+            after[t][name][live] = v
+        write_ensemble(out / f"transported_{k}.jsonl", seeds, live, after[t])
+        files[f"transported_{k}.jsonl"] = out / f"transported_{k}.jsonl"
+        t_prev = t
 
     watch = ("u0_sq", "h1_sq")
     rows = []
     ratios: dict[str, dict[float, float]] = {k: {} for k in watch}
     for name in watch:
-        before = np.array([obs[name] for obs in initial])
+        before = initial[name]
         thr = float(np.quantile(before, pm["quantile"]))
         for t in times:
-            after = np.array([obs[name] if obs else np.inf for obs in snapshots[t]])
-            r = tail_ratio(before, after, thr)
+            r = tail_ratio(before, after[t][name], thr)
             ratios[name][t] = r
             rows.append(
-                [name, t, thr, float(np.mean(before > thr)), float(np.mean(after > thr)), r]
+                [name, t, thr, float(np.mean(before > thr)), float(np.mean(after[t][name] > thr)), r]
             )
     _write_csv(
         out / "tails.csv",
@@ -582,15 +568,15 @@ def emit_plots(run_dir) -> Path:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {run_dir}")
-    manifest = RunManifest.from_json(manifest_path.read_text())
+    files = json.loads(manifest_path.read_text())["files"]
     missing = [
         name
-        for name in manifest.files
+        for name in files
         if not (run_dir / name).exists()
     ]
     if missing:
         raise FileNotFoundError(f"missing data files: {missing}")
-    csvs = [name for name in manifest.files if name.endswith(".csv")]
+    csvs = [name for name in files if name.endswith(".csv")]
     lines = [
         "# gnuplot stub; data columns are documented in the CSV headers",
         "set datafile separator ','",

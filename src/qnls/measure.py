@@ -14,15 +14,18 @@ ensemble member index gets its own Philox generator keyed by
     seed(index) = splitmix64(base_seed XOR splitmix64(index)),
 
 and normals are drawn through the inverse normal CDF applied to 53-bit
-uniforms offset by half an ulp (never exactly 0 or 1).  Records are
+uniforms offset by half an ulp (never exactly 0 or 1).  Samples are
 reproducible bit-for-bit given (spec, index); bit-compatibility across
 implementations is not promised, statistical compatibility is.
+
+Observables are name -> (B,) arrays over the members, from sampling to the
+ensemble files that write_ensemble makes of them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -58,20 +61,6 @@ class MeasureSpec:
     def __post_init__(self):
         if self.M < 0:
             raise ValueError("M must be >= 0")
-
-
-@dataclass(frozen=True)
-class EnsembleRecord:
-    """Per-trajectory observables with the derived seed that produced them."""
-
-    index: int
-    seed: int
-    observables: dict[str, float] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"index": self.index, "seed": self.seed, "observables": self.observables}
-        )
 
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
@@ -166,8 +155,12 @@ def tail_ratio(before, after, threshold: float) -> float:
     return fa / fb
 
 
-def write_ensemble(records: list[EnsembleRecord], path) -> None:
-    """Ensemble file: JSON-lines, one record per line."""
+def write_ensemble(path, seeds, live, obs: dict[str, np.ndarray]) -> None:
+    """Ensemble file: JSON-lines, one {index, seed, observables} record per
+    member of the name -> (B,) arrays obs, with "observables": {} for a
+    member that is not live."""
+    rows = zip(*(v.tolist() for v in obs.values()))
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+        for i, (seed, ok, row) in enumerate(zip(seeds, live, rows)):
+            record = {"index": i, "seed": seed, "observables": dict(zip(obs, row)) if ok else {}}
+            fh.write(json.dumps(record) + "\n")

@@ -159,7 +159,7 @@ def test_criterion_3_energy_correctness():
             traj = evolve(c0, g, p, 6 * dt)
             states = [FourierField(g, c) for c in traj.states]
             proj = [project(s, cutoff) if cutoff else s for s in states]
-            energies = [e2(s, sigma).e2 for s in proj]
+            energies = [e2(s, sigma)["e2"] for s in proj]
             for k in (2, 3):
                 fd = (
                     -energies[k + 2] + 8 * energies[k + 1]
@@ -178,7 +178,7 @@ def test_criterion_3_energy_correctness():
         def central(h):
             up = FourierField(g12, u.coeffs + h * v.coeffs)
             um = FourierField(g12, u.coeffs - h * v.coeffs)
-            return (e2(up, 1).e2 - e2(um, 1).e2) / (2 * h)
+            return (e2(up, 1)["e2"] - e2(um, 1)["e2"]) / (2 * h)
 
         d1, d2 = central(1e-5), central(5e-6)
         fd = (4 * d2 - d1) / 3

@@ -178,6 +178,11 @@ class TestParse:
             ("focusing_local", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
             ("plane_wave_order", "dt_list = 0.05, 0.025", r"max\(dt_list\) <= 2\*sqrt\(2\)"),  # 8^2 * 0.05 = 3.2
             ("truncation_convergence", "flow_dt = 0.0002", r"flow_modes\^2 \* flow_dt <= 2\*sqrt\(2\)"),  # 3.28
+            # sample_mu draws modes |n| <= M onto the grid
+            ("linear_invariance", "M = 64", r"\[measure\] M <= \[grid\] modes"),  # modes = 32
+            ("smoothing_sweep", "M = 256", r"\[measure\] M <= \[grid\] modes"),  # modes = 128
+            ("transport_mc", "M = 64", r"\[measure\] M <= \[grid\] modes"),  # modes = 32
+            ("truncation_convergence", "M = 512", r"\[measure\] M <= \[grid\] modes"),  # modes = 256
         ],
     )
     def test_rejects_what_a_run_fails_on_or_checks_nothing_with(self, name, setting, match):

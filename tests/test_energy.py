@@ -16,7 +16,7 @@ from qnls import (
     sample_mu,
     smoothing_bound,
 )
-from qnls.energy import full_breakdown, h2_directional, r2_rows
+from qnls.energy import R2_TERMS, full_breakdown, h2_directional, r2_rows
 
 from conftest import random_field
 from oracles import derivative, f2, lp_norm, mode_field, project, r2_lipschitz_probe, sample_field, sobolev_norm_sq, zero_field
@@ -58,30 +58,35 @@ class TestR2:
 class TestE2:
     def test_zero(self, grid8):
         b = e2(zero_field(grid8))
-        assert b.e2 == 0.0 and b.h2_sq == 0.0 and b.r2 == 0.0
+        assert b["e2"] == 0.0 and b["h2_sq"] == 0.0 and b["r2"] == 0.0
 
     def test_breakdown_consistency(self, grid16):
         u = random_field(grid16, seed=2, amp=0.5)
         b = e2(u, sigma=1)
-        assert b.e2 == pytest.approx(b.h2_sq + b.r2, rel=1e-14)
-        assert b.r2 == pytest.approx(sum(b.r2_terms.values()), rel=1e-14)
+        assert b["e2"] == pytest.approx(b["h2_sq"] + b["r2"], rel=1e-14)
+        assert b["r2"] == pytest.approx(sum(b[name] for name, _, _ in R2_TERMS), rel=1e-14)
+
+    def test_keys_are_breakdown_rows_without_f2_and_bound(self, grid8):
+        u = random_field(grid8, seed=2, amp=0.5)
+        want = [k for k in full_breakdown(u, FlowParams()) if k not in ("f2", "bound")]
+        assert list(e2(u)) == want == ["h2_sq", "r2", "e2", *(name for name, _, _ in R2_TERMS)]
 
     def test_plane_wave(self, grid8):
         b = e2(mode_field(grid8, {1: 1.0}), sigma=1)
-        assert b.h2_sq == pytest.approx(8 * np.pi, rel=1e-13)
-        assert b.e2 == pytest.approx(8 * np.pi + 8 * np.pi + 8 * np.pi / 15, rel=1e-12)
+        assert b["h2_sq"] == pytest.approx(8 * np.pi, rel=1e-13)
+        assert b["e2"] == pytest.approx(8 * np.pi + 8 * np.pi + 8 * np.pi / 15, rel=1e-12)
 
     def test_gauge_invariance(self, grid16):
         u = random_field(grid16, seed=3, amp=0.4)
         rot = FourierField(grid16, u.coeffs * np.exp(0.917j))
-        assert e2(rot, 1).e2 == pytest.approx(e2(u, 1).e2, rel=1e-12)
+        assert e2(rot, 1)["e2"] == pytest.approx(e2(u, 1)["e2"], rel=1e-12)
 
     def test_translation_invariance(self, grid16):
         # u(x - a) has coefficients e^{-ina} u_n; grid-commensurate a
         u = random_field(grid16, seed=4, amp=0.4)
         a = 2 * np.pi * 3 / grid16.phys_size
         shifted = FourierField(grid16, u.coeffs * np.exp(-1j * grid16.n * a))
-        assert e2(shifted, 1).e2 == pytest.approx(e2(u, 1).e2, rel=1e-10)
+        assert e2(shifted, 1)["e2"] == pytest.approx(e2(u, 1)["e2"], rel=1e-10)
 
 
 def _fd_directional(u, v, sigma, eps=1e-5):
@@ -90,7 +95,7 @@ def _fd_directional(u, v, sigma, eps=1e-5):
     def central(h):
         up = FourierField(u.grid, u.coeffs + h * v.coeffs)
         um = FourierField(u.grid, u.coeffs - h * v.coeffs)
-        return (e2(up, sigma).e2 - e2(um, sigma).e2) / (2 * h)
+        return (e2(up, sigma)["e2"] - e2(um, sigma)["e2"]) / (2 * h)
 
     d1, d2 = central(eps), central(eps / 2)
     return (4 * d2 - d1) / 3
@@ -132,7 +137,7 @@ class TestF2:
         # plane waves evolve by a phase, and E_2 is gauge-invariant
         u = mode_field(grid8, {2: 1.0})
         p = FlowParams(sigma=1)
-        scale = 1.0 + abs(e2(u, 1).e2)
+        scale = 1.0 + abs(e2(u, 1)["e2"])
         assert abs(f2(u, p)) < 1e-9 * scale
 
     @pytest.mark.parametrize("sigma", [1, -1])
@@ -146,7 +151,7 @@ class TestF2:
         traj = evolve(c0, g, p, 6 * dt)
         states = [FourierField(g, c) for c in traj.states]
         w = [project(s, cutoff) if cutoff else s for s in states]
-        energies = [e2(s, sigma).e2 for s in w]
+        energies = [e2(s, sigma)["e2"] for s in w]
         for k in (2, 3):
             fd = (
                 -energies[k + 2]
@@ -160,15 +165,15 @@ class TestF2:
     def test_full_breakdown_fields(self, grid16):
         u = random_field(grid16, seed=8, amp=0.3)
         b = full_breakdown(u, FlowParams(sigma=1))
-        assert b.f2 is not None and b.bound is not None
-        assert b.bound >= 1.0
+        assert b["f2"] is not None and b["bound"] is not None
+        assert b["bound"] >= 1.0
 
 
 class TestBounds:
     def test_bound_zero_field(self, grid8):
         assert smoothing_bound(zero_field(grid8)) == 1.0
         b = full_breakdown(zero_field(grid8), FlowParams())
-        assert b.f2 == 0.0 and b.bound == 1.0
+        assert b["f2"] == 0.0 and b["bound"] == 1.0
 
     @pytest.mark.parametrize("m0", [10, 6])
     def test_bound_powers_are_python_float_powers(self, m0):
@@ -183,7 +188,7 @@ class TestBounds:
 
     def test_plane_wave_ratio_zero(self, grid8):
         b = full_breakdown(mode_field(grid8, {1: 1.0}), FlowParams())
-        assert abs(b.f2) / b.bound < 1e-12
+        assert abs(b["f2"]) / b["bound"] < 1e-12
 
     def test_lipschitz_probe_identical(self, grid8):
         u = random_field(grid8, seed=9)

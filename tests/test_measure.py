@@ -18,7 +18,7 @@ from qnls import (
     tail_ratio,
 )
 from qnls.flow import linear_flow_rows
-from qnls.measure import EnsembleRecord, derive_seed, write_ensemble
+from qnls.measure import derive_seed, write_ensemble
 
 from oracles import mode_field, sample_field, zero_field
 
@@ -101,7 +101,7 @@ class TestObservables:
         from conftest import random_field
 
         u = random_field(grid16, seed=1, amp=0.4)
-        assert observables(u)["e2"] == pytest.approx(e2(u, 1).e2, rel=1e-12)
+        assert observables(u)["e2"] == pytest.approx(e2(u, 1)["e2"], rel=1e-12)
 
 
 class TestKS:
@@ -179,11 +179,13 @@ class TestTailRatio:
 
 class TestEnsembleIO:
     def test_roundtrip(self, tmp_path):
-        recs = [
-            EnsembleRecord(i, derive_seed(7, i), {"mass": float(i), "e2": 0.5 * i})
+        # member 2 is not live: its record keeps index and seed, with no observables
+        seeds = [derive_seed(7, i) for i in range(5)]
+        live = np.array([True, True, False, True, True])
+        path = tmp_path / "ensemble.jsonl"
+        write_ensemble(path, seeds, live, {"mass": np.arange(5.0), "e2": 0.5 * np.arange(5.0)})
+        back = [json.loads(line) for line in path.read_text().splitlines()]
+        assert back == [
+            {"index": i, "seed": seeds[i], "observables": {} if i == 2 else {"mass": float(i), "e2": 0.5 * i}}
             for i in range(5)
         ]
-        path = tmp_path / "ensemble.jsonl"
-        write_ensemble(recs, path)
-        back = [EnsembleRecord(**json.loads(line)) for line in path.read_text().splitlines()]
-        assert back == recs
