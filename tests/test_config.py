@@ -13,6 +13,7 @@ from qnls.config import (
     PARAMS_SCHEMA,
     ConfigError,
     RunSettings,
+    _schemas,
     apply_overrides,
     default_config,
     parse_config,
@@ -130,6 +131,21 @@ class TestParse:
         cfg = parse_config(MINIMAL + "[flow]\ncutoff = full\n")
         assert cfg.flow.cutoff is None
 
+    def test_cutoff_full_keyword_over_an_int_default(self):
+        # transport_mc's default cutoff is 32; the key stays a cutoff
+        cfg = parse_config("[experiment]\nname = transport_mc\n\n[flow]\ncutoff = full\n")
+        assert default_config("transport_mc").flow.cutoff == 32
+        assert cfg.flow.cutoff is None
+
+    def test_float_key_given_an_int_is_a_float(self):
+        cfg = parse_config(MINIMAL + "[run]\nt_end = 1\n\n[params]\namplitude = 1\n")
+        assert type(cfg.run.t_end) is type(cfg.params["amplitude"]) is float
+        assert cfg.run.t_end == cfg.params["amplitude"] == 1.0
+        text = serialize_config(cfg)
+        assert "\nt_end = 1.0\n" in text and "\namplitude = 1.0\n" in text
+        times = parse_config("[experiment]\nname = linear_invariance\n\n[params]\ntimes = 1, 2\n").params["times"]
+        assert [type(t) for t in times] == [float, float] and times == (1.0, 2.0)
+
     def test_cutoff_vs_grid(self):
         with pytest.raises(ConfigError, match="cutoff"):
             parse_config(MINIMAL + "[grid]\nmodes = 8\n\n[flow]\ncutoff = 16\n")
@@ -154,11 +170,18 @@ class TestParse:
             ("plane_wave_order", "mode = 9", "mode"),
             ("plane_wave_order", "dt_list = 0.003, 0.0015, 0.00075", "whole steps"),  # t_end = 0.5
             ("plane_wave_order", "dt_list = 0.004, 0.0", "whole steps"),
+            ("plane_wave_order", "dt_list = 0.004, 0.004", "distinct dt_list"),  # order 0 / 0
             ("truncation_convergence", "n_samples = 0", "n_samples"),  # no curve to check
             ("truncation_convergence", "m_list = 16, 64, 32", "m_list"),
+            ("truncation_convergence", "m_list = 16, 512", r"m_list in \[0, \[grid\] modes\]"),  # delta 0.0 at 512
             ("truncation_convergence", "flow_m_list = 8, 256", "flow_m_list"),
             ("smoothing_sweep", "m_sweep = 16, 256", "m_sweep"),
             ("smoothing_sweep", "m_sweep = 16", "m_sweep"),  # no slope to fit
+            ("smoothing_sweep", "m_sweep = 32, 32", "distinct m_sweep"),  # one cutoff against itself
+            # the drifts divide by the initial momentum
+            ("conservation", "amplitude = 0.0\nbias_mode = 0", "nonzero initial momentum"),
+            ("conservation", "amplitude = 0.0\nbias = 0.0", "nonzero initial momentum"),
+            ("conservation", "bias_mode = 33", r"\|bias_mode\| <= \[grid\] modes"),  # modes = 32
             ("transport_mc", "times =", "times"),
             ("transport_mc", "times = 0.25, 0.25", "times"),
             ("transport_mc", "times = 0.0, 0.5", "times"),
@@ -186,10 +209,13 @@ class TestParse:
         ],
     )
     def test_rejects_what_a_run_fails_on_or_checks_nothing_with(self, name, setting, match):
-        # the experiment's default config with one line replaced
-        key = setting.split(" =")[0]
-        text = re.sub(rf"^{key} = .*$", setting, serialize_config(default_config(name)), count=1, flags=re.M)
-        assert text != serialize_config(default_config(name))
+        # the experiment's default config with the setting's lines replaced
+        text = serialize_config(default_config(name))
+        for line in setting.split("\n"):
+            key = line.split(" =")[0]
+            edited = re.sub(rf"^{key} = .*$", line, text, count=1, flags=re.M)
+            assert edited != text
+            text = edited
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
 
@@ -231,6 +257,32 @@ def test_one_experiment_registry():
     # the experiments are the [params] schemas; each has a runner and defaults
     assert EXPERIMENTS == tuple(PARAMS_SCHEMA)
     assert set(_RUNNERS) == set(EXPERIMENT_DEFAULTS) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_name_line_alone_is_the_default_config(name):
+    # one default per key: the experiment's defaults over the generic ones
+    cfg = parse_config(f"[experiment]\nname = {name}\n")
+    assert cfg == default_config(name)
+    for section, overlay in EXPERIMENT_DEFAULTS[name].items():
+        for key, value in overlay.items():
+            assert getattr(getattr(cfg, section), key) == value, (section, key)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_defaults_take_the_type_of_their_generic_default(name):
+    # a key's type is its generic default's: None is a cutoff (full or an
+    # int), a tuple lists its first entry's type, so none may be empty
+    schemas = _schemas(name)
+    for section, overlay in EXPERIMENT_DEFAULTS[name].items():
+        for key, value in overlay.items():
+            generic = schemas[section][key]
+            assert type(value) is (int if generic is None else type(generic)), (section, key)
+    for schema in schemas.values():
+        for key, default in schema.items():
+            assert default is None or type(default) in (bool, int, float, tuple), key
+            if isinstance(default, tuple):
+                assert default and len({type(v) for v in default}) == 1, key
 
 
 class TestRoundTrip:
