@@ -13,7 +13,8 @@ exact integrals need a transform size of at least d*M + 1 and exact
 coefficient extraction up to mode M needs (d+1)*M + 1; pad_for_degree(d)
 returns the smallest FFT-friendly size >= d*M + 1.  The quintic |u|^4 u is
 extracted on pad_for_degree(6), the degree-10 energy integrands are
-integrated on pad_for_degree(10).
+integrated on pad_for_degree(10).  Transforms are scipy.fft's pocketfft,
+equal bit for bit to numpy.fft on numpy 2.x at every size the configs use.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy.fft import fft, ifft, next_fast_len
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,7 +131,9 @@ def synthesize(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
         a[..., size - modes :] += coeffs[..., :modes]
     else:
         np.add.at(a, (..., _bins(modes, size)), coeffs)
-    return np.fft.ifft(a, axis=-1) * size
+    v = ifft(a, axis=-1)
+    v *= size
+    return v
 
 
 def analyze(values: np.ndarray, modes: int) -> np.ndarray:
@@ -140,8 +143,7 @@ def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     is band-limited to |n| < values.shape[-1] - modes.
     """
     size = values.shape[-1]
-    a = np.fft.fft(values, axis=-1) / size
-    return a.take(_bins(modes, size), axis=-1)
+    return fft(values, axis=-1).take(_bins(modes, size), axis=-1) / size
 
 
 class Jet(NamedTuple):
@@ -188,4 +190,7 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     v = synthesize(c, grid.modes, grid.quintic_pad())
     with np.errstate(over="ignore", invalid="ignore"):
-        return analyze(np.abs(v) ** 4 * v, grid.modes)
+        a = np.abs(v)
+        a **= 4
+        v *= a
+        return analyze(v, grid.modes)

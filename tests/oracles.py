@@ -92,6 +92,29 @@ def quintic_convolution(u: FourierField) -> FourierField:
     return FourierField(u.grid, acc[4 * M : 6 * M + 1])  # modes -5M..5M -> -M..M
 
 
+def synthesize_numpy(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
+    """spectral.synthesize as numpy.fft computes it: the modes added into
+    zeros modulo `size`, then ifft(a) * size."""
+    a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
+    np.add.at(a, (..., np.arange(-modes, modes + 1) % size), coeffs)
+    return np.fft.ifft(a, axis=-1) * size
+
+
+def analyze_numpy(values: np.ndarray, modes: int) -> np.ndarray:
+    """spectral.analyze as numpy.fft computes it: every bin divided, then the
+    bins of n = -modes..modes taken."""
+    size = values.shape[-1]
+    return (np.fft.fft(values, axis=-1) / size).take(np.arange(-modes, modes + 1) % size, axis=-1)
+
+
+def quintic_rows_numpy(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """spectral.quintic_rows from the two oracles above, with |u|^4 u
+    computed out of place as np.abs(v) ** 4 * v."""
+    v = synthesize_numpy(c, grid.modes, grid.quintic_pad())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return analyze_numpy(np.abs(v) ** 4 * v, grid.modes)
+
+
 class DensityTriple(NamedTuple):
     """N, J, T sampled on the physical grid points."""
 

@@ -1,4 +1,5 @@
 """Property tests: spectral round trips, Parseval and skew-adjointness, the
+spectral kernels equal to their numpy.fft formulas bit for bit, the
 linearity of E_2's first variation, and block functionals and block flows
 equal to their one-row calls bit for bit.
 
@@ -16,9 +17,9 @@ from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolv
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
 from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
-from qnls.spectral import TWO_PI, analyze, jet, synthesize
+from qnls.spectral import TWO_PI, analyze, jet, quintic_rows, synthesize
 
-from oracles import derivative, inner, project, sobolev_norm_sq
+from oracles import analyze_numpy, derivative, inner, project, quintic_rows_numpy, sobolev_norm_sq, synthesize_numpy
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -53,6 +54,30 @@ def test_synthesize_analyze_round_trip(modes, extra, rows, data):
     back = analyze(synthesize(c, modes, 2 * modes + 1 + extra), modes)
     assert back.shape == c.shape
     assert np.allclose(back, c, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(c))))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(grid, c): a coefficient vector or a block of 1-120 rows at M = 8, 32
+    or 128, each row scaled by 1, 1e70 or 1e78 so |u|^4 u may overflow."""
+    rows = draw(st.integers(0, 120))  # 0 draws one coefficient vector
+    grid, c = draw(blocks(max(rows, 1), max(rows, 1), modes=st.sampled_from([8, 32, 128])))
+    scales = draw(st.lists(st.sampled_from([1.0, 1e70, 1e78]), min_size=len(c), max_size=len(c)))
+    c = c * np.array(scales)[:, np.newaxis]
+    return grid, c[0] if rows == 0 else c
+
+
+@PROPERTY
+@given(kernel=kernel_inputs())
+def test_kernels_are_their_numpy_formulas_bit_for_bit(kernel):
+    grid, c = kernel
+    for size in (17, grid.phys_size, grid.quintic_pad()):  # 17 < 2M+1 folds the modes
+        v = synthesize(c, grid.modes, size)
+        assert v.tobytes() == synthesize_numpy(c, grid.modes, size).tobytes(), size
+        assert analyze(v, grid.modes).tobytes() == analyze_numpy(v, grid.modes).tobytes(), size
+    got, want = quintic_rows(c, grid), quintic_rows_numpy(c, grid)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))  # overflow lands in the same bins
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY

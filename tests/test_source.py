@@ -125,3 +125,28 @@ def test_experiments_name_fourier_field_only_to_step():
     imports = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert _identifiers(tree)["FourierField"] == _identifiers(pw)["FourierField"] == 1
     assert imports.count("FourierField") == 1
+
+
+def _numpy_fft_reads(path: Path) -> list[str]:
+    """Lines of `path` that read numpy.fft, as np.fft / numpy.fft or by import."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            read = ast.unparse(node) in ("np.fft", "numpy.fft")
+        elif isinstance(node, ast.Import):
+            read = any(alias.name.startswith("numpy.fft") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            read = (node.module or "").startswith("numpy.fft") or (node.module == "numpy" and "fft" in names)
+        else:
+            continue
+        if read:
+            hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_every_transform_is_scipy_fft():
+    # spectral.synthesize and analyze run scipy.fft; a numpy.fft read anywhere
+    # in src/qnls would be a second FFT backend beside them
+    reads = [hit for path in sorted(SRC.glob("*.py")) for hit in _numpy_fft_reads(path)]
+    assert reads == [], f"numpy.fft read in src/qnls: {reads}"

@@ -251,3 +251,23 @@ def test_synthesize_fold_matches_direct():
         assert synthesize(block[0], g.modes, size).tobytes() == ref[0].tobytes()
     # the FFT hides the sign of a zero except at size 1, where it is the identity
     assert synthesize(np.array([complex(-0.0, -0.0)]), 0, 1).tobytes() == bytes(16)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 6])
+def test_kernels_leave_their_arguments_unchanged(rows):
+    # fresh C-contiguous complex arrays, which an in-place transform or an
+    # in-place op on the argument would clobber: no read-only copy guards rows
+    g = GridSpec(modes=12)
+    rng = np.random.default_rng(31)
+    shape = (2 * g.modes + 1,) if rows is None else (rows, 2 * g.modes + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert c.flags.c_contiguous and c.flags.writeable
+    before = c.tobytes()
+    for size in (17, g.phys_size, g.quintic_pad()):  # 17 < 2M+1 folds the modes
+        values = synthesize(c, g.modes, size)
+        assert values.flags.c_contiguous and values.flags.writeable
+        kept = values.tobytes()
+        analyze(values, g.modes)
+        assert values.tobytes() == kept, size
+    quintic_rows(c, g)
+    assert c.tobytes() == before
