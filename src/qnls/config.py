@@ -309,7 +309,10 @@ def _unmet_needs(
         # alpha = 0 makes the KS critical value infinite
         needs = {"a times entry": len(pm["times"]) >= 1, "0 < alpha < 1": 0 < pm["alpha"] < 1}
     elif name == "focusing_local":
-        needs = {"an amplitudes entry": len(pm["amplitudes"]) >= 1}
+        # the local times are checked in list order, which must run up in amplitude
+        a = pm["amplitudes"]
+        up = all(x < y for x, y in zip(a, a[1:]))
+        needs = {"amplitudes, positive and strictly increasing": len(a) >= 1 and min(a) > 0 and up}
     elif name == "smoothing_sweep":
         sweep = run.m_sweep
         in_grid = all(1 <= M <= grid.modes for M in sweep)
@@ -332,13 +335,15 @@ def _unmet_needs(
         }
     elif name == "truncation_convergence":
         m, fm, top = pm["m_list"], pm["flow_m_list"], pm["flow_modes"]
+        # the flow errors are checked in list order, which must run up in M
+        up = all(a < b for a, b in zip(fm, fm[1:]))
+        flow_ok = not pm["with_flow"] or (top >= 1 and len(fm) >= 2 and up and all(0 <= M <= top for M in fm))
         needs = {
             "n_samples >= 1": pm["n_samples"] >= 1,
             "a strictly increasing m_list in [0, [grid] modes]": len(m) >= 1
             and all(a < b for a, b in zip(m, m[1:]))
             and all(0 <= M <= grid.modes for M in m),
-            "flow_modes >= 1 and at least 2 flow_m_list entries in [0, flow_modes]": not pm["with_flow"]
-            or (top >= 1 and len(fm) >= 2 and all(0 <= M <= top for M in fm)),
+            "flow_modes >= 1 and at least 2 strictly increasing flow_m_list entries in [0, flow_modes]": flow_ok,
             "flow_dt > 0": not pm["with_flow"] or pm["flow_dt"] > 0,
         }
     # the largest linear rate n^2 dt a stepping experiment takes; beyond RK4's

@@ -36,30 +36,28 @@ def residual_rows(c: np.ndarray, grid: GridSpec) -> dict[str, np.ndarray]:
     from one 3-jet at the quintic pad, as name -> (B,) array:
 
         eleele          sup |J^2 + (N_x)^2 - 4 N |u_x|^2|
-        j0, n1          int dN/dt J^2 dx and int dN/dt (N_x)^2 dx
+        j0              int dN/dt J^2 dx
         mass_p, mom_p   sup |dN/dt + dJ/dx| and sup |dJ/dt + dT/dx|, sigma = +1
         mass_m, mom_m   the same for sigma = -1
 
     du/dt = i u_xx - i sigma |u|^4 u is the untruncated equation, so no
-    Galerkin tail is dropped; only du/dt depends on sigma.  j0 and n1 take
-    dN/dt at sigma = +1: sigma enters it as Re(conj(u) (-i sigma N^2 u)) = 0.
+    Galerkin tail is dropped; only du/dt depends on sigma.  j0 takes dN/dt
+    at sigma = +1: sigma enters it as Re(conj(u) (-i sigma N^2 u)) = 0.
     """
     size = grid.quintic_pad()
-    j = jet(c, grid, size, 3)
-    uu, ux, uxx, uxxx = j.d
-    N2 = j.N**2
+    (uu, ux, uxx, uxxx), N, Nx, J = jet(c, grid, size, 3)
+    N2 = N**2
     Jx = 2.0 * np.imag(np.conj(ux) * ux + np.conj(uu) * uxx)  # d/dx 2Im(conj(u)u_x)
     Nxxx = 6.0 * np.real(np.conj(ux) * uxx) + 2.0 * np.real(np.conj(uu) * uxxx)
-    out = {"eleele": np.max(np.abs(j.J**2 + j.Nx**2 - 4.0 * j.N * np.abs(ux) ** 2), axis=-1)}
+    out = {"eleele": np.max(np.abs(J**2 + Nx**2 - 4.0 * N * np.abs(ux) ** 2), axis=-1)}
     for sigma, tag in ((1, "p"), (-1, "m")):
         ut = 1j * uxx - 1j * sigma * N2 * uu
-        utx = 1j * uxxx - 1j * sigma * (2.0 * j.N * j.Nx * uu + N2 * ux)
+        utx = 1j * uxxx - 1j * sigma * (2.0 * N * Nx * uu + N2 * ux)
         Nt = 2.0 * np.real(np.conj(uu) * ut)
         Jt = 2.0 * np.imag(np.conj(ut) * ux + np.conj(uu) * utx)
-        Tx = 8.0 * np.real(np.conj(ux) * uxx) - Nxxx + sigma * 4.0 * N2 * j.Nx
+        Tx = 8.0 * np.real(np.conj(ux) * uxx) - Nxxx + sigma * 4.0 * N2 * Nx
         if sigma == 1:
-            out["j0"] = TWO_PI / size * np.sum(Nt * j.J**2, axis=-1)
-            out["n1"] = TWO_PI / size * np.sum(Nt * j.Nx**2, axis=-1)
+            out["j0"] = TWO_PI / size * np.sum(Nt * J**2, axis=-1)
         out["mass_" + tag] = np.max(np.abs(Nt + Jx), axis=-1)
         out["mom_" + tag] = np.max(np.abs(Jt + Tx), axis=-1)
     return out
@@ -67,7 +65,7 @@ def residual_rows(c: np.ndarray, grid: GridSpec) -> dict[str, np.ndarray]:
 
 def _one_row(u: FourierField, p: FlowParams | None = None) -> dict[str, float]:
     """residual_rows of one field; p, if given, must be the FULL flow (its sigma
-    picks the continuity residuals; j0 and n1 are taken at sigma = +1)."""
+    picks the continuity residuals; j0 is taken at sigma = +1)."""
     if p is not None and p.cutoff is not None:
         raise ValueError("continuity laws and diagnostics hold only for the FULL flow (cutoff=None)")
     return {name: float(v[0]) for name, v in residual_rows(u.coeffs[np.newaxis], u.grid).items()}

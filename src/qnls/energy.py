@@ -38,7 +38,7 @@ from functools import wraps
 import numpy as np
 
 from .flow import FlowParams, _cutoff_mask, _rhs_coeffs
-from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, derivatives, jet, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -131,7 +131,7 @@ def directional_terms(c: np.ndarray, v: np.ndarray, grid: GridSpec):
     rate = h2_directional(c, v, grid)
     size = grid.pad_for_degree(10)
     (uu, ux, uxx), N, Nx, J = jet(c, grid, size, 2)
-    vv, vx = jet(v, grid, size, 1).d
+    vv, vx = derivatives(v, grid, size, 1)
     dN = 2.0 * np.real(np.conj(uu) * vv)
     dNx = 2.0 * np.real(np.conj(ux) * vv + np.conj(uu) * vx)
     dJ = 2.0 * np.imag(np.conj(vv) * ux + np.conj(uu) * vx)

@@ -66,10 +66,6 @@ class RunManifest:
     passed: bool
     error: str | None = None
 
-    def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, indent=2)
-
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -117,12 +113,12 @@ def smooth_random_field(
     return c
 
 
-def _write_trajectory(path: Path, traj, cfg: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Write the TRAJECTORY_COLUMNS of each recorded state as CSV and return
-    them, with the rest of the states' breakdown_rows, as name -> (K,) array."""
-    c, grid, p = traj.states, cfg.grid, cfg.flow
+def _write_trajectory(path: Path, times: np.ndarray, c: np.ndarray, cfg: ExperimentConfig) -> dict[str, np.ndarray]:
+    """Write the TRAJECTORY_COLUMNS of each state c[k] at times[k] as CSV and
+    return them, with the rest of its breakdown_rows, as name -> (K,) array."""
+    grid, p = cfg.grid, cfg.flow
     columns = {
-        "time": traj.times,
+        "time": times,
         "mass": sobolev_sq_rows(c, grid, 0.0),
         "momentum": momentum_rows(c, grid),
         "hamiltonian": hamiltonian_rows(c, grid, p.sigma),
@@ -149,8 +145,8 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     u0 = smooth_random_field(
         cfg.grid, pm["seed"], pm["amplitude"], pm["width"], pm["bias"], pm["bias_mode"]
     )
-    traj = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
-    columns = _write_trajectory(out / "trajectory.csv", traj, cfg)
+    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    columns = _write_trajectory(out / "trajectory.csv", times, states, cfg)
     _write_breakdowns(out / "breakdowns.jsonl", columns)
 
     drifts = {}
@@ -159,12 +155,12 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
         drifts[k] = abs(last - first) / abs(first)
     tol = pm["drift_tol"]
     stats = {"tolerance": tol, **{f"drift_{k}": v for k, v in drifts.items()}}
-    if traj.blowup_time is not None:  # the drifts cover only [0, blowup_time]
-        stats["blowup_time"] = traj.blowup_time
+    if blowup_time is not None:  # the drifts cover only [0, blowup_time]
+        stats["blowup_time"] = blowup_time
     verdicts = [
         Verdict(
             "conserved_quantities_drift",
-            traj.blowup_time is None and all(v < tol for v in drifts.values()),
+            blowup_time is None and all(v < tol for v in drifts.values()),
             stats,
         )
     ]
@@ -249,8 +245,9 @@ def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     times = list(pm["times"])
     n_samp = cfg.run.ensemble_size
     c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_samp)])
-    columns = {0.0: observables_rows(c, cfg.grid)}
-    columns.update((t, observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid)) for t in times)
+    sigma = cfg.flow.sigma
+    columns = {0.0: observables_rows(c, cfg.grid, sigma)}
+    columns.update((t, observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid, sigma)) for t in times)
     crit = ks_critical_value(n_samp, n_samp, pm["alpha"])
     rows = []
     all_pass = True
@@ -336,14 +333,14 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
 def run_growth(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     u0 = smooth_random_field(cfg.grid, pm["seed"], pm["amplitude"], pm["width"])
-    traj = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
-    columns = _write_trajectory(out / "growth.csv", traj, cfg)
-    if traj.blowup_time is not None:  # the fits need the whole horizon
+    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    columns = _write_trajectory(out / "growth.csv", times, states, cfg)
+    if blowup_time is not None:  # the fits need the whole horizon
         return {"growth.csv": out / "growth.csv"}, [
-            Verdict("e2_linear_bound", False, {"blowup_time": traj.blowup_time})
+            Verdict("e2_linear_bound", False, {"blowup_time": blowup_time})
         ]
 
-    times, e2s, h2s = traj.times, columns["e2"], columns["h2_sq"]
+    e2s, h2s = columns["e2"], columns["h2_sq"]
     # fitted exponent of ||u||_{H^2} ~ t^alpha on the upper half of the run
     upper = times > times[-1] / 2
     alpha = float(
@@ -558,7 +555,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         passed=error is None and all(v.passed for v in verdicts),
         error=error,
     )
-    (out / "manifest.json").write_text(manifest.to_json())
+    (out / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2))
     return manifest
 
 

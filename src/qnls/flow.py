@@ -25,7 +25,7 @@ that fails either is frozen at its last good state and leaves the live mask
 at the step where step() would raise, and its trip time (the time of that
 state) is returned, while the other rows run on.  Each row is bit-for-bit a
 loop of step() calls on that row.  evolve is a one-row block that returns
-the states it records as a block: there is one schedule loop and one guard.
+(times, states, blowup_time): there is one schedule loop and one guard.
 step advances one field: the tests hold the rows to it, and plane_wave_order
 steps with it.
 """
@@ -79,16 +79,6 @@ class FlowParams:
             )
 
 
-@dataclass
-class Trajectory:
-    """States recorded along one evolve() call: states[k] is the coefficient
-    row at times[k], and states[-1] is the last state."""
-
-    times: np.ndarray
-    states: np.ndarray
-    blowup_time: float | None = None
-
-
 def linear_flow_rows(c: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
     """Exact flow of (i d/dt + d^2/dx^2) u = 0, u_n -> e^{-i t n^2} u_n, of a
     coefficient vector or of each row of a (B, 2M+1) block c on `grid`."""
@@ -115,18 +105,14 @@ def _linear_symbol(modes: int) -> np.ndarray:
     return lin
 
 
-def _rhs_coeffs(
-    c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray | bool | None = None
-) -> np.ndarray:
+def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray | bool) -> np.ndarray:
     """du/dt of a coefficient vector or block.
 
-    `mask` (default: p.cutoff's _cutoff_mask) is P_M on both sides of the
-    quintic, per row for a block.  Where it is True the projector is skipped;
-    an all-True row of a mask copies the values bit for bit, so a FULL row in
-    a block with finite cutoffs gets the same arithmetic as a FULL block.
+    `mask` is P_M on both sides of the quintic, per row for a block.  Where
+    it is True the projector is skipped; an all-True row of a mask copies the
+    values bit for bit, so a FULL row in a block with finite cutoffs gets the
+    same arithmetic as a FULL block.
     """
-    if mask is None:
-        mask = _cutoff_mask(grid.modes, p.cutoff)
     w = c if mask is True else np.where(mask, c, 0.0)
     q = quintic_rows(w, grid)
     if mask is not True:
@@ -134,9 +120,7 @@ def _rhs_coeffs(
     return _linear_symbol(grid.modes) * c - 1j * p.sigma * q
 
 
-def _rk4_coeffs(
-    c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool | None = None
-) -> np.ndarray:
+def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool) -> np.ndarray:
     """One RK4 step of a coefficient vector or (B, 2M+1) block."""
     k1 = _rhs_coeffs(c, grid, p, mask)
     k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
@@ -176,7 +160,7 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     h1 = float(_h1_norms(u.coeffs, u.grid))
     if _guard_tripped(h1, p):
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
-    c = _rk4_coeffs(u.coeffs, u.grid, p, p.dt if dt is None else dt)
+    c = _rk4_coeffs(u.coeffs, u.grid, p, p.dt if dt is None else dt, _cutoff_mask(u.grid.modes, p.cutoff))
     if not _finite_rows(c):
         raise BlowUpError("state left the representable range during a step")
     return FourierField(u.grid, c)
@@ -259,13 +243,14 @@ def evolve_block(
     return c, live, trip_times
 
 
-def evolve(c0: np.ndarray, grid: GridSpec, p: FlowParams, t_end: float, stride: int = 1) -> Trajectory:
+def evolve(c0: np.ndarray, grid: GridSpec, p: FlowParams, t_end: float, stride: int = 1) -> tuple:
     """One-row evolve_block from the coefficient row c0 on `grid`, recording
     the state at t = 0, after every `stride`-th step and at the last state,
     once each.
 
-    A guard trip stops the run and is recorded as Trajectory.blowup_time,
-    the time of the last good state.
+    Returns (times, states, blowup_time): states[k] is the row at times[k].
+    A guard trip stops the run; blowup_time is then the time of the last good
+    state, else None.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
@@ -280,11 +265,7 @@ def evolve(c0: np.ndarray, grid: GridSpec, p: FlowParams, t_end: float, stride: 
     if records[-1][0] != t:
         records.append((t, c[0].copy()))
     times, states = zip(*records)
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.array(states),
-        blowup_time=None if live[0] else float(trip_times[0]),
-    )
+    return np.asarray(times), np.array(states), None if live[0] else float(trip_times[0])
 
 
 def momentum_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:

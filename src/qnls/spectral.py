@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -93,10 +92,6 @@ class FourierField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    def values(self, size: int | None = None) -> np.ndarray:
-        """Field values at `size` equispaced points (default: the physical grid)."""
-        return synthesize(self.coeffs, self.grid.modes, size or self.grid.phys_size)
-
 
 def field_from_modes(grid: GridSpec, amplitudes: dict[int, complex]) -> np.ndarray:
     """The coefficient row on `grid` of a {mode: amplitude} map."""
@@ -120,17 +115,15 @@ def synthesize(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
     """Values of sum_{|n|<=modes} coeffs e^{inx} at `size` equispaced points.
 
     Acts on the last axis, so a (B, 2*modes+1) block gives (B, size) values.
-    Coefficients are folded modulo `size`, which evaluates the trigonometric
-    polynomial exactly even when size < 2*modes + 1.  Without a fold the
-    modes are added into zeros as two slices, which sums bit for bit as the
-    fold's np.add.at does (a -0.0 coefficient lands as +0.0 in both).
+    size must be at least 2*modes + 1, so that each mode has its own bin.
+    The modes are added into zeros as two slices (a -0.0 coefficient lands
+    as +0.0).
     """
+    if size < 2 * modes + 1:
+        raise ValueError(f"size {size} is below 2*modes + 1 = {2 * modes + 1}")
     a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
-    if size >= 2 * modes + 1:
-        a[..., : modes + 1] += coeffs[..., modes:]
-        a[..., size - modes :] += coeffs[..., :modes]
-    else:
-        np.add.at(a, (..., _bins(modes, size)), coeffs)
+    a[..., : modes + 1] += coeffs[..., modes:]
+    a[..., size - modes :] += coeffs[..., :modes]
     v = ifft(a, axis=-1)
     v *= size
     return v
@@ -146,24 +139,19 @@ def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     return fft(values, axis=-1).take(_bins(modes, size), axis=-1) / size
 
 
-class Jet(NamedTuple):
-    """Exact samples d[k] of the k-th x-derivative of a field, with the
+def derivatives(c: np.ndarray, grid: GridSpec, size: int, order: int) -> list[np.ndarray]:
+    """Exact samples at `size` equispaced points of the x-derivatives
+    0..order of a coefficient vector or of each row of a (B, 2M+1) block c on
+    `grid`.  The k-th derivative has the coefficients c * (in)^k."""
+    return [synthesize(c * (1j * grid.n) ** k, grid.modes, size) for k in range(order + 1)]
+
+
+def jet(c: np.ndarray, grid: GridSpec, size: int, order: int) -> tuple:
+    """(d, N, N_x, J): derivatives(c, grid, size, order) (order >= 1) with the
     densities N = |u|^2, N_x = 2 Re(conj(u) u_x) and J = 2 Im(conj(u) u_x)."""
-
-    d: list[np.ndarray]
-    N: np.ndarray
-    Nx: np.ndarray
-    J: np.ndarray
-
-
-def jet(c: np.ndarray, grid: GridSpec, size: int, order: int) -> Jet:
-    """Jet at `size` equispaced points, derivatives 0..order (order >= 1), of
-    a coefficient vector or of each row of a (B, 2M+1) block c on `grid`.
-
-    The k-th derivative has the coefficients c * (in)^k."""
-    d = [synthesize(c * (1j * grid.n) ** k, grid.modes, size) for k in range(order + 1)]
+    d = derivatives(c, grid, size, order)
     flux = np.conj(d[0]) * d[1]
-    return Jet(d, np.abs(d[0]) ** 2, 2.0 * flux.real, 2.0 * flux.imag)
+    return d, np.abs(d[0]) ** 2, 2.0 * flux.real, 2.0 * flux.imag
 
 
 @lru_cache(maxsize=256)

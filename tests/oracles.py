@@ -11,7 +11,7 @@ import numpy as np
 from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sample_mu, sobolev_sq_rows
 from qnls.config import ExperimentConfig
 from qnls.energy import DEFAULT_M0, corrected_rate, projected_rates, r2_rows
-from qnls.spectral import TWO_PI, jet
+from qnls.spectral import TWO_PI, jet, synthesize
 
 
 def zero_field(grid: GridSpec) -> FourierField:
@@ -66,9 +66,14 @@ def f2(u: FourierField, p: FlowParams, overrides: dict[str, float] | None = None
     return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
 
 
+def values(u: FourierField, size: int | None = None) -> np.ndarray:
+    """Field values at `size` equispaced points (default: the physical grid)."""
+    return synthesize(u.coeffs, u.grid.modes, size or u.grid.phys_size)
+
+
 def lp_norm(u: FourierField, p: float) -> float:
     """L^p norm over the physical grid; p = inf gives max_j |u(x_j)|."""
-    vals = np.abs(u.values())
+    vals = np.abs(values(u))
     if np.isinf(p):
         return float(np.max(vals)) if vals.size else 0.0
     w = TWO_PI / u.grid.phys_size
@@ -131,6 +136,16 @@ def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
     Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
     T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3
     return DensityTriple(N=N, J=J, T=T)
+
+
+def n1_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """int dN/dt (N_x)^2 dx at sigma = +1 (sigma drops out of dN/dt) of each
+    row of c, on the quintic pad as densities.residual_rows takes j0.  No
+    identity makes it vanish, unlike j0."""
+    size = grid.quintic_pad()
+    (uu, _, uxx), N, Nx, _ = jet(c, grid, size, 2)
+    Nt = 2.0 * np.real(np.conj(uu) * (1j * uxx - 1j * N**2 * uu))
+    return TWO_PI / size * np.sum(Nt * Nx**2, axis=-1)
 
 
 def r2_lipschitz_probe(u: FourierField, v: FourierField, sigma: int = 1, m0: int = DEFAULT_M0) -> float | None:

@@ -175,6 +175,9 @@ class TestParse:
             ("truncation_convergence", "m_list = 16, 64, 32", "m_list"),
             ("truncation_convergence", "m_list = 16, 512", r"m_list in \[0, \[grid\] modes\]"),  # delta 0.0 at 512
             ("truncation_convergence", "flow_m_list = 8, 256", "flow_m_list"),
+            # the flow errors can only fall along an increasing flow_m_list
+            ("truncation_convergence", "flow_m_list = 64, 32, 16, 8", "strictly increasing flow_m_list"),
+            ("truncation_convergence", "flow_m_list = 8, 8", "strictly increasing flow_m_list"),
             ("smoothing_sweep", "m_sweep = 16, 256", "m_sweep"),
             ("smoothing_sweep", "m_sweep = 16", "m_sweep"),  # no slope to fit
             ("smoothing_sweep", "m_sweep = 32, 32", "distinct m_sweep"),  # one cutoff against itself
@@ -187,6 +190,9 @@ class TestParse:
             ("transport_mc", "times = 0.0, 0.5", "times"),
             ("linear_invariance", "times =", "times"),  # no time to check
             ("focusing_local", "amplitudes =", "amplitudes"),  # no amplitude to check
+            # T can only fall along increasing amplitudes: 2.0, 1.0 gives T = (0.2695, 0.5)
+            ("focusing_local", "amplitudes = 2.0, 1.0", "amplitudes, positive and strictly increasing"),
+            ("focusing_local", "amplitudes = 0.0, 1.0", "amplitudes, positive and strictly increasing"),
             ("growth", "observer_stride = 0", "observer_stride"),
             ("growth", "fit_fraction = 0.0", "0 < fit_fraction < 1"),  # nothing to fit C on
             ("growth", "fit_fraction = 1.0", "0 < fit_fraction < 1"),  # nothing to check C on

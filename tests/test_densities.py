@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qnls import FlowParams, GridSpec, continuity_residuals, eleele_residual, j0_diag
-from qnls.densities import residual_rows, scale_rows
+from qnls.densities import scale_rows
 from qnls.flow import momentum_rows
 from qnls.spectral import TWO_PI
 
 from conftest import random_field
-from oracles import densities, mode_field, sobolev_norm_sq, zero_field
+from oracles import densities, mode_field, n1_rows, sobolev_norm_sq, zero_field
 
 
 class TestDensities:
@@ -102,7 +102,7 @@ class TestDiagnostics:
         u = mode_field(grid8, {2: 1.0})
         p = FlowParams()
         assert abs(j0_diag(u, p)) < 1e-12
-        assert abs(residual_rows(u.coeffs[np.newaxis], grid8)["n1"][0]) < 1e-12
+        assert abs(n1_rows(u.coeffs, grid8)) < 1e-12
 
     def test_j0_vanishes_randomly(self):
         # J0 = -int dJ/dx J^2 = -(1/3) int d/dx (J^3) = 0 for every field
@@ -120,7 +120,7 @@ class TestDiagnostics:
 
     def test_n1_generically_nonzero(self, grid16):
         u = random_field(grid16, seed=4)
-        assert abs(residual_rows(u.coeffs[np.newaxis], grid16)["n1"][0]) > 1e-6
+        assert abs(n1_rows(u.coeffs, grid16)) > 1e-6
 
     def test_rejects_finite_cutoff(self, grid8):
         with pytest.raises(ValueError, match="FULL"):

@@ -148,8 +148,7 @@ class TestF2:
         c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
         dt = 2e-4
         p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-        traj = evolve(c0, g, p, 6 * dt)
-        states = [FourierField(g, c) for c in traj.states]
+        states = [FourierField(g, c) for c in evolve(c0, g, p, 6 * dt)[1]]
         w = [project(s, cutoff) if cutoff else s for s in states]
         energies = [e2(s, sigma)["e2"] for s in w]
         for k in (2, 3):

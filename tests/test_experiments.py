@@ -23,6 +23,8 @@ from qnls.measure import (
     ks_critical_value,
     ks_statistic,
     observables,
+    observables_rows,
+    sample_mu,
 )
 from qnls.spectral import synthesize
 
@@ -96,6 +98,31 @@ class TestRun:
                 stat = ks_statistic([o[name] for o in before], [o[name] for o in after[t]])
                 lines.append(f"{name},{t!r},{stat!r},{crit!r},{'true' if stat < crit else 'false'}")
         assert (tmp_path / "li" / "ks.csv").read_text() == "\n".join(lines) + "\n"
+
+    def test_linear_invariance_reads_the_flow_sigma(self, tmp_path):
+        # e2 carries sigma in R_2; the KS rows must be those of the file's sign
+        cfg = parse_config(
+            f"[experiment]\nname = linear_invariance\noutput_dir = {tmp_path / 'li'}\n"
+            "[flow]\nsigma = -1\n[run]\nensemble_size = 200\n"
+        )
+        assert run(cfg).error is None
+        c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(200)])
+        times = cfg.params["times"]
+        crit = ks_critical_value(200, 200, cfg.params["alpha"])
+
+        def ks_rows(sigma):
+            before = observables_rows(c, cfg.grid, sigma)
+            after = {t: observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid, sigma) for t in times}
+            rows = []
+            for name in OBSERVABLE_NAMES:
+                for t in times:
+                    stat = ks_statistic(before[name], after[t][name])
+                    rows.append(f"{name},{t!r},{stat!r},{crit!r},{'true' if stat < crit else 'false'}")
+            return rows
+
+        lines = (tmp_path / "li" / "ks.csv").read_text().splitlines()
+        assert lines == ["observable,time,ks,critical,pass", *ks_rows(-1)]
+        assert lines[1:] != ks_rows(1)  # the sign shows in the e2 rows
 
     def test_continuity_matches_the_per_field_loop(self, tmp_path):
         cfg = default_config("continuity", output_dir=str(tmp_path / "ct"))

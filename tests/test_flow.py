@@ -18,7 +18,7 @@ from qnls import (
 )
 from qnls.config import default_config
 from qnls.experiments import smooth_random_field
-from qnls.flow import FULL, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
+from qnls.flow import FULL, _cutoff_mask, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
 
 from conftest import random_field, step_loop
 from oracles import mode_field, project, sample_field, sobolev_norm_sq, zero_field
@@ -75,19 +75,19 @@ class TestLinearFlow:
 class TestRhs:
     def test_zero(self, grid8):
         p = FlowParams(sigma=1, cutoff=FULL)
-        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, p) == 0)
+        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, p, True) == 0)
 
     def test_plane_wave(self, grid8):
         # |u|^4 u = u for e^{inx}, so du/dt = -i(n^2 + sigma) u
         p = FlowParams(sigma=1, cutoff=FULL)
         for n in (1, 3):
-            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p)
+            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p, True)
             assert v[grid8.modes + n] == pytest.approx(-1j * (n * n + 1), rel=1e-13)
 
     def test_projector_annihilates(self, grid8):
         # pi_1 e^{i2x} = 0 kills the nonlinearity entirely
         p = FlowParams(sigma=1, cutoff=1)
-        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}), grid8, p)
+        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}), grid8, p, _cutoff_mask(grid8.modes, 1))
         assert v[grid8.modes + 2] == pytest.approx(-4j, rel=1e-14)
         others = np.delete(v, grid8.modes + 2)
         assert np.max(np.abs(others)) < 1e-15
@@ -142,32 +142,32 @@ class TestEvolve:
         u0 = smooth_field(g)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
         ref = np.array(invariants(u0))
-        got = np.array(invariants(FourierField(g, evolve(u0.coeffs, g, p, 1.0, stride=1000).states[-1])))
+        got = np.array(invariants(FourierField(g, evolve(u0.coeffs, g, p, 1.0, stride=1000)[1][-1])))
         assert np.all(np.abs((got - ref) / ref) < 1e-8), (got - ref) / ref
 
     def test_lands_on_t_end(self, grid8):
         p = FlowParams(dt=0.3)
-        traj = evolve(field_from_modes(grid8, {1: 0.5}), grid8, p, 1.0)
-        assert traj.times[-1] == pytest.approx(1.0, abs=1e-15)
+        times, states, _ = evolve(field_from_modes(grid8, {1: 0.5}), grid8, p, 1.0)
+        assert times[-1] == pytest.approx(1.0, abs=1e-15)
         # 3 full steps + remainder 0.1; coarse dt, so only O(dt^4) phase accuracy
         exact = 0.5 * np.exp(-1j * (1 + 0.5**4) * 1.0)
-        assert abs(traj.states[-1][grid8.modes + 1] - exact) < 1e-3
+        assert abs(states[-1][grid8.modes + 1] - exact) < 1e-3
 
     def test_observer_stride(self, grid8):
         c0 = field_from_modes(grid8, {1: 0.1})
         p = FlowParams(dt=0.1)
-        traj = evolve(c0, grid8, p, 1.0, stride=3)
-        assert list(traj.times) == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
-        assert traj.states.shape == (5, 2 * grid8.modes + 1)
-        assert traj.states[0].tobytes() == c0.tobytes()
-        assert traj.states[-1].tobytes() == step_loop(FourierField(grid8, c0), p, 1.0)[0].coeffs.tobytes()
+        times, states, _ = evolve(c0, grid8, p, 1.0, stride=3)
+        assert list(times) == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+        assert states.shape == (5, 2 * grid8.modes + 1)
+        assert states[0].tobytes() == c0.tobytes()
+        assert states[-1].tobytes() == step_loop(FourierField(grid8, c0), p, 1.0)[0].coeffs.tobytes()
 
     def test_gauge_covariance(self, grid16):
         u0 = random_field(grid16, seed=5, amp=0.2, decay=0.3)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
-        a = evolve(u0.coeffs, grid16, p, 0.05).states[-1]
+        a = evolve(u0.coeffs, grid16, p, 0.05)[1][-1]
         theta = 0.713
-        b = evolve(u0.coeffs * np.exp(1j * theta), grid16, p, 0.05).states[-1]
+        b = evolve(u0.coeffs * np.exp(1j * theta), grid16, p, 0.05)[1][-1]
         assert np.max(np.abs(b - a * np.exp(1j * theta))) < 1e-10
 
     def test_high_mode_stays_linear(self, grid8):
@@ -175,8 +175,7 @@ class TestEvolve:
         # rotates by e^{-i n^2 t} up to integrator error
         c0 = field_from_modes(grid8, {1: 0.4, -1: 0.2j, 2: 0.3})
         p = FlowParams(sigma=1, cutoff=1, dt=1e-3)
-        traj = evolve(c0, grid8, p, 0.1)
-        got = traj.states[-1][grid8.modes + 2]
+        got = evolve(c0, grid8, p, 0.1)[1][-1][grid8.modes + 2]
         assert abs(got - 0.3 * np.exp(-4j * 0.1)) < 1e-10
 
     def test_split_mass_conservation(self, grid8):
@@ -186,7 +185,7 @@ class TestEvolve:
         p = FlowParams(sigma=1, cutoff=M, dt=5e-4)
         low0 = mass(project(u0, M))
         tot0 = mass(u0)
-        u1 = FourierField(grid8, evolve(u0.coeffs, grid8, p, 0.2).states[-1])
+        u1 = FourierField(grid8, evolve(u0.coeffs, grid8, p, 0.2)[1][-1])
         low1 = mass(project(u1, M))
         tot1 = mass(u1)
         assert abs(low1 - low0) / low0 < 1e-9
@@ -197,9 +196,9 @@ class TestEvolve:
         g = GridSpec(modes=32)
         c0 = field_from_modes(g, {1: 2.0, -1: 2.0})
         p = FlowParams(sigma=-1, cutoff=FULL, dt=5e-4, blowup_threshold=1e3)
-        traj = evolve(c0, g, p, 1.0)
-        assert traj.blowup_time is not None
-        assert 0.0 < traj.blowup_time < 1.0
+        blowup_time = evolve(c0, g, p, 1.0)[2]
+        assert blowup_time is not None
+        assert 0.0 < blowup_time < 1.0
 
     def test_momentum_plane_wave(self, grid8):
         u = mode_field(grid8, {3: 1.0})
@@ -285,7 +284,7 @@ class TestEvolveBlock:
         assert c[0].tobytes() == step_loop(tame, p, 0.01)[0].coeffs.tobytes()
         assert c[1].tobytes() == bad.coeffs.tobytes()
         assert np.isnan(trip_times[0]) and trip_times[1] == 0.0
-        assert evolve(bad.coeffs, grid8, p, 0.01).blowup_time == step_loop(bad, p, 0.01)[1] == 0.0
+        assert evolve(bad.coeffs, grid8, p, 0.01)[2] == step_loop(bad, p, 0.01)[1] == 0.0
 
     def test_trip_in_the_partial_step(self, grid8):
         # a threshold between the H^1 norms of the last two full-step states
@@ -306,9 +305,9 @@ class TestEvolveBlock:
         c, live, trip_times = evolve_block(u0.coeffs[None], np.ones(1, dtype=bool), grid8, p, t_end)
         assert not live[0] and trip_times[0] == blowup_time
         assert c[0].tobytes() == ref.coeffs.tobytes()
-        traj = evolve(u0.coeffs, grid8, p, t_end, stride=7)
-        assert traj.blowup_time == blowup_time
-        assert list(traj.times) == step_loop(u0, p, t_end, stride=7)[2]
+        times, _, got_blowup = evolve(u0.coeffs, grid8, p, t_end, stride=7)
+        assert got_blowup == blowup_time
+        assert list(times) == step_loop(u0, p, t_end, stride=7)[2]
 
     @pytest.mark.parametrize("stride", [1, 3, 1000])
     @pytest.mark.parametrize("t_end", [0.01234, 0.012, 0.6], ids=["partial", "whole", "trips"])
@@ -317,13 +316,13 @@ class TestEvolveBlock:
         g = GridSpec(modes=32)
         u0 = mode_field(g, {1: 2.0, -1: 2.0})
         p = FlowParams(sigma=-1, dt=5e-4)
-        traj = evolve(u0.coeffs, g, p, t_end, stride=stride)
+        got_times, states, got_blowup = evolve(u0.coeffs, g, p, t_end, stride=stride)
         ref, blowup_time, times = step_loop(u0, p, t_end, stride=stride)
-        assert list(traj.times) == times
-        assert traj.states.shape == (len(times), 2 * g.modes + 1)
-        assert traj.blowup_time == blowup_time
+        assert list(got_times) == times
+        assert states.shape == (len(times), 2 * g.modes + 1)
+        assert got_blowup == blowup_time
         assert (blowup_time is not None) == (t_end == 0.6)
-        assert traj.states[-1].tobytes() == ref.coeffs.tobytes()
+        assert states[-1].tobytes() == ref.coeffs.tobytes()
 
 
 class TestParams:

@@ -7,7 +7,17 @@ from qnls import FourierField, GridSpec, field_from_modes
 from qnls.spectral import TWO_PI, analyze, jet, quintic_rows, synthesize
 
 from conftest import random_field
-from oracles import derivative, inner, lp_norm, mode_field, project, quintic_convolution, sobolev_norm_sq, zero_field
+from oracles import (
+    derivative,
+    inner,
+    lp_norm,
+    mode_field,
+    project,
+    quintic_convolution,
+    sobolev_norm_sq,
+    values,
+    zero_field,
+)
 
 
 class TestGridSpec:
@@ -39,13 +49,13 @@ class TestFourierField:
 
     def test_roundtrip(self, grid16):
         u = random_field(grid16, seed=1)
-        back = analyze(u.values(), grid16.modes)
+        back = analyze(values(u), grid16.modes)
         assert np.max(np.abs(back - u.coeffs)) < 1e-12 * np.max(np.abs(u.coeffs))
 
         # a (B, 2M+1) block goes through both transforms row by row, bit for
-        # bit, also when size < 2M+1 folds the modes
+        # bit, also at the least size synthesize takes, 2M+1
         block = np.stack([u.coeffs, random_field(grid16, seed=2).coeffs])
-        for size in (grid16.phys_size, 17):
+        for size in (grid16.phys_size, 2 * grid16.modes + 1):
             back = analyze(synthesize(block, grid16.modes, size), grid16.modes)
             rows = [analyze(synthesize(c, grid16.modes, size), grid16.modes) for c in block]
             assert back.tobytes() == np.stack(rows).tobytes()
@@ -102,15 +112,15 @@ class TestNorms:
         # oracle: quadrature of int(|u|^2 + |u_x|^2) on a fine grid
         u = mode_field(grid8, {1: 1.0, -1: 1.0})
         size = 4 * grid8.modes + 3
-        vals = u.values(size)
-        dvals = derivative(u, 1).values(size)
+        vals = values(u, size)
+        dvals = values(derivative(u, 1), size)
         quad = TWO_PI / size * np.sum(np.abs(vals) ** 2 + np.abs(dvals) ** 2)
         assert quad == pytest.approx(8 * np.pi, rel=1e-12)
         assert sobolev_norm_sq(u, 1) == pytest.approx(8 * np.pi, rel=1e-14)
 
     def test_parseval_random(self, grid16):
         u = random_field(grid16, seed=8)
-        quad = TWO_PI / grid16.phys_size * np.sum(np.abs(u.values()) ** 2)
+        quad = TWO_PI / grid16.phys_size * np.sum(np.abs(values(u)) ** 2)
         assert quad == pytest.approx(sobolev_norm_sq(u, 0), rel=1e-10)
 
     def test_lp_plane_wave(self, grid8):
@@ -198,11 +208,11 @@ class TestQuintic:
 def test_jet_samples_are_the_synthesized_derivatives(grid16):
     u = random_field(grid16, seed=29)
     size = grid16.pad_for_degree(10)
-    j = jet(u.coeffs, grid16, size, 3)
+    d, N, _, _ = jet(u.coeffs, grid16, size, 3)
     for k in range(4):
         direct = synthesize(derivative(u, k).coeffs, grid16.modes, size)
-        assert j.d[k].tobytes() == direct.tobytes()
-    assert np.array_equal(j.N, np.abs(j.d[0]) ** 2)
+        assert d[k].tobytes() == direct.tobytes()
+    assert np.array_equal(N, np.abs(d[0]) ** 2)
 
 
 class TestInner:
@@ -224,26 +234,26 @@ class TestInner:
             inner(zero_field(grid8), zero_field(grid16))
 
 
-def test_synthesize_fold_matches_direct():
-    # folding modulo the transform size evaluates the polynomial exactly
-    # even when size < 2*modes + 1
+def test_synthesize_matches_direct_evaluation():
+    # at the least size it takes, 2*modes + 1, synthesize evaluates the
+    # polynomial exactly
     g = GridSpec(modes=12)
     u = random_field(g, seed=28)
-    size = 17
+    size = 2 * g.modes + 1
     x = TWO_PI * np.arange(size) / size
     direct = sum(
         u.coeffs[k] * np.exp(1j * (k - g.modes) * x) for k in range(2 * g.modes + 1)
     )
     assert np.max(np.abs(synthesize(u.coeffs, g.modes, size) - direct)) < 1e-12
-    # a (B, 2M+1) block folds row by row, bit for bit
+    # a (B, 2M+1) block is synthesized row by row, bit for bit
     block = np.stack([u.coeffs, random_field(g, seed=29).coeffs])
     rows = np.stack([synthesize(c, g.modes, size) for c in block])
     assert synthesize(block, g.modes, size).tobytes() == rows.tobytes()
-    # with and without a fold, vectors and blocks sum bit for bit as
-    # np.add.at into zeros does, which turns a -0.0 coefficient into +0.0
+    # vectors and blocks sum bit for bit as np.add.at into zeros does, which
+    # turns a -0.0 coefficient into +0.0
     block[0, 3] = complex(-0.0, -0.0)
     block[1, g.modes + 2] = complex(-0.0, 1.0)
-    for size in (17, g.phys_size, g.quintic_pad()):
+    for size in (2 * g.modes + 1, g.phys_size, g.quintic_pad()):
         a = np.zeros((2, size), dtype=complex)
         np.add.at(a, (..., np.arange(-g.modes, g.modes + 1) % size), block)
         ref = np.fft.ifft(a, axis=-1) * size
@@ -251,6 +261,14 @@ def test_synthesize_fold_matches_direct():
         assert synthesize(block[0], g.modes, size).tobytes() == ref[0].tobytes()
     # the FFT hides the sign of a zero except at size 1, where it is the identity
     assert synthesize(np.array([complex(-0.0, -0.0)]), 0, 1).tobytes() == bytes(16)
+
+
+@pytest.mark.parametrize("size", [1, 17, 24])
+def test_synthesize_rejects_a_size_below_2m_plus_1(size):
+    # below 2*modes + 1 two modes would share a bin
+    g = GridSpec(modes=12)
+    with pytest.raises(ValueError, match=r"below 2\*modes \+ 1 = 25"):
+        synthesize(random_field(g, seed=30).coeffs, g.modes, size)
 
 
 @pytest.mark.parametrize("rows", [None, 1, 6])
@@ -263,7 +281,7 @@ def test_kernels_leave_their_arguments_unchanged(rows):
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert c.flags.c_contiguous and c.flags.writeable
     before = c.tobytes()
-    for size in (17, g.phys_size, g.quintic_pad()):  # 17 < 2M+1 folds the modes
+    for size in (2 * g.modes + 1, g.phys_size, g.quintic_pad()):  # 2M+1: the least synthesize takes
         values = synthesize(c, g.modes, size)
         assert values.flags.c_contiguous and values.flags.writeable
         kept = values.tobytes()
