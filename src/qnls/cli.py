@@ -6,7 +6,8 @@
     qnls plots <run-dir>                   write the gnuplot stub for a run
 
 Overrides, each the config line it sets, checked as one: --output-dir, --seed, --dt, --t-end.
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 configuration error
+(for plots: a run directory without its manifest.json or data files).
 """
 
 from __future__ import annotations
@@ -74,13 +75,16 @@ def _report(manifest: RunManifest) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "plots":
+        try:
+            print(f"wrote {emit_plots(args.run_dir)}")
+        except (OSError, ValueError) as exc:  # missing files, or not a run manifest
+            print(f"plots error: {exc}", file=sys.stderr)
+            return 2
+        return 0
     try:
         if args.command == "config":
             sys.stdout.write(serialize_config(default_config(args.experiment)))
-            return 0
-        if args.command == "plots":
-            path = emit_plots(args.run_dir)
-            print(f"wrote {path}")
             return 0
         if args.command == "run":
             cfg = parse_config(Path(args.config).read_text(), **_overrides(args))

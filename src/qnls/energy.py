@@ -179,7 +179,8 @@ def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
     """
     p.check_grid(grid)
     mask = _cutoff_mask(grid.modes, p.cutoff)
-    v = _rhs_coeffs(c, grid, p, mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _rhs_coeffs(c, grid, p, mask)
     if mask is not True:
         c, v = np.where(mask, c, 0.0), np.where(mask, v, 0.0)
     return (c, *directional_terms(c, v, grid))

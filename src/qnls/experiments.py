@@ -565,7 +565,10 @@ def emit_plots(run_dir) -> Path:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {run_dir}")
-    files = json.loads(manifest_path.read_text())["files"]
+    try:
+        files = json.loads(manifest_path.read_text())["files"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{manifest_path} is not a run manifest: {exc!r}") from exc
     missing = [
         name
         for name in files

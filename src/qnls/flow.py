@@ -28,6 +28,12 @@ loop of step() calls on that row.  evolve is a one-row block that returns
 (times, states, blowup_time): there is one schedule loop and one guard.
 step advances one field: the tests hold the rows to it, and plane_wave_order
 steps with it.
+
+A row may overflow inside a step (|u|^4 u past the float range).  The
+np.errstate that keeps this quiet is held once per step, around the four
+stages of _rk4_coeffs, and once around the right-hand side that
+energy.projected_rates evaluates; spectral.quintic_rows holds none, so a
+caller outside these two warns.
 """
 
 from __future__ import annotations
@@ -121,12 +127,14 @@ def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray |
 
 
 def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool) -> np.ndarray:
-    """One RK4 step of a coefficient vector or (B, 2M+1) block."""
-    k1 = _rhs_coeffs(c, grid, p, mask)
-    k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
-    k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
-    k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
-    return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step of a coefficient vector or (B, 2M+1) block.  Overflow is
+    quiet here; the caller's finiteness check finds it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = _rhs_coeffs(c, grid, p, mask)
+        k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
+        k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
+        k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
+        return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:

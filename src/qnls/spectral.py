@@ -13,8 +13,10 @@ exact integrals need a transform size of at least d*M + 1 and exact
 coefficient extraction up to mode M needs (d+1)*M + 1; pad_for_degree(d)
 returns the smallest FFT-friendly size >= d*M + 1.  The quintic |u|^4 u is
 extracted on pad_for_degree(6), the degree-10 energy integrands are
-integrated on pad_for_degree(10).  Transforms are scipy.fft's pocketfft,
-equal bit for bit to numpy.fft on numpy 2.x at every size the configs use.
+integrated on pad_for_degree(10).  Transforms are scipy's pocketfft, called
+through its c2c binding with the arguments scipy.fft passes for norm=None,
+so that a one-row transform skips scipy.fft's dispatch; they are equal bit
+for bit to scipy.fft and to numpy.fft at every size the configs use.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from scipy.fft import next_fast_len
+from scipy.fft._pocketfft.pypocketfft import c2c
 
 TWO_PI = 2.0 * np.pi
 
@@ -124,7 +127,9 @@ def synthesize(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
     a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
     a[..., : modes + 1] += coeffs[..., modes:]
     a[..., size - modes :] += coeffs[..., :modes]
-    v = ifft(a, axis=-1)
+    # scipy.fft.ifft(a, axis=-1): c2c(a, axes, forward, inorm 2 = divide by
+    # size, out, threads), here into a itself
+    v = c2c(a, (-1,), False, 2, a, 1)
     v *= size
     return v
 
@@ -136,7 +141,9 @@ def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     is band-limited to |n| < values.shape[-1] - modes.
     """
     size = values.shape[-1]
-    return fft(values, axis=-1).take(_bins(modes, size), axis=-1) / size
+    # scipy.fft.fft(values, axis=-1), unnormalized, into a new array (out=None)
+    # so that values is not written
+    return c2c(values, (-1,), True, 0, None, 1).take(_bins(modes, size), axis=-1) / size
 
 
 def derivatives(c: np.ndarray, grid: GridSpec, size: int, order: int) -> list[np.ndarray]:
@@ -174,11 +181,11 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
 
     A 5-fold product of band-M fields occupies modes up to 5M, so the
     transform size is at least 6M + 1 (GridSpec.quintic_pad).  Overflow is
-    left to the caller's finiteness check.
+    left to the caller's finiteness check, and the caller holds the
+    np.errstate that keeps it quiet.
     """
     v = synthesize(c, grid.modes, grid.quintic_pad())
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = np.abs(v)
-        a **= 4
-        v *= a
-        return analyze(v, grid.modes)
+    a = np.abs(v)
+    a **= 4
+    v *= a
+    return analyze(v, grid.modes)

@@ -97,12 +97,17 @@ def quintic_convolution(u: FourierField) -> FourierField:
     return FourierField(u.grid, acc[4 * M : 6 * M + 1])  # modes -5M..5M -> -M..M
 
 
-def synthesize_numpy(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
-    """spectral.synthesize as numpy.fft computes it: the modes added into
-    zeros modulo `size`, then ifft(a) * size."""
+def padded(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
+    """The modes of coeffs added into `size` zeros, mode n at bin n % size."""
     a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
     np.add.at(a, (..., np.arange(-modes, modes + 1) % size), coeffs)
-    return np.fft.ifft(a, axis=-1) * size
+    return a
+
+
+def synthesize_numpy(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
+    """spectral.synthesize as numpy.fft computes it: ifft of the padded
+    modes, times size."""
+    return np.fft.ifft(padded(coeffs, modes, size), axis=-1) * size
 
 
 def analyze_numpy(values: np.ndarray, modes: int) -> np.ndarray:

@@ -309,6 +309,19 @@ class TestCli:
         assert "[experiment]" in text and "name = growth" in text
         assert parse_config(text).experiment == "growth"
 
+    @pytest.mark.parametrize(
+        "text, why",
+        [(None, "no manifest.json"), ("{not json", "JSONDecodeError"), ('{"experiment": "growth"}', "KeyError")],
+        ids=["no-manifest", "not-json", "no-files"],
+    )
+    def test_plots_of_a_broken_run_dir_exit_2(self, tmp_path, capsys, text, why):
+        if text is not None:
+            (tmp_path / "manifest.json").write_text(text)
+        assert main(["plots", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plots error: ") and why in err and err.count("\n") == 1
+        assert not (tmp_path / "plots.gp").exists()
+
     def test_failing_verdict_exit_1(self, tmp_path):
         # a drift tolerance of zero cannot be met
         path = tmp_path / "cons.ini"

@@ -1,5 +1,6 @@
 """Flow module: linear flow, right-hand side, RK4 steps, conserved quantities, guards."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from qnls import (
 from qnls.config import default_config
 from qnls.experiments import smooth_random_field
 from qnls.flow import FULL, _cutoff_mask, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
+from qnls.spectral import quintic_rows
 
 from conftest import random_field, step_loop
 from oracles import mode_field, project, sample_field, sobolev_norm_sq, zero_field
@@ -285,6 +287,24 @@ class TestEvolveBlock:
         assert c[1].tobytes() == bad.coeffs.tobytes()
         assert np.isnan(trip_times[0]) and trip_times[1] == 0.0
         assert evolve(bad.coeffs, grid8, p, 0.01)[2] == step_loop(bad, p, 0.01)[1] == 0.0
+
+    def test_overflowing_row_leaves_live_without_a_warning(self, grid8):
+        # |u|^4 u of the 1e78 row overflows in the first stage; the step holds
+        # the np.errstate, and the finiteness check takes the row out
+        block = np.stack([random_field(grid8, seed=s, amp=0.3, decay=0.3).coeffs for s in range(3)])
+        block[1] *= 1e78
+        p = FlowParams(dt=1e-3, blowup_threshold=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, live, trip_times = evolve_block(block, np.ones(3, dtype=bool), grid8, p, 0.005)
+        assert live.tolist() == [True, False, True]
+        assert c[1].tobytes() == block[1].tobytes() and trip_times[1] == 0.0
+
+    def test_the_kernel_alone_warns_on_that_row(self, grid8):
+        # quintic_rows holds no np.errstate: its caller owns the overflow state
+        row = 1e78 * random_field(grid8, seed=1, amp=0.3, decay=0.3).coeffs
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            quintic_rows(row, grid8)
 
     def test_trip_in_the_partial_step(self, grid8):
         # a threshold between the H^1 norms of the last two full-step states

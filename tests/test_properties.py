@@ -1,7 +1,7 @@
 """Property tests: spectral round trips, Parseval and skew-adjointness, the
-spectral kernels equal to their numpy.fft formulas bit for bit, the
-linearity of E_2's first variation, and block functionals and block flows
-equal to their one-row calls bit for bit.
+spectral kernels equal to their numpy.fft and scipy.fft formulas bit for
+bit, the linearity of E_2's first variation, and block functionals and block
+flows equal to their one-row calls bit for bit.
 
 Examples are derandomized, so every run draws the same ones.
 """
@@ -9,6 +9,7 @@ Examples are derandomized, so every run draws the same ones.
 from dataclasses import replace
 
 import numpy as np
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,6 +25,7 @@ from oracles import (
     derivative,
     inner,
     n1_rows,
+    padded,
     project,
     quintic_rows_numpy,
     sobolev_norm_sq,
@@ -85,9 +87,28 @@ def test_kernels_are_their_numpy_formulas_bit_for_bit(kernel):
         v = synthesize(c, grid.modes, size)
         assert v.tobytes() == synthesize_numpy(c, grid.modes, size).tobytes(), size
         assert analyze(v, grid.modes).tobytes() == analyze_numpy(v, grid.modes).tobytes(), size
-    got, want = quintic_rows(c, grid), quintic_rows_numpy(c, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # as _rk4_coeffs holds it
+        got = quintic_rows(c, grid)
+    want = quintic_rows_numpy(c, grid)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))  # overflow lands in the same bins
     assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(kernel=kernel_inputs())
+def test_transforms_are_scipy_fft_bit_for_bit(kernel):
+    # synthesize and analyze call pocketfft's c2c binding, not scipy.fft: a
+    # scipy release that changes what c2c's arguments mean shows up here
+    grid, c = kernel
+    for size in (2 * grid.modes + 1, grid.phys_size, grid.quintic_pad()):
+        v = synthesize(c, grid.modes, size)
+        assert v.tobytes() == (scipy.fft.ifft(padded(c, grid.modes, size), axis=-1) * size).tobytes(), size
+        bins = np.arange(-grid.modes, grid.modes + 1) % size
+        with np.errstate(over="ignore", invalid="ignore"):
+            quintic = np.abs(v) ** 4 * v  # inf and nan where the row overflows
+            for values in (v, quintic):
+                want = scipy.fft.fft(values, axis=-1).take(bins, axis=-1) / size
+                assert analyze(values, grid.modes).tobytes() == want.tobytes(), size
 
 
 @PROPERTY

@@ -127,26 +127,39 @@ def test_experiments_name_fourier_field_only_to_step():
     assert imports.count("FourierField") == 1
 
 
-def _numpy_fft_reads(path: Path) -> list[str]:
-    """Lines of `path` that read numpy.fft, as np.fft / numpy.fft or by import."""
-    hits = []
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _transform_reads(path: Path) -> tuple[list[str], list[str]]:
+    """Lines of `path` that import pocketfft's c2c, and lines that read
+    numpy.fft or scipy.fft's fft/ifft (as attributes or by import)."""
+    c2c, other = [], []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Attribute):
-            read = ast.unparse(node) in ("np.fft", "numpy.fft")
+            read = ast.unparse(node) in ("np.fft", "numpy.fft", "scipy.fft.fft", "scipy.fft.ifft")
         elif isinstance(node, ast.Import):
             read = any(alias.name.startswith("numpy.fft") for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names = {alias.name for alias in node.names}
-            read = (node.module or "").startswith("numpy.fft") or (node.module == "numpy" and "fft" in names)
+            module, names = node.module or "", {alias.name for alias in node.names}
+            if module == POCKETFFT and "c2c" in names:
+                c2c.append(f"{path.name}:{node.lineno}")
+            read = (
+                module.startswith("numpy.fft")
+                or (module == "numpy" and "fft" in names)
+                or (module == "scipy.fft" and bool(names & {"fft", "ifft"}))
+            )
         else:
             continue
         if read:
-            hits.append(f"{path.name}:{node.lineno}")
-    return hits
+            other.append(f"{path.name}:{node.lineno}")
+    return c2c, other
 
 
-def test_every_transform_is_scipy_fft():
-    # spectral.synthesize and analyze run scipy.fft; a numpy.fft read anywhere
-    # in src/qnls would be a second FFT backend beside them
-    reads = [hit for path in sorted(SRC.glob("*.py")) for hit in _numpy_fft_reads(path)]
-    assert reads == [], f"numpy.fft read in src/qnls: {reads}"
+def test_every_transform_is_pocketfft_c2c():
+    # spectral.synthesize and analyze call pocketfft's c2c binding; any other
+    # FFT read in src/qnls would be a second transform path beside them
+    reads = [_transform_reads(path) for path in sorted(SRC.glob("*.py"))]
+    c2c = [hit for hits, _ in reads for hit in hits]
+    other = [hit for _, hits in reads for hit in hits]
+    assert [hit.split(":")[0] for hit in c2c] == ["spectral.py"], f"c2c imported at: {c2c}"
+    assert other == [], f"numpy.fft or scipy.fft.fft/ifft read in src/qnls: {other}"
