@@ -9,8 +9,7 @@ Grammar (INI-style, parsed strictly):
     [grid]                        ; modes, the GridSpec's one field
     [flow]                        ; FlowParams fields (cutoff = full or an int)
     [measure]                     ; MeasureSpec fields (used where relevant)
-    [run]                         ; horizon, ensemble size, sweep, and the
-                                  ; stride at which evolve records states
+    [run]                         ; horizon and ensemble size
     [params]                      ; experiment-specific knobs
 
 Each key's generic default fixes its type: [grid] [flow] [measure] [run]
@@ -41,13 +40,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSettings:
-    """observer_stride is the stride, in steps, at which evolve records the
-    states of conservation and growth (the name predates that)."""
-
     t_end: float = 1.0
     ensemble_size: int = 64
-    m_sweep: tuple[int, ...] = (16, 32, 64, 128)
-    observer_stride: int = 10
 
 
 @dataclass(frozen=True)
@@ -77,6 +71,7 @@ PARAMS_SCHEMA: dict[str, dict] = {
         "bias": 0.25,
         "bias_mode": 2,
         "drift_tol": 1e-8,
+        "observer_stride": 10,
     },
     "plane_wave_order": {
         "mode": 2,
@@ -98,6 +93,7 @@ PARAMS_SCHEMA: dict[str, dict] = {
         "alpha": 0.05,
     },
     "smoothing_sweep": {
+        "m_sweep": (16, 32, 64, 128),
         "m0": DEFAULT_M0,
         "uniformity_factor": 2.0,
         "slope_min": 1.0,
@@ -109,6 +105,7 @@ PARAMS_SCHEMA: dict[str, dict] = {
         "width": 4.0,
         "fit_fraction": 0.1,
         "slack": 2.0,
+        "observer_stride": 100,
     },
     "transport_mc": {
         "times": (0.25, 0.5),
@@ -116,13 +113,11 @@ PARAMS_SCHEMA: dict[str, dict] = {
         "log_slack": 0.6931471805599453,
     },
     "truncation_convergence": {
-        "n_samples": 4,
         "m_list": (16, 32, 64, 128, 256),
         "final_fraction": 1e-3,
         "with_flow": True,
         "flow_modes": 128,
         "flow_m_list": (8, 16, 32, 64),
-        "flow_dt": 1e-4,
         "flow_amplitude": 0.4,
         "flow_decay": 8.0,
         "flow_seed": 5,
@@ -149,9 +144,14 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "continuity": {"grid": {"modes": 64}},
     "linear_invariance": {"run": {"ensemble_size": 1000}},
     "smoothing_sweep": {"grid": {"modes": 128}, "measure": {"M": 128}},
-    "growth": {"run": {"t_end": 200.0, "observer_stride": 100}},
+    "growth": {"run": {"t_end": 200.0}},
     "transport_mc": {"flow": {"cutoff": 32}, "run": {"ensemble_size": 256, "t_end": 0.5}},
-    "truncation_convergence": {"grid": {"modes": 256}, "measure": {"M": 256}},
+    "truncation_convergence": {
+        "grid": {"modes": 256},
+        "flow": {"dt": 1e-4},
+        "measure": {"M": 256},
+        "run": {"ensemble_size": 4},
+    },
     "focusing_local": {"flow": {"sigma": -1, "dt": 0.0005}, "run": {"t_end": 0.5}},
 }
 
@@ -258,10 +258,8 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         run = RunSettings(**kw["run"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if run.t_end <= 0:
-        raise ConfigError("[run] t_end must be positive")
-    if run.ensemble_size < 1 or run.observer_stride < 1:
-        raise ConfigError("[run] ensemble_size and observer_stride must be >= 1")
+    if run.t_end <= 0 or run.ensemble_size < 1:
+        raise ConfigError("[run] needs t_end > 0 and ensemble_size >= 1")
     unmet = _unmet_needs(name, kw["params"], grid, flow, measure, run)
     if unmet:
         raise ConfigError(f"{name} needs " + "; ".join(unmet))
@@ -291,6 +289,8 @@ def _unmet_needs(
             "a nonzero initial momentum: amplitude != 0, or bias != 0 on a bias_mode != 0": pm["amplitude"] != 0
             or (bias and pm["bias_mode"] != 0),
             "|bias_mode| <= [grid] modes": not bias or abs(pm["bias_mode"]) <= grid.modes,
+            "width > 0": pm["width"] > 0,
+            "observer_stride >= 1": pm["observer_stride"] >= 1,
         }
     elif name == "plane_wave_order":
         # the run takes round(t_end / dt) steps and compares at t_end; a
@@ -306,15 +306,16 @@ def _unmet_needs(
     elif name == "continuity":
         needs = {"n_fields >= 1": pm["n_fields"] >= 1, "max_modes >= 4": pm["max_modes"] >= 4}
     elif name == "linear_invariance":
-        # alpha = 0 makes the KS critical value infinite
-        needs = {"a times entry": len(pm["times"]) >= 1, "0 < alpha < 1": 0 < pm["alpha"] < 1}
+        # alpha = 0 makes the KS critical value infinite; at t = 0 the ensemble meets itself
+        t = pm["times"]
+        needs = {"nonzero times entries": len(t) >= 1 and 0 not in t, "0 < alpha < 1": 0 < pm["alpha"] < 1}
     elif name == "focusing_local":
         # the local times are checked in list order, which must run up in amplitude
         a = pm["amplitudes"]
         up = all(x < y for x, y in zip(a, a[1:]))
         needs = {"amplitudes, positive and strictly increasing": len(a) >= 1 and min(a) > 0 and up}
     elif name == "smoothing_sweep":
-        sweep = run.m_sweep
+        sweep = pm["m_sweep"]
         in_grid = all(1 <= M <= grid.modes for M in sweep)
         distinct = len(sweep) >= 2 and len(set(sweep)) == len(sweep)
         needs = {"at least 2 distinct m_sweep entries, in [1, [grid] modes]": distinct and in_grid}
@@ -328,8 +329,10 @@ def _unmet_needs(
     elif name == "growth":
         # C is fitted on the states recorded at 0 < t <= fit_fraction * t_end and
         # checked on the rest; evolve records the first one at observer_stride * dt
-        first, window = run.observer_stride * flow.dt, pm["fit_fraction"] * run.t_end
+        first, window = pm["observer_stride"] * flow.dt, pm["fit_fraction"] * run.t_end
         needs = {
+            "width > 0": pm["width"] > 0,
+            "observer_stride >= 1": pm["observer_stride"] >= 1,
             "0 < fit_fraction < 1": 0 < pm["fit_fraction"] < 1,
             "a recorded state in the fit window: observer_stride * dt <= fit_fraction * t_end": first <= window,
         }
@@ -338,13 +341,14 @@ def _unmet_needs(
         # the flow errors are checked in list order, which must run up in M
         up = all(a < b for a, b in zip(fm, fm[1:]))
         flow_ok = not pm["with_flow"] or (top >= 1 and len(fm) >= 2 and up and all(0 <= M <= top for M in fm))
+        # a zero field has errors 0.0, and exp(-|n| / decay) is NaN or blows up at decay <= 0
+        field_ok = not pm["with_flow"] or (pm["flow_amplitude"] != 0 and pm["flow_decay"] > 0)
         needs = {
-            "n_samples >= 1": pm["n_samples"] >= 1,
             "a strictly increasing m_list in [0, [grid] modes]": len(m) >= 1
             and all(a < b for a, b in zip(m, m[1:]))
             and all(0 <= M <= grid.modes for M in m),
             "flow_modes >= 1 and at least 2 strictly increasing flow_m_list entries in [0, flow_modes]": flow_ok,
-            "flow_dt > 0": not pm["with_flow"] or pm["flow_dt"] > 0,
+            "flow_amplitude != 0 and flow_decay > 0": field_ok,
         }
     # the largest linear rate n^2 dt a stepping experiment takes; beyond RK4's
     # limit on the imaginary axis a numerical blow-up passes for a focusing trip
@@ -354,7 +358,7 @@ def _unmet_needs(
     elif name == "plane_wave_order" and pm["dt_list"]:
         rate = "modes^2 * max(dt_list)", grid.modes**2 * max(pm["dt_list"])
     elif name == "truncation_convergence" and pm["with_flow"]:
-        rate = "flow_modes^2 * flow_dt", pm["flow_modes"] ** 2 * pm["flow_dt"]
+        rate = "flow_modes^2 * dt", pm["flow_modes"] ** 2 * flow.dt
     if rate is not None:
         what, value = rate
         needs[f"{what} <= 2*sqrt(2), RK4's stability limit"] = value <= RK4_IMAGINARY_LIMIT

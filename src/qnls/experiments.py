@@ -145,7 +145,7 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     u0 = smooth_random_field(
         cfg.grid, pm["seed"], pm["amplitude"], pm["width"], pm["bias"], pm["bias_mode"]
     )
-    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=pm["observer_stride"])
     columns = _write_trajectory(out / "trajectory.csv", times, states, cfg)
     _write_breakdowns(out / "breakdowns.jsonl", columns)
 
@@ -271,7 +271,7 @@ def run_linear_invariance(cfg: ExperimentConfig, out: Path):
 def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     m0 = pm["m0"]
-    sweep = list(cfg.run.m_sweep)
+    sweep = list(pm["m_sweep"])
     grid = cfg.grid
     term_names = [name for name, _, _ in R2_TERMS]
     scale_sets = {"shipped": None}
@@ -333,7 +333,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
 def run_growth(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     u0 = smooth_random_field(cfg.grid, pm["seed"], pm["amplitude"], pm["width"])
-    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=cfg.run.observer_stride)
+    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=pm["observer_stride"])
     columns = _write_trajectory(out / "growth.csv", times, states, cfg)
     if blowup_time is not None:  # the fits need the whole horizon
         return {"growth.csv": out / "growth.csv"}, [
@@ -434,7 +434,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
     m_list = list(pm["m_list"])
     rows = []
     mono_all, final_all = True, True
-    for idx in range(pm["n_samples"]):
+    for idx in range(cfg.run.ensemble_size):
         c = sample_mu(cfg.measure, idx, cfg.grid)
         curve = r2_truncation_curve(c, cfg.grid, m_list, cfg.flow.sigma)
         for M, d in zip(m_list, curve):
@@ -447,7 +447,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
         Verdict(
             "r2_truncation_decreasing",
             mono_all and final_all,
-            {"monotone": mono_all, "final_small": final_all, "samples": pm["n_samples"]},
+            {"monotone": mono_all, "final_small": final_all, "samples": cfg.run.ensemble_size},
         )
     )
 
@@ -465,7 +465,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
             np.tile(c, (len(cutoffs), 1)),
             np.ones(len(cutoffs), dtype=bool),
             grid,
-            replace(cfg.flow, dt=pm["flow_dt"]),
+            cfg.flow,
             t_end,
             cutoffs,
         )

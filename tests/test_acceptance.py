@@ -79,7 +79,7 @@ def shell_flux():
     variations.
     """
     cfg = default_config("smoothing_sweep")
-    sweep = list(cfg.run.m_sweep)
+    sweep = list(cfg.params["m_sweep"])
     assert cfg.run.ensemble_size == 64 and sweep == [16, 32, 64, 128]
     scalings = {"shipped": None}
     for name, _, _ in R2_TERMS:

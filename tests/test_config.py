@@ -115,6 +115,23 @@ class TestParse:
         assert main(["run", str(path)]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
 
+    def test_moved_keys_are_not_keys_where_they_were(self, tmp_path, capsys):
+        # config.ini echoes written before each setting had one key, in the
+        # section of the experiments that read it; migrate by moving the line
+        old = {
+            "flow_dt": "[experiment]\nname = truncation_convergence\n\n[params]\nflow_dt = 0.0001\n",
+            "n_samples": "[experiment]\nname = truncation_convergence\n\n[params]\nn_samples = 4\n",
+            "m_sweep": "[experiment]\nname = smoothing_sweep\n\n[run]\nm_sweep = 16, 32, 64, 128\n",
+            "observer_stride": "[experiment]\nname = growth\n\n[run]\nobserver_stride = 100\n",
+        }
+        for key, text in old.items():
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(text)
+        path = tmp_path / "old.ini"
+        path.write_text(old["observer_stride"])
+        assert main(["run", str(path)]) == 2
+        assert "[run] unknown key 'observer_stride'" in capsys.readouterr().err
+
     def test_unknown_param(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(MINIMAL + "[params]\nnot_a_knob = 1\n")
@@ -171,7 +188,7 @@ class TestParse:
             ("plane_wave_order", "dt_list = 0.003, 0.0015, 0.00075", "whole steps"),  # t_end = 0.5
             ("plane_wave_order", "dt_list = 0.004, 0.0", "whole steps"),
             ("plane_wave_order", "dt_list = 0.004, 0.004", "distinct dt_list"),  # order 0 / 0
-            ("truncation_convergence", "n_samples = 0", "n_samples"),  # no curve to check
+            ("truncation_convergence", "ensemble_size = 0", "ensemble_size"),  # no curve to check
             ("truncation_convergence", "m_list = 16, 64, 32", "m_list"),
             ("truncation_convergence", "m_list = 16, 512", r"m_list in \[0, \[grid\] modes\]"),  # delta 0.0 at 512
             ("truncation_convergence", "flow_m_list = 8, 256", "flow_m_list"),
@@ -193,20 +210,28 @@ class TestParse:
             # T can only fall along increasing amplitudes: 2.0, 1.0 gives T = (0.2695, 0.5)
             ("focusing_local", "amplitudes = 2.0, 1.0", "amplitudes, positive and strictly increasing"),
             ("focusing_local", "amplitudes = 0.0, 1.0", "amplitudes, positive and strictly increasing"),
+            # a NaN initial row: the guard trips at t = 0 and the drifts are NaN
+            ("conservation", "width = 0.0", "width > 0"),
+            ("growth", "width = 0.0", "width > 0"),
+            # errors all NaN at decay 0, all 0.0 at a zero field or a negative decay
+            ("truncation_convergence", "flow_decay = 0.0", "flow_decay > 0"),
+            ("truncation_convergence", "flow_amplitude = 0.0", "flow_amplitude != 0"),
+            ("linear_invariance", "times = 0.0, 1.0", "nonzero times"),  # KS 0.0: the ensemble against itself
+            ("conservation", "observer_stride = 0", "observer_stride"),
             ("growth", "observer_stride = 0", "observer_stride"),
             ("growth", "fit_fraction = 0.0", "0 < fit_fraction < 1"),  # nothing to fit C on
             ("growth", "fit_fraction = 1.0", "0 < fit_fraction < 1"),  # nothing to check C on
             ("growth", "fit_fraction = 0.0004", "fit window"),  # first state at t = 0.1 > 0.08
             ("linear_invariance", "alpha = 0.0", "0 < alpha < 1"),  # infinite KS critical value
             ("transport_mc", "quantile = 1.5", "0 < quantile < 1"),
-            ("truncation_convergence", "flow_dt = 0.0", "flow_dt > 0"),
+            ("truncation_convergence", "dt = 0.0", "dt must be positive"),
             # n^2 dt of the top mode beyond RK4's limit 2*sqrt(2) on the imaginary axis
             ("conservation", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),  # 32^2 * 0.003 = 3.07
             ("growth", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
             ("transport_mc", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
             ("focusing_local", "dt = 0.003", r"modes\^2 \* dt <= 2\*sqrt\(2\)"),
             ("plane_wave_order", "dt_list = 0.05, 0.025", r"max\(dt_list\) <= 2\*sqrt\(2\)"),  # 8^2 * 0.05 = 3.2
-            ("truncation_convergence", "flow_dt = 0.0002", r"flow_modes\^2 \* flow_dt <= 2\*sqrt\(2\)"),  # 3.28
+            ("truncation_convergence", "dt = 0.0002", r"flow_modes\^2 \* dt <= 2\*sqrt\(2\)"),  # 3.28
             # sample_mu draws modes |n| <= M onto the grid
             ("linear_invariance", "M = 64", r"\[measure\] M <= \[grid\] modes"),  # modes = 32
             ("smoothing_sweep", "M = 256", r"\[measure\] M <= \[grid\] modes"),  # modes = 128
@@ -329,6 +354,9 @@ class TestOverrides:
             main(["linear_invariance", "--workers", "1"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_dt_sets_the_truncation_flow_step(self):
+        assert default_config("truncation_convergence", dt=5e-5).flow.dt == 5e-5
 
     def test_none_overrides_are_inert(self):
         cfg = default_config("conservation")

@@ -43,7 +43,8 @@ def tiny_conservation(tmp_path, **kw):
         "[experiment]\nname = conservation\n"
         f"output_dir = {tmp_path / 'run'}\n"
         "[grid]\nmodes = 16\n"
-        "[run]\nt_end = 0.05\nobserver_stride = 10\n"
+        "[run]\nt_end = 0.05\n"
+        "[params]\nobserver_stride = 10\n"
     )
     return parse_config(text)
 
@@ -226,7 +227,8 @@ class TestBlowupIsExpectedOutcome(object):
             f"[experiment]\nname = {name}\n"
             f"output_dir = {tmp_path / name}\n"
             "[flow]\nblowup_threshold = 0.5\n"
-            "[run]\nt_end = 0.05\nobserver_stride = 1\n"
+            "[run]\nt_end = 0.05\n"
+            "[params]\nobserver_stride = 1\n"
         )
         manifest = run(cfg)
         assert manifest.error is None
