@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .energy import pad_chunked
 from .flow import FlowParams
-from .spectral import TWO_PI, FourierField, GridSpec, jet, sobolev_sq_rows
+from .spectral import TWO_PI, FourierField, GridSpec, jet, pad_chunked, sobolev_sq_rows
 
 
 @pad_chunked

@@ -33,12 +33,10 @@ Results on a block of coefficient rows are name -> (B,) arrays
 
 from __future__ import annotations
 
-from functools import wraps
-
 import numpy as np
 
 from .flow import FlowParams, _cutoff_mask, _rhs_coeffs
-from .spectral import TWO_PI, FourierField, GridSpec, derivatives, jet, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, derivatives, jet, pad_chunked, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
 R2_TERMS: tuple[tuple[str, float, int], ...] = (
@@ -49,38 +47,6 @@ R2_TERMS: tuple[tuple[str, float, int], ...] = (
 )
 
 DEFAULT_M0 = 10  # highest equation-degree appearing in the F_2 remainders
-
-# rows of a chunk times its degree-10 pad size: 64 rows at M = 32, 16 at M = 128
-PAD_SAMPLES = 64 * 324
-
-
-def chunk_rows(grid: GridSpec) -> int:
-    """Rows of a block evaluated at once on `grid`, so that each degree-10
-    pad holds at most PAD_SAMPLES samples (and memory stays bounded)."""
-    return max(1, PAD_SAMPLES // grid.pad_for_degree(10))
-
-
-def _join(parts):
-    """Per-chunk results joined: arrays along rows, dicts by key, tuples by item."""
-    if isinstance(parts[0], dict):
-        return {k: _join([part[k] for part in parts]) for k in parts[0]}
-    if isinstance(parts[0], tuple):
-        return tuple(_join(list(items)) for items in zip(*parts))
-    return np.concatenate(parts)
-
-
-def pad_chunked(rows_fn):
-    """rows_fn(c, grid, ...) of a (B, 2M+1) block, evaluated chunk_rows(grid)
-    rows at a time; each row's result does not depend on the chunking."""
-    @wraps(rows_fn)
-    def chunked(c, grid, *args, **kwargs):
-        step = chunk_rows(grid)
-        if c.ndim == 1 or len(c) <= step:
-            return rows_fn(c, grid, *args, **kwargs)
-        return _join([rows_fn(c[i : i + step], grid, *args, **kwargs) for i in range(0, len(c), step)])
-
-    return chunked
-
 
 def _term_scales(sigma: int, overrides: dict[str, float] | None = None):
     scales = {}

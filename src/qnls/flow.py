@@ -20,18 +20,20 @@ n = 32 and dt = 1e-3.
 Independent fields on one grid are advanced together: evolve_block takes a
 (B, 2M+1) coefficient block, with a Galerkin cutoff per row, and runs each
 row through the same kernels as step (the spectral transforms act on the
-last axis).  The H^1 guard and the finiteness check apply per row: a row
-that fails either is frozen at its last good state and leaves the live mask
-at the step where step() would raise, and its trip time (the time of that
-state) is returned, while the other rows run on.  Each row is bit-for-bit a
-loop of step() calls on that row.  evolve is a one-row block that returns
-(times, states, blowup_time): there is one schedule loop and one guard.
-step advances one field: the tests hold the rows to it, and plane_wave_order
-steps with it.
+last axis).  Each step goes chunk by chunk, chunk_rows(quintic_pad) rows
+at a time (spectral's one row-chunk rule), so that the step's pad-sized
+temporaries stay small enough to be reused from the heap.  The H^1 guard
+and the finiteness check apply per row: a row that fails either is frozen
+at its last good state and leaves the live mask at the step where step()
+would raise, and its trip time (the time of that state) is returned, while
+the other rows run on.  Each row is bit-for-bit a loop of step() calls on
+that row.  evolve is a one-row block that returns (times, states,
+blowup_time): there is one schedule loop and one guard.  step advances one
+field: the tests hold the rows to it, and plane_wave_order steps with it.
 
 A row may overflow inside a step (|u|^4 u past the float range).  The
-np.errstate that keeps this quiet is held once per step, around the four
-stages of _rk4_coeffs, and once around the right-hand side that
+np.errstate that keeps this quiet is held once per step and chunk, around
+the four stages of _rk4_coeffs, and once around the right-hand side that
 energy.projected_rates evaluates; spectral.quintic_rows holds none, so a
 caller outside these two warns.
 """
@@ -43,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, quintic_rows, sobolev_sq_rows, synthesize
+from .spectral import TWO_PI, FourierField, GridSpec, chunk_rows, quintic_rows, sobolev_sq_rows, synthesize
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -177,8 +179,9 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
 def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     """Advance the live rows of c in place along evolve's schedule.
 
-    Row i takes the Galerkin cutoff cutoffs[i].  Yields (k, t) after step k,
-    t being the time of the new state: k * dt, or t_end after the partial
+    Row i takes the Galerkin cutoff cutoffs[i], and each step runs
+    chunk_rows(grid.quintic_pad()) rows at a time.  Yields (k, t) after step
+    k, t being the time of the new state: k * dt, or t_end after the partial
     step.  Before each step a row whose H^1 norm reaches the guard, and after
     it a row that is no longer finite, keeps its last good state, leaves
     `live` and gets that state's time in trip_times.  Stops once no row is
@@ -194,7 +197,16 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         full = np.ones(2 * grid.modes + 1, dtype=bool)
         mask = np.stack([full if m is True else m for m in masks])[rows]
     block = c[rows]  # the live rows; c[rows] is kept equal to it
+    per_chunk = chunk_rows(grid.quintic_pad())
     t = 0.0
+
+    def rk4(dt):
+        if len(block) <= per_chunk:
+            return _rk4_coeffs(block, grid, p, dt, mask)
+        return np.concatenate([
+            _rk4_coeffs(block[i : i + per_chunk], grid, p, dt, mask if mask is True else mask[i : i + per_chunk])
+            for i in range(0, len(block), per_chunk)
+        ])
 
     def leave(good):
         nonlocal rows, block, mask
@@ -209,7 +221,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         if not good.all():
             leave(good)
         if rows.size:
-            nxt = _rk4_coeffs(block, grid, p, p.dt if k <= n_steps else remainder, mask)
+            nxt = rk4(p.dt if k <= n_steps else remainder)
             good = _finite_rows(nxt)
             if not good.all():
                 leave(good)

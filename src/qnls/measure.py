@@ -14,7 +14,7 @@ ensemble member index gets its own Philox generator keyed by
     seed(index) = splitmix64(base_seed XOR splitmix64(index)),
 
 and normals are drawn through the inverse normal CDF applied to 53-bit
-uniforms offset by half an ulp (never exactly 0 or 1).  Samples are
+uniforms offset by half a step and kept inside (0, 1).  Samples are
 reproducible bit-for-bit given (spec, index); bit-compatibility across
 implementations is not promised, statistical compatibility is.
 
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .energy import pad_chunked, r2_rows
+from .energy import r2_rows
 from .flow import l6_pow6
-from .spectral import FourierField, GridSpec, sobolev_sq_rows
+from .spectral import FourierField, GridSpec, pad_chunked, sobolev_sq_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,9 +64,16 @@ class MeasureSpec:
 
 
 def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF normals from 53-bit uniforms offset by half an ulp."""
+    """Inverse-CDF normals ndtri(u) of u = (k + 0.5) / 2^53 in float64, k a
+    uniform 53-bit integer.
+
+    For k < 2^52 the sum is exact and u is the midpoint of its cell; above,
+    k + 0.5 is a tie and rounds to the even one of k and k + 1.  Only
+    k = 2^53 - 1 then gives u = 1.0; it is clamped to the largest double
+    below 1, so u lies in (0, 1) and every normal is finite.
+    """
     u = (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) / float(1 << 53)
-    return ndtri(u)
+    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
 def sample_mu(spec: MeasureSpec, index: int, grid: GridSpec) -> np.ndarray:

@@ -17,18 +17,28 @@ integrated on pad_for_degree(10).  Transforms are scipy's pocketfft, called
 through its c2c binding with the arguments scipy.fft passes for norm=None,
 so that a one-row transform skips scipy.fft's dispatch; they are equal bit
 for bit to scipy.fft and to numpy.fft at every size the configs use.
+
+A block is evaluated chunk_rows(size) rows at a time, size being its widest
+pad: the quintic pad for flow's RK4 step, the degree-10 pad for the
+pad_chunked functionals.  Rows are independent, so no value depends on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.fft._pocketfft.pypocketfft import c2c
 
 TWO_PI = 2.0 * np.pi
+
+# samples of one complex (rows, pad) temporary of a chunk: 16 rows at the
+# degree-10 pad 324 of M = 32, 81 KB, so that glibc serves each temporary
+# from the heap it keeps instead of mapping it and faulting it in anew on
+# every call (its mmap threshold starts at 128 KiB)
+CHUNK_SAMPLES = 16 * 324
 
 # pad sizes, mode indices and Sobolev weights are read on every step
 _fast_len = lru_cache(maxsize=256)(next_fast_len)
@@ -189,3 +199,32 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     a **= 4
     v *= a
     return analyze(v, grid.modes)
+
+
+def chunk_rows(size: int) -> int:
+    """Rows of a block evaluated at once on a pad of `size` samples, so that
+    each (rows, size) temporary holds at most CHUNK_SAMPLES samples."""
+    return max(1, CHUNK_SAMPLES // size)
+
+
+def _join(parts):
+    """Per-chunk results joined: arrays along rows, dicts by key, tuples by item."""
+    if isinstance(parts[0], dict):
+        return {k: _join([part[k] for part in parts]) for k in parts[0]}
+    if isinstance(parts[0], tuple):
+        return tuple(_join(list(items)) for items in zip(*parts))
+    return np.concatenate(parts)
+
+
+def pad_chunked(rows_fn):
+    """rows_fn(c, grid, ...) of a (B, 2M+1) block, evaluated
+    chunk_rows(grid.pad_for_degree(10)) rows at a time; each row's result
+    does not depend on the chunking."""
+    @wraps(rows_fn)
+    def chunked(c, grid, *args, **kwargs):
+        step = chunk_rows(grid.pad_for_degree(10))
+        if c.ndim == 1 or len(c) <= step:
+            return rows_fn(c, grid, *args, **kwargs)
+        return _join([rows_fn(c[i : i + step], grid, *args, **kwargs) for i in range(0, len(c), step)])
+
+    return chunked

@@ -26,7 +26,7 @@ from qnls.measure import (
     observables_rows,
     sample_mu,
 )
-from qnls.spectral import synthesize
+from qnls.spectral import chunk_rows, synthesize
 
 from conftest import step_loop
 from oracles import sample_field, sobolev_norm_sq
@@ -82,17 +82,18 @@ class TestRun:
         assert m1.files == m2.files
 
     def test_linear_invariance_matches_the_per_member_loop(self, tmp_path):
-        # 65 members cross a 64-row chunk of observables_rows
+        # one member past the first row chunk of observables_rows
         cfg = default_config("linear_invariance", output_dir=str(tmp_path / "li"))
-        cfg = replace(cfg, run=replace(cfg.run, ensemble_size=65))
+        size = chunk_rows(cfg.grid.pad_for_degree(10)) + 1
+        cfg = replace(cfg, run=replace(cfg.run, ensemble_size=size))
         assert run(cfg).error is None
-        members = [sample_field(cfg.measure, i, cfg.grid) for i in range(65)]
+        members = [sample_field(cfg.measure, i, cfg.grid) for i in range(size)]
         before = [observables(u) for u in members]
         after = {
             t: [observables(FourierField(u.grid, linear_flow_rows(u.coeffs, u.grid, t))) for u in members]
             for t in cfg.params["times"]
         }
-        crit = ks_critical_value(65, 65, cfg.params["alpha"])
+        crit = ks_critical_value(size, size, cfg.params["alpha"])
         lines = ["observable,time,ks,critical,pass"]
         for name in OBSERVABLE_NAMES:
             for t in cfg.params["times"]:

@@ -20,7 +20,7 @@ from qnls import (
 from qnls.config import default_config
 from qnls.experiments import smooth_random_field
 from qnls.flow import FULL, _cutoff_mask, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
-from qnls.spectral import quintic_rows
+from qnls.spectral import chunk_rows, quintic_rows
 
 from conftest import random_field, step_loop
 from oracles import mode_field, project, sample_field, sobolev_norm_sq, zero_field
@@ -266,6 +266,34 @@ class TestEvolveBlock:
         # the trip time is the step loop's, bit for bit; NaN for the rest
         assert trip_times[2] == refs[2][1]
         assert np.isnan(trip_times[[0, 1, 3]]).all()
+
+    def test_rows_past_one_chunk_are_their_step_loops(self):
+        # the block runs five rows past the step's first row chunk, with mixed
+        # cutoffs; member 48 at this seed trips the H^1 guard at t = 0.002,
+        # and it sits in the second chunk
+        cfg = default_config("transport_mc")
+        grid = cfg.grid
+        spec = replace(cfg.measure, base_seed=cfg.measure.base_seed + 25)
+        per_chunk = chunk_rows(grid.quintic_pad())
+        n = per_chunk + 5
+        indices = list(range(n))
+        indices[per_chunk + 2] = 48
+        cutoffs = [[FULL, grid.modes, 3, 10][i % 4] for i in range(n)]
+        cutoffs[per_chunk + 2] = cfg.flow.cutoff
+        members = [sample_field(spec, i, grid) for i in indices]
+        t_end = 0.0125
+        c, live, trip_times = evolve_block(
+            np.stack([u.coeffs for u in members]), np.ones(n, dtype=bool), grid, cfg.flow, t_end, cutoffs
+        )
+        refs = [step_loop(u, replace(cfg.flow, cutoff=m), t_end) for u, m in zip(members, cutoffs)]
+        assert refs[per_chunk + 2][1] == pytest.approx(0.002)
+        for i, (ref, blowup_time, _) in enumerate(refs):
+            assert c[i].tobytes() == ref.coeffs.tobytes(), i
+            assert live[i] == (blowup_time is None), i
+            if blowup_time is None:
+                assert np.isnan(trip_times[i]), i
+            else:
+                assert trip_times[i] == blowup_time, i
 
     @pytest.mark.parametrize(
         "amp, p, why",

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from qnls import (
     FourierField,
@@ -18,7 +19,7 @@ from qnls import (
     tail_ratio,
 )
 from qnls.flow import linear_flow_rows
-from qnls.measure import derive_seed, write_ensemble
+from qnls.measure import _standard_normals, derive_seed, write_ensemble
 
 from oracles import mode_field, sample_field, zero_field
 
@@ -78,6 +79,20 @@ class TestSampler:
             stat = ks_statistic(samples[:, k].real, samples[:, k].imag)
             assert stat < crit
 
+
+    def test_top_integer_draw_gives_a_finite_normal(self):
+        # (k + 0.5) / 2^53 rounds to 1.0 only at k = 2^53 - 1, where ndtri is
+        # +inf; every other draw keeps the unclamped value bit for bit
+        class Draws:
+            def integers(self, low, high, size):
+                assert (low, high) == (0, 1 << 53)
+                return np.array([0, 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 2, (1 << 53) - 1]).reshape(size)
+
+        z = _standard_normals(Draws(), (3, 2))
+        assert np.isfinite(z).all()
+        k = np.array([0, 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 2], dtype=np.float64)
+        assert z.ravel()[:5].tobytes() == ndtri((k + 0.5) / float(1 << 53)).tobytes()
+        assert z[2, 1] == ndtri(np.nextafter(1.0, 0.0)) > 8.0
 
 class TestObservables:
     def test_zero(self, grid8):

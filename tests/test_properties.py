@@ -16,9 +16,9 @@ from hypothesis.extra import numpy as hnp
 
 from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve, evolve_block
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
-from qnls.energy import breakdown_rows, chunk_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
+from qnls.energy import breakdown_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
-from qnls.spectral import TWO_PI, analyze, jet, quintic_rows, synthesize
+from qnls.spectral import TWO_PI, analyze, chunk_rows, jet, quintic_rows, synthesize
 
 from oracles import (
     analyze_numpy,
@@ -150,7 +150,7 @@ def test_jet_rows_are_the_one_row_calls(block, size_factor, order):
 def chunk_spanning_blocks(draw):
     """(grid, block) whose rows run one to eight past the first row chunk."""
     modes = draw(st.sampled_from([24, 64]))
-    rows = chunk_rows(GridSpec(modes=modes))
+    rows = chunk_rows(GridSpec(modes=modes).pad_for_degree(10))
     return draw(blocks(rows + 1, rows + 8, modes=st.just(modes)))
 
 

@@ -163,3 +163,33 @@ def test_every_transform_is_pocketfft_c2c():
     other = [hit for _, hits in reads for hit in hits]
     assert [hit.split(":")[0] for hit in c2c] == ["spectral.py"], f"c2c imported at: {c2c}"
     assert other == [], f"numpy.fft or scipy.fft.fft/ifft read in src/qnls: {other}"
+
+
+def _assigned_names(node: ast.AST) -> list[str]:
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_one_row_chunk_rule():
+    # blocks are chunked by the one constant in spectral; the RK4 step of a
+    # block runs only through _march, which chunks it, and step, one row
+    defined, old_rule, callers = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        if "PAD_SAMPLES" in text:
+            old_rule.append(path.name)
+        defined += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and "CHUNK_SAMPLES" in _assigned_names(node)
+        ]
+        for top in tree.body:
+            calls = [
+                node for node in ast.walk(top)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_rk4_coeffs"
+            ]
+            callers += [f"{path.name}:{getattr(top, 'name', '<module>')}"] * len(calls)
+    assert [hit.split(":")[0] for hit in defined] == ["spectral.py"], f"CHUNK_SAMPLES set at: {defined}"
+    assert old_rule == [], f"PAD_SAMPLES named in: {old_rule}"
+    assert sorted(set(callers)) == ["flow.py:_march", "flow.py:step"], f"_rk4_coeffs called from: {callers}"
