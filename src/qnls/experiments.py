@@ -244,7 +244,7 @@ def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     times = list(pm["times"])
     n_samp = cfg.run.ensemble_size
-    c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_samp)])
+    c = sample_mu(cfg.measure, range(n_samp), cfg.grid)
     sigma = cfg.flow.sigma
     columns = {0.0: observables_rows(c, cfg.grid, sigma)}
     columns.update((t, observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid, sigma)) for t in times)
@@ -278,7 +278,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     for name in term_names:
         scale_sets[name] = {name: 1.0 + pm["perturbation"]}
 
-    c = np.stack([sample_mu(cfg.measure, i, grid) for i in range(cfg.run.ensemble_size)])
+    c = sample_mu(cfg.measure, range(cfg.run.ensemble_size), grid)
     # max over the members of each rate's |rate| / bound, per M
     max_ratio = {k: [] for k in scale_sets}
     unc = []
@@ -368,7 +368,7 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     sigma = cfg.flow.sigma
     n_members = cfg.run.ensemble_size
     seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(n_members)]
-    c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(n_members)])
+    c = sample_mu(cfg.measure, range(n_members), cfg.grid)
     live = np.ones(n_members, dtype=bool)
     initial = observables_rows(c, cfg.grid, sigma)
     write_ensemble(out / "ensemble.jsonl", seeds, live, initial)
@@ -434,8 +434,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
     m_list = list(pm["m_list"])
     rows = []
     mono_all, final_all = True, True
-    for idx in range(cfg.run.ensemble_size):
-        c = sample_mu(cfg.measure, idx, cfg.grid)
+    for idx, c in enumerate(sample_mu(cfg.measure, range(cfg.run.ensemble_size), cfg.grid)):
         curve = r2_truncation_curve(c, cfg.grid, m_list, cfg.flow.sigma)
         for M, d in zip(m_list, curve):
             rows.append([idx, M, d])

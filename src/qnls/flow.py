@@ -22,8 +22,10 @@ Independent fields on one grid are advanced together: evolve_block takes a
 row through the same kernels as step (the spectral transforms act on the
 last axis).  Each step goes chunk by chunk, chunk_rows(quintic_pad) rows
 at a time (spectral's one row-chunk rule), so that the step's pad-sized
-temporaries stay small enough to be reused from the heap.  The H^1 guard
-and the finiteness check apply per row: a row that fails either is frozen
+temporaries stay small enough to be reused from the heap; a chunk's new
+rows overwrite its old ones in the block, so no block-sized array is made
+per step.  The H^1 guard (norm below blowup_threshold, which NaN fails) and
+the finiteness check apply per row: a row that fails either is frozen
 at its last good state and leaves the live mask at the step where step()
 would raise, and its trip time (the time of that state) is returned, while
 the other rows run on.  Each row is bit-for-bit a loop of step() calls on
@@ -32,10 +34,11 @@ blowup_time): there is one schedule loop and one guard.  step advances one
 field: the tests hold the rows to it, and plane_wave_order steps with it.
 
 A row may overflow inside a step (|u|^4 u past the float range).  The
-np.errstate that keeps this quiet is held once per step and chunk, around
-the four stages of _rk4_coeffs, and once around the right-hand side that
-energy.projected_rates evaluates; spectral.quintic_rows holds none, so a
-caller outside these two warns.
+np.errstate that keeps this quiet is held once per step: by step around
+_rk4_coeffs, by _march around a step's chunks and the H^1 norms of their new
+rows, and once around the right-hand side that energy.projected_rates
+evaluates; spectral.quintic_rows holds none, so a caller outside these
+warns.
 """
 
 from __future__ import annotations
@@ -129,22 +132,18 @@ def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray |
 
 
 def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool) -> np.ndarray:
-    """One RK4 step of a coefficient vector or (B, 2M+1) block.  Overflow is
-    quiet here; the caller's finiteness check finds it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = _rhs_coeffs(c, grid, p, mask)
-        k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
-        k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
-        k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
-        return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One RK4 step of a coefficient vector or (B, 2M+1) block.  The caller
+    holds the np.errstate that keeps overflow quiet, and its finiteness check
+    finds it."""
+    k1 = _rhs_coeffs(c, grid, p, mask)
+    k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
+    k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
+    k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
+    return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.sqrt(sobolev_sq_rows(c, grid, 1.0))
-
-
-def _guard_tripped(h1: np.ndarray, p: FlowParams) -> np.ndarray:
-    return ~np.isfinite(h1) | (h1 >= p.blowup_threshold)
 
 
 def _finite_rows(c: np.ndarray) -> np.ndarray:
@@ -168,9 +167,10 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     """
     p.check_grid(u.grid)
     h1 = float(_h1_norms(u.coeffs, u.grid))
-    if _guard_tripped(h1, p):
+    if not h1 < p.blowup_threshold:
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
-    c = _rk4_coeffs(u.coeffs, u.grid, p, p.dt if dt is None else dt, _cutoff_mask(u.grid.modes, p.cutoff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _rk4_coeffs(u.coeffs, u.grid, p, p.dt if dt is None else dt, _cutoff_mask(u.grid.modes, p.cutoff))
     if not _finite_rows(c):
         raise BlowUpError("state left the representable range during a step")
     return FourierField(u.grid, c)
@@ -179,13 +179,17 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
 def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     """Advance the live rows of c in place along evolve's schedule.
 
-    Row i takes the Galerkin cutoff cutoffs[i], and each step runs
-    chunk_rows(grid.quintic_pad()) rows at a time.  Yields (k, t) after step
-    k, t being the time of the new state: k * dt, or t_end after the partial
-    step.  Before each step a row whose H^1 norm reaches the guard, and after
-    it a row that is no longer finite, keeps its last good state, leaves
-    `live` and gets that state's time in trip_times.  Stops once no row is
-    live.
+    Row i takes the Galerkin cutoff cutoffs[i].  Each step runs
+    chunk_rows(grid.quintic_pad()) rows at a time, and a chunk's new rows
+    overwrite its old ones as soon as they are computed (the rows are
+    independent); whether their H^1 norms are below the guard is kept for
+    the next step.  Yields (k, t) after step k, t being the time of the new
+    state: k * dt, or t_end after the partial step.  Before each step a row
+    whose H^1 norm is not below the guard (NaN and inf are not), and after it
+    a row that is no longer finite, keeps its last good state, leaves `live`
+    and gets that state's time in trip_times.  Finiteness is checked only in
+    a chunk where some new norm fails the guard; a finite row over the guard
+    after the last step stays live.  Stops once no row is live.
     """
     for m in set(cutoffs):
         replace(p, cutoff=m).check_grid(grid)
@@ -200,33 +204,43 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     per_chunk = chunk_rows(grid.quintic_pad())
     t = 0.0
 
-    def rk4(dt):
-        if len(block) <= per_chunk:
-            return _rk4_coeffs(block, grid, p, dt, mask)
-        return np.concatenate([
-            _rk4_coeffs(block[i : i + per_chunk], grid, p, dt, mask if mask is True else mask[i : i + per_chunk])
-            for i in range(0, len(block), per_chunk)
-        ])
+    def chunks():
+        return [slice(i, i + per_chunk) for i in range(0, rows.size, per_chunk)]
 
     def leave(good):
-        nonlocal rows, block, mask
+        nonlocal rows, block, under, mask, parts
         live[rows[~good]] = False
         trip_times[rows[~good]] = t
-        rows, block = rows[good], block[good]
+        rows, block, under = rows[good], block[good], under[good]
         if mask is not True:
             mask = mask[good]
+        parts = chunks()
 
+    parts = chunks()
+    under = np.empty(rows.size, dtype=bool)  # H^1 norm below the guard, per row
+    for part in parts:
+        under[part] = _h1_norms(block[part], grid) < p.blowup_threshold
     for k in range(1, n_steps + 1 + (remainder > 0)):
-        good = ~_guard_tripped(_h1_norms(block, grid), p)
-        if not good.all():
-            leave(good)
+        if not under.all():
+            leave(under)
         if rows.size:
-            nxt = rk4(p.dt if k <= n_steps else remainder)
-            good = _finite_rows(nxt)
-            if not good.all():
-                leave(good)
-                nxt = nxt[good]
-            block = nxt
+            dt = p.dt if k <= n_steps else remainder
+            finite = True
+            # one np.errstate per step: RK4 overflows quietly, and so does |c|^2
+            # of a finite row past the float range's square root
+            with np.errstate(over="ignore", invalid="ignore"):
+                for part in parts:
+                    new = _rk4_coeffs(block[part], grid, p, dt, mask if mask is True else mask[part])
+                    under[part] = ok = _h1_norms(new, grid) < p.blowup_threshold
+                    if ok.all():
+                        block[part] = new
+                    else:
+                        if finite is True:
+                            finite = np.ones(rows.size, dtype=bool)
+                        finite[part] = ok = _finite_rows(new)
+                        block[part][ok] = new[ok]
+            if finite is not True:
+                leave(finite)
             c[rows] = block
         if not rows.size:
             return

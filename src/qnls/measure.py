@@ -9,14 +9,21 @@ in H^{s - 1/2 - delta} statistically; this is tested through moments, never
 per sample.
 
 Determinism and order independence come from a counter-based stream split: each
-ensemble member index gets its own Philox generator keyed by
+ensemble member index gets its own Philox stream keyed by
 
     seed(index) = splitmix64(base_seed XOR splitmix64(index)),
 
 and normals are drawn through the inverse normal CDF applied to 53-bit
-uniforms offset by half a step and kept inside (0, 1).  Samples are
-reproducible bit-for-bit given (spec, index); bit-compatibility across
-implementations is not promised, statistical compatibility is.
+uniforms offset by half a step and kept inside (0, 1).  sample_mu draws a
+block of members at once: one Philox bit generator is re-keyed to
+[seed(index), 0] with counter 0 and an empty buffer for each member, and its
+raw 64-bit outputs shifted right by 11 are that member's 53-bit integers
+(what Generator.integers(0, 2^53) draws, as Lemire's bounded method never
+rejects on a power-of-two range).  The transform to coefficients then runs
+chunk_rows(2 (2M+1)) members at a time, spectral's one row-chunk rule.  A
+member's row is bit-for-bit the same in every block it is drawn in, given
+(spec, index); bit-compatibility across implementations is not promised,
+statistical compatibility is.
 
 Observables are name -> (B,) arrays over the members, from sampling to the
 ensemble files that write_ensemble makes of them.
@@ -32,7 +39,7 @@ from scipy.special import ndtri
 
 from .energy import r2_rows
 from .flow import l6_pow6
-from .spectral import FourierField, GridSpec, pad_chunked, sobolev_sq_rows
+from .spectral import FourierField, GridSpec, chunk_rows, pad_chunked, sobolev_sq_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,34 +70,48 @@ class MeasureSpec:
             raise ValueError("M must be >= 0")
 
 
-def _standard_normals(rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF normals ndtri(u) of u = (k + 0.5) / 2^53 in float64, k a
-    uniform 53-bit integer.
+def _standard_normals(k: np.ndarray) -> np.ndarray:
+    """Inverse-CDF normals ndtri(u) of u = (k + 0.5) / 2^53 in float64, k an
+    array of 53-bit integers.
 
     For k < 2^52 the sum is exact and u is the midpoint of its cell; above,
     k + 0.5 is a tie and rounds to the even one of k and k + 1.  Only
     k = 2^53 - 1 then gives u = 1.0; it is clamped to the largest double
     below 1, so u lies in (0, 1) and every normal is finite.
     """
-    u = (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) / float(1 << 53)
+    u = (k.astype(np.float64) + 0.5) / float(1 << 53)
     return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
-def sample_mu(spec: MeasureSpec, index: int, grid: GridSpec) -> np.ndarray:
-    """The coefficient row on `grid` of the index-th ensemble member of mu_s,
-    deterministic per (spec, index).
+def sample_mu(spec: MeasureSpec, indices, grid: GridSpec) -> np.ndarray:
+    """The (len(indices), 2 grid.modes + 1) coefficient block on `grid` of
+    the ensemble members of mu_s with these indices, in their order; each
+    row is deterministic per (spec, index).
 
-    Normals are drawn as an (2M+1, 2) block in mode order n = -M..M,
-    columns (h_n, l_n).
+    A member's normals are its first 2 (2M+1) draws in mode order
+    n = -M..M, h_n then l_n for each n.
     """
     if grid.modes < spec.M:
         raise ValueError(f"grid modes {grid.modes} < sample cutoff {spec.M}")
-    rng = np.random.Generator(np.random.Philox(key=derive_seed(spec.base_seed, index)))
-    hl = _standard_normals(rng, (2 * spec.M + 1, 2))
-    g = hl[:, 0] + 1j * hl[:, 1]
+    seeds = [derive_seed(spec.base_seed, i) for i in indices]
     n = np.arange(-spec.M, spec.M + 1)
-    c = np.zeros(2 * grid.modes + 1, dtype=np.complex128)
-    c[n + grid.modes] = g / (1.0 + n * n) ** (spec.s / 2.0)
+    weight = (1.0 + n * n) ** (spec.s / 2.0)
+    width = 2 * n.size
+    philox = np.random.Philox(key=0)
+    state = philox.state  # counter 0, empty buffer (buffer_pos 4)
+    key = state["state"]["key"]
+    c = np.zeros((len(seeds), 2 * grid.modes + 1), dtype=np.complex128)
+    per_chunk = chunk_rows(width)
+    for lo in range(0, len(seeds), per_chunk):
+        part = seeds[lo : lo + per_chunk]
+        k = np.empty((len(part), width), dtype=np.uint64)
+        for row, seed in enumerate(part):
+            key[0] = seed
+            philox.state = state
+            k[row] = philox.random_raw(width)
+        hl = _standard_normals(k >> np.uint64(11))
+        g = hl[:, 0::2] + 1j * hl[:, 1::2]
+        c[lo : lo + len(part), grid.modes - spec.M : grid.modes + spec.M + 1] = g / weight
     return c
 
 

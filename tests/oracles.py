@@ -1,4 +1,5 @@
-"""Reference functionals that tests compare qnls against, on one FourierField.
+"""Reference functionals and the one-member sampler that tests compare qnls
+against, on one FourierField or one row.
 
 No experiment reaches them, so they live with the tests, not in src/qnls.
 """
@@ -7,10 +8,12 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
-from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sample_mu, sobolev_sq_rows
+from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sobolev_sq_rows
 from qnls.config import ExperimentConfig
 from qnls.energy import DEFAULT_M0, corrected_rate, projected_rates, r2_rows
+from qnls.measure import derive_seed
 from qnls.spectral import TWO_PI, jet, synthesize
 
 
@@ -23,9 +26,26 @@ def mode_field(grid: GridSpec, amplitudes: dict[int, complex]) -> FourierField:
     return FourierField(grid, field_from_modes(grid, amplitudes))
 
 
+def sample_member(spec: MeasureSpec, index: int, grid: GridSpec) -> np.ndarray:
+    """The coefficient row on `grid` of the index-th member of mu_s, drawn on
+    its own: a Generator over Philox keyed derive_seed(base_seed, index),
+    whose integers(0, 2^53) fill the (2M+1, 2) normals (h_n, l_n) for
+    n = -M..M.  sample_mu's block rows are held to it bit for bit."""
+    if grid.modes < spec.M:
+        raise ValueError(f"grid modes {grid.modes} < sample cutoff {spec.M}")
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(spec.base_seed, index)))
+    u = (rng.integers(0, 1 << 53, size=(2 * spec.M + 1, 2)).astype(np.float64) + 0.5) / float(1 << 53)
+    hl = ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
+    g = hl[:, 0] + 1j * hl[:, 1]
+    n = np.arange(-spec.M, spec.M + 1)
+    c = np.zeros(2 * grid.modes + 1, dtype=np.complex128)
+    c[n + grid.modes] = g / (1.0 + n * n) ** (spec.s / 2.0)
+    return c
+
+
 def sample_field(spec: MeasureSpec, index: int, grid: GridSpec) -> FourierField:
-    """sample_mu as a field."""
-    return FourierField(grid, sample_mu(spec, index, grid))
+    """sample_member as a field."""
+    return FourierField(grid, sample_member(spec, index, grid))
 
 
 def project(u: FourierField, cutoff: int) -> FourierField:

@@ -84,7 +84,7 @@ def shell_flux():
     scalings = {"shipped": None}
     for name, _, _ in R2_TERMS:
         scalings[name] = {name: 1.0 + cfg.params["perturbation"]}
-    c = np.stack([sample_mu(cfg.measure, idx, cfg.grid) for idx in range(cfg.run.ensemble_size)])
+    c = sample_mu(cfg.measure, range(cfg.run.ensemble_size), cfg.grid)
     rates = {key: [] for key in ("uncorrected", *scalings)}
     for M in sweep:
         _, rate, raw = projected_rates(c, cfg.grid, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
@@ -153,7 +153,7 @@ def test_criterion_3_energy_correctness():
     g = GridSpec(modes=16)
     for sigma in (1, -1):
         for cutoff in (None, 8):
-            c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
+            c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), [3], g)[0]
             dt = 2e-4
             p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
             states = [FourierField(g, c) for c in evolve(c0, g, p, 6 * dt)[1]]

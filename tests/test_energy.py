@@ -42,7 +42,7 @@ class TestR2:
     def test_finite_on_rough_sample(self):
         # samples of mu_2 live below H^2 but R_2 only needs H^1-type norms
         grid = GridSpec(modes=64)
-        total, _ = r2_rows(sample_mu(MeasureSpec(s=2.0, M=64, base_seed=5), 0, grid), grid, sigma=1)
+        total, _ = r2_rows(sample_mu(MeasureSpec(s=2.0, M=64, base_seed=5), [0], grid)[0], grid, sigma=1)
         assert np.isfinite(total)
 
     def test_sigma_placement(self, grid8):
@@ -145,7 +145,7 @@ class TestF2:
     def test_matches_trajectory_derivative(self, sigma, cutoff):
         # 4th-order FD of t -> E_2(P_M u(t)) along an rk4 trajectory
         g = GridSpec(modes=16)
-        c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), 3, g)
+        c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), [3], g)[0]
         dt = 2e-4
         p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
         states = [FourierField(g, c) for c in evolve(c0, g, p, 6 * dt)[1]]
@@ -239,7 +239,7 @@ class TestTruncationCurve:
 
     def test_mu2_sample_decreases(self):
         grid = GridSpec(modes=64)
-        c = sample_mu(MeasureSpec(s=2.0, M=64, base_seed=17), 1, grid)
+        c = sample_mu(MeasureSpec(s=2.0, M=64, base_seed=17), [1], grid)[0]
         curve = r2_truncation_curve(c, grid, [8, 16, 32, 64])
         assert curve[-1] < 1e-12  # final M equals the sample cutoff
         assert curve[0] > curve[-2]

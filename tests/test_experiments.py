@@ -108,7 +108,7 @@ class TestRun:
             "[flow]\nsigma = -1\n[run]\nensemble_size = 200\n"
         )
         assert run(cfg).error is None
-        c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(200)])
+        c = sample_mu(cfg.measure, range(200), cfg.grid)
         times = cfg.params["times"]
         crit = ks_critical_value(200, 200, cfg.params["alpha"])
 

@@ -54,7 +54,7 @@ class TestLinearFlow:
         # a reordered phase product, which rounds differently, would change
         # no data file; this pins the rounding of c * e^{-i t n^2}
         cfg = default_config("linear_invariance")
-        c = np.stack([sample_mu(cfg.measure, i, cfg.grid) for i in range(50)])
+        c = sample_mu(cfg.measure, range(50), cfg.grid)
         n = np.arange(-cfg.grid.modes, cfg.grid.modes + 1)
         for t in cfg.params["times"]:
             want = c * np.exp(-1j * t * n * n)
@@ -356,6 +356,28 @@ class TestEvolveBlock:
         times, _, got_blowup = evolve(u0.coeffs, grid8, p, t_end, stride=7)
         assert got_blowup == blowup_time
         assert list(times) == step_loop(u0, p, t_end, stride=7)[2]
+
+    def test_last_step_non_finite_leaves_and_over_guard_stays_live(self, grid8):
+        # at dt = 0.05 RK4 is unstable on both rows.  2.1 e^{0x} is finite with
+        # H^1 <= 245 for six steps and overflows in the seventh; 0.25 e^{8ix},
+        # linear under cutoff 0, grows by |R(3.2i)| = 2.27 a step and passes
+        # the guard 1e3 only in the seventh.  The third row stays small.
+        p = FlowParams(dt=0.05, blowup_threshold=1e3)
+        t_end, n_steps = 0.35, 7
+        members = [mode_field(grid8, {0: 2.1}), mode_field(grid8, {8: 0.25}), mode_field(grid8, {1: 0.1})]
+        cutoffs = [FULL, 0, FULL]
+        refs = [step_loop(u, replace(p, cutoff=m), t_end) for u, m in zip(members, cutoffs)]
+        assert [blowup_time for _, blowup_time, _ in refs] == [(n_steps - 1) * p.dt, None, None]
+        with pytest.raises(BlowUpError, match="representable"):
+            step(refs[0][0], p)
+        assert sobolev_norm_sq(refs[1][0], 1.0) ** 0.5 >= p.blowup_threshold
+        c, live, trip_times = evolve_block(
+            np.stack([u.coeffs for u in members]), np.ones(3, dtype=bool), grid8, p, t_end, cutoffs
+        )
+        assert live.tolist() == [False, True, True]
+        assert trip_times[0] == refs[0][1] and np.isnan(trip_times[1:]).all()
+        for row, (ref, _, _) in zip(c, refs):
+            assert row.tobytes() == ref.coeffs.tobytes()
 
     @pytest.mark.parametrize("stride", [1, 3, 1000])
     @pytest.mark.parametrize("t_end", [0.01234, 0.012, 0.6], ids=["partial", "whole", "trips"])

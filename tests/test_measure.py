@@ -20,21 +20,39 @@ from qnls import (
 )
 from qnls.flow import linear_flow_rows
 from qnls.measure import _standard_normals, derive_seed, write_ensemble
+from qnls.spectral import chunk_rows
 
-from oracles import mode_field, sample_field, zero_field
+from oracles import mode_field, sample_field, sample_member, zero_field
 
 
 class TestSampler:
     def test_deterministic(self):
         spec = MeasureSpec(s=2.0, M=16, base_seed=77)
-        a = sample_mu(spec, 5, GridSpec(modes=16))
-        b = sample_mu(spec, 5, GridSpec(modes=16))
+        a = sample_mu(spec, [5], GridSpec(modes=16))
+        b = sample_mu(spec, [5], GridSpec(modes=16))
         assert np.array_equal(a, b)
 
     def test_distinct_indices_differ(self):
         spec = MeasureSpec(s=2.0, M=16, base_seed=77)
-        grid = GridSpec(modes=16)
-        assert not np.array_equal(sample_mu(spec, 0, grid), sample_mu(spec, 1, grid))
+        a, b = sample_mu(spec, [0, 1], GridSpec(modes=16))
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "s, M, modes, base_seed",
+        [(2.0, 32, 32, 20260810), (1.5, 8, 12, 3), (3.0, 0, 1, 123), (2.5, 64, 70, 17)],
+    )
+    def test_block_rows_are_the_one_member_draws(self, s, M, modes, base_seed):
+        # out of order, with gaps, and past the first chunk of the transform,
+        # so each row is also independent of its place in the block
+        spec = MeasureSpec(s=s, M=M, base_seed=base_seed)
+        grid = GridSpec(modes=modes)
+        per_chunk = chunk_rows(2 * (2 * M + 1))
+        indices = [per_chunk + 7, 3, 0, 2 * per_chunk, 5, per_chunk - 1, per_chunk, 1]
+        indices += range(40 + per_chunk, 40, -1)
+        block = sample_mu(spec, indices, grid)
+        assert block.shape == (len(indices), 2 * modes + 1)
+        for row, i in zip(block, indices):
+            assert row.tobytes() == sample_member(spec, i, grid).tobytes(), i
 
     def test_seed_derivation_spreads(self):
         seeds = {derive_seed(1, i) for i in range(1000)}
@@ -43,12 +61,12 @@ class TestSampler:
     def test_grid_too_small(self):
         spec = MeasureSpec(s=2.0, M=16, base_seed=1)
         with pytest.raises(ValueError, match="cutoff"):
-            sample_mu(spec, 0, GridSpec(modes=8))
+            sample_mu(spec, [0], GridSpec(modes=8))
 
     def test_single_mode_second_moment(self):
         # M = 0: one complex gaussian with E|u_0|^2 = 2
         spec = MeasureSpec(s=3.0, M=0, base_seed=123)
-        vals = [abs(sample_mu(spec, i, GridSpec(modes=1))[1]) ** 2 for i in range(10_000)]
+        vals = np.abs(sample_mu(spec, range(10_000), GridSpec(modes=1))[:, 1]) ** 2
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - 2.0) < 3 * se
 
@@ -56,13 +74,13 @@ class TestSampler:
         # E||u||_L2^2 = 2 pi sum 2/(1+n^2)^2 over |n|<=1 = 6 pi
         spec = MeasureSpec(s=2.0, M=1, base_seed=321)
         grid = GridSpec(modes=1)
-        vals = sobolev_sq_rows(np.stack([sample_mu(spec, i, grid) for i in range(10_000)]), grid, 0.0)
+        vals = sobolev_sq_rows(sample_mu(spec, range(10_000), grid), grid, 0.0)
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - 6 * np.pi) < 3 * se
 
     def test_per_mode_moments(self):
         spec = MeasureSpec(s=2.0, M=8, base_seed=555)
-        samples = np.array([sample_mu(spec, i, GridSpec(modes=8)) for i in range(10_000)])
+        samples = sample_mu(spec, range(10_000), GridSpec(modes=8))
         n = np.arange(-8, 9)
         expected = 2.0 / (1.0 + n * n) ** 2
         for k in range(17):
@@ -73,26 +91,21 @@ class TestSampler:
     def test_rotation_invariance_re_im(self):
         # real and imaginary parts of each coefficient share one law
         spec = MeasureSpec(s=2.0, M=4, base_seed=999)
-        samples = np.array([sample_mu(spec, i, GridSpec(modes=4)) for i in range(1000)])
+        samples = sample_mu(spec, range(1000), GridSpec(modes=4))
         crit = ks_critical_value(1000, 1000)
         for k in (0, 4, 8):
             stat = ks_statistic(samples[:, k].real, samples[:, k].imag)
             assert stat < crit
 
-
     def test_top_integer_draw_gives_a_finite_normal(self):
         # (k + 0.5) / 2^53 rounds to 1.0 only at k = 2^53 - 1, where ndtri is
         # +inf; every other draw keeps the unclamped value bit for bit
-        class Draws:
-            def integers(self, low, high, size):
-                assert (low, high) == (0, 1 << 53)
-                return np.array([0, 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 2, (1 << 53) - 1]).reshape(size)
-
-        z = _standard_normals(Draws(), (3, 2))
+        k = np.array([0, 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 2, (1 << 53) - 1], dtype=np.uint64)
+        z = _standard_normals(k.reshape(3, 2))
         assert np.isfinite(z).all()
-        k = np.array([0, 1, 1 << 52, (1 << 52) + 1, (1 << 53) - 2], dtype=np.float64)
-        assert z.ravel()[:5].tobytes() == ndtri((k + 0.5) / float(1 << 53)).tobytes()
+        assert z.ravel()[:5].tobytes() == ndtri((k[:5].astype(np.float64) + 0.5) / float(1 << 53)).tobytes()
         assert z[2, 1] == ndtri(np.nextafter(1.0, 0.0)) > 8.0
+
 
 class TestObservables:
     def test_zero(self, grid8):

@@ -87,7 +87,7 @@ def test_kernels_are_their_numpy_formulas_bit_for_bit(kernel):
         v = synthesize(c, grid.modes, size)
         assert v.tobytes() == synthesize_numpy(c, grid.modes, size).tobytes(), size
         assert analyze(v, grid.modes).tobytes() == analyze_numpy(v, grid.modes).tobytes(), size
-    with np.errstate(over="ignore", invalid="ignore"):  # as _rk4_coeffs holds it
+    with np.errstate(over="ignore", invalid="ignore"):  # as step and _march hold it
         got = quintic_rows(c, grid)
     want = quintic_rows_numpy(c, grid)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))  # overflow lands in the same bins

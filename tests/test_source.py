@@ -193,3 +193,32 @@ def test_one_row_chunk_rule():
     assert [hit.split(":")[0] for hit in defined] == ["spectral.py"], f"CHUNK_SAMPLES set at: {defined}"
     assert old_rule == [], f"PAD_SAMPLES named in: {old_rule}"
     assert sorted(set(callers)) == ["flow.py:_march", "flow.py:step"], f"_rk4_coeffs called from: {callers}"
+
+
+def _per_iteration(node: ast.AST) -> list[ast.AST]:
+    """The parts of a loop or comprehension evaluated once per iteration."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.target, *node.body]
+    if isinstance(node, ast.While):
+        return [node.test, *node.body]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        heads = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+        gens = node.generators
+        return [*heads, *(g.target for g in gens), *(i for g in gens for i in g.ifs), *(g.iter for g in gens[1:])]
+    return []
+
+
+def test_ensembles_are_drawn_as_one_block():
+    # one sampling path: sample_mu draws a whole ensemble, so no loop or
+    # comprehension in src/qnls calls it once per member
+    calls, looped = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        repeated = {n for node in ast.walk(tree) for part in _per_iteration(node) for n in ast.walk(part)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "sample_mu":
+                calls.append(f"{path.name}:{node.lineno}")
+                if node in repeated:
+                    looped.append(calls[-1])
+    assert calls, "sample_mu is called nowhere in src/qnls"
+    assert looped == [], f"sample_mu called in a loop at: {looped}"
