@@ -368,7 +368,7 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     sigma = cfg.flow.sigma
     n_members = cfg.run.ensemble_size
     seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(n_members)]
-    c = sample_mu(cfg.measure, range(n_members), cfg.grid)
+    c = sample_mu(cfg.measure, range(n_members), cfg.grid, seeds)
     live = np.ones(n_members, dtype=bool)
     initial = observables_rows(c, cfg.grid, sigma)
     write_ensemble(out / "ensemble.jsonl", seeds, live, initial)

@@ -9,7 +9,10 @@ coefficient form:
 
 Time steps are classical RK4 on this coefficient ODE system, with the
 quintic extracted alias-free on GridSpec.quintic_pad() >= 6M + 1, for every
-Galerkin cutoff.
+Galerkin cutoff.  The right-hand side is assembled in the quintic's own
+array: spectral.quintic_rows (one synthesize and one analyze, which carries
+the transforms' 1/size), the mask, the factor -i sigma in place, then
+-i n^2 u_n added in place.
 
 RK4 is stable on the imaginary axis only up to |n^2 dt| = 2*sqrt(2)
 (RK4_IMAGINARY_LIMIT, checked at parse time for every stepping experiment);
@@ -128,7 +131,9 @@ def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray |
     q = quintic_rows(w, grid)
     if mask is not True:
         q = np.where(mask, q, 0.0)
-    return _linear_symbol(grid.modes) * c - 1j * p.sigma * q
+    q *= -1j * p.sigma
+    q += _linear_symbol(grid.modes) * c
+    return q
 
 
 def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool) -> np.ndarray:
@@ -200,7 +205,8 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     if any(m is not True for m in masks):
         full = np.ones(2 * grid.modes + 1, dtype=bool)
         mask = np.stack([full if m is True else m for m in masks])[rows]
-    block = c[rows]  # the live rows; c[rows] is kept equal to it
+    # the live rows; c[rows] is kept equal to it (c itself while every row is live)
+    block = c if rows.size == len(c) else c[rows]
     per_chunk = chunk_rows(grid.quintic_pad())
     t = 0.0
 
@@ -241,7 +247,8 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
                         block[part][ok] = new[ok]
             if finite is not True:
                 leave(finite)
-            c[rows] = block
+            if block is not c:
+                c[rows] = block
         if not rows.size:
             return
         t = k * p.dt if k <= n_steps else t_end
@@ -267,7 +274,9 @@ def evolve_block(
     Returns new arrays (c, live, trip_times): trip_times[i] is the time of
     row i's last good state if it left `live` in this call, else NaN.
     """
-    c = np.array(c, dtype=np.complex128)
+    # C order: _march steps these rows in place, and their row sums must
+    # round as step()'s do
+    c = np.array(c, dtype=np.complex128, order="C")
     live = np.array(live, dtype=bool)
     trip_times = np.full(len(c), np.nan)
     if cutoffs is None:

@@ -14,9 +14,11 @@ coefficient extraction up to mode M needs (d+1)*M + 1; pad_for_degree(d)
 returns the smallest FFT-friendly size >= d*M + 1.  The quintic |u|^4 u is
 extracted on pad_for_degree(6), the degree-10 energy integrands are
 integrated on pad_for_degree(10).  Transforms are scipy's pocketfft, called
-through its c2c binding with the arguments scipy.fft passes for norm=None,
-so that a one-row transform skips scipy.fft's dispatch; they are equal bit
-for bit to scipy.fft and to numpy.fft at every size the configs use.
+through its c2c binding, so that a one-row transform skips scipy.fft's
+dispatch, in the norm="forward" convention: synthesize is the unnormalised
+sum, and analyze carries the 1/size, applied inside pocketfft.  They are
+equal bit for bit to scipy.fft and to numpy.fft with norm="forward" at every
+size the configs use.
 
 A block is evaluated chunk_rows(size) rows at a time, size being its widest
 pad: the quintic pad for flow's RK4 step, the degree-10 pad for the
@@ -130,30 +132,28 @@ def synthesize(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
     Acts on the last axis, so a (B, 2*modes+1) block gives (B, size) values.
     size must be at least 2*modes + 1, so that each mode has its own bin.
     The modes are added into zeros as two slices (a -0.0 coefficient lands
-    as +0.0).
+    as +0.0).  The sum is unnormalised: ifft(..., norm="forward").
     """
     if size < 2 * modes + 1:
         raise ValueError(f"size {size} is below 2*modes + 1 = {2 * modes + 1}")
     a = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
     a[..., : modes + 1] += coeffs[..., modes:]
     a[..., size - modes :] += coeffs[..., :modes]
-    # scipy.fft.ifft(a, axis=-1): c2c(a, axes, forward, inorm 2 = divide by
-    # size, out, threads), here into a itself
-    v = c2c(a, (-1,), False, 2, a, 1)
-    v *= size
-    return v
+    # scipy.fft.ifft(a, axis=-1, norm="forward"): c2c(a, axes, forward,
+    # inorm 0 = unscaled, out, threads), here into a itself
+    return c2c(a, (-1,), False, 0, a, 1)
 
 
 def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     """Fourier coefficients for |n| <= modes from equispaced samples.
 
     Acts on the last axis, like synthesize.  Exact when the sampled function
-    is band-limited to |n| < values.shape[-1] - modes.
+    is band-limited to |n| < values.shape[-1] - modes.  Carries the 1/size:
+    fft(..., norm="forward"), then the bins of |n| <= modes.
     """
-    size = values.shape[-1]
-    # scipy.fft.fft(values, axis=-1), unnormalized, into a new array (out=None)
-    # so that values is not written
-    return c2c(values, (-1,), True, 0, None, 1).take(_bins(modes, size), axis=-1) / size
+    # scipy.fft.fft(values, axis=-1, norm="forward"): inorm 2 = divide by
+    # size, into a new array (out=None) so that values is not written
+    return c2c(values, (-1,), True, 2, None, 1).take(_bins(modes, values.shape[-1]), axis=-1)
 
 
 def derivatives(c: np.ndarray, grid: GridSpec, size: int, order: int) -> list[np.ndarray]:
@@ -196,7 +196,8 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """
     v = synthesize(c, grid.modes, grid.quintic_pad())
     a = np.abs(v)
-    a **= 4
+    a *= a  # |u|^4 by two squarings, not a pow per sample
+    a *= a
     v *= a
     return analyze(v, grid.modes)
 

@@ -125,24 +125,24 @@ def padded(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
 
 
 def synthesize_numpy(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
-    """spectral.synthesize as numpy.fft computes it: ifft of the padded
-    modes, times size."""
-    return np.fft.ifft(padded(coeffs, modes, size), axis=-1) * size
+    """spectral.synthesize as numpy.fft computes it: the unnormalised ifft
+    (norm="forward") of the padded modes."""
+    return np.fft.ifft(padded(coeffs, modes, size), axis=-1, norm="forward")
 
 
 def analyze_numpy(values: np.ndarray, modes: int) -> np.ndarray:
-    """spectral.analyze as numpy.fft computes it: every bin divided, then the
-    bins of n = -modes..modes taken."""
+    """spectral.analyze as numpy.fft computes it: fft with norm="forward"
+    (every bin scaled by 1/size), then the bins of n = -modes..modes taken."""
     size = values.shape[-1]
-    return (np.fft.fft(values, axis=-1) / size).take(np.arange(-modes, modes + 1) % size, axis=-1)
+    return np.fft.fft(values, axis=-1, norm="forward").take(np.arange(-modes, modes + 1) % size, axis=-1)
 
 
 def quintic_rows_numpy(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """spectral.quintic_rows from the two oracles above, with |u|^4 u
-    computed out of place as np.abs(v) ** 4 * v."""
+    computed out of place as (|v|^2)^2 v."""
     v = synthesize_numpy(c, grid.modes, grid.quintic_pad())
     with np.errstate(over="ignore", invalid="ignore"):
-        return analyze_numpy(np.abs(v) ** 4 * v, grid.modes)
+        return analyze_numpy((np.abs(v) ** 2) ** 2 * v, grid.modes)
 
 
 class DensityTriple(NamedTuple):

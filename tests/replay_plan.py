@@ -2,6 +2,7 @@
 
     python tests/replay_plan.py dump <checkout> <out.json>
     python tests/replay_plan.py diff <a.json> <b.json>
+    python tests/replay_plan.py verdicts <a.json> <b.json>
 
 `dump` imports qnls and the benchmark's workloads from <checkout> (its src/
 and perfbench/) and runs, each in a temporary directory:
@@ -14,6 +15,9 @@ error, as JSON.
 
 `diff` prints the runs whose records differ between two dumps, and exits 1
 if any do. Two checkouts that should give the same data give an empty diff.
+`verdicts` does the same on each run's verdict names and pass flags and its
+error alone: a change that moves rounding on purpose moves data files and
+stats, and must still pass and fail the same verdicts.
 
 Pytest does not collect this file. A dump takes a few minutes on one core.
 """
@@ -72,12 +76,19 @@ def dump(checkout: Path, out_json: Path) -> None:
     print(f"{len(records)} runs from {checkout} -> {out_json}")
 
 
-def diff(a_json: Path, b_json: Path) -> int:
+def outcome(record: dict | None) -> dict | None:
+    """A run's record cut to its verdicts' (name, passed) and its error."""
+    if record is None:
+        return None
+    return {"verdicts": [v[:2] for v in record["verdicts"]], "error": record["error"]}
+
+
+def diff(a_json: Path, b_json: Path, view=lambda record: record) -> int:
     a, b = (json.loads(p.read_text()) for p in (a_json, b_json))
     differ = 0
     for key in sorted(a.keys() | b.keys()):
         # compared as canonical JSON text, so that NaN stats compare equal
-        ra, rb = (json.dumps(r.get(key), sort_keys=True) for r in (a, b))
+        ra, rb = (json.dumps(view(r.get(key)), sort_keys=True) for r in (a, b))
         if ra != rb:
             differ += 1
             print(f"{key}:\n  a: {ra}\n  b: {rb}")
@@ -86,13 +97,14 @@ def diff(a_json: Path, b_json: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or argv[0] not in ("dump", "diff"):
+    if len(argv) != 3 or argv[0] not in ("dump", "diff", "verdicts"):
         print(__doc__, file=sys.stderr)
         return 2
     if argv[0] == "dump":
         dump(Path(argv[1]), Path(argv[2]))
         return 0
-    return diff(Path(argv[1]), Path(argv[2]))
+    a_json, b_json = Path(argv[1]), Path(argv[2])
+    return diff(a_json, b_json, outcome) if argv[0] == "verdicts" else diff(a_json, b_json)
 
 
 if __name__ == "__main__":

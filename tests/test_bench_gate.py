@@ -9,8 +9,9 @@ every file, and every data file must have the sha256 pinned below. config.ini
 is left out of the pins: it echoes the temporary output_dir.
 
 The pins were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64, from the
-code before flow.evolve became a one-row evolve_block; the data files have
-not changed since. A change that alters rounding on purpose (an
+code whose transforms follow numpy's norm="forward" convention (synthesize
+unscaled, analyze scaling by 1/size inside pocketfft) and whose quintic
+forms |u|^4 by two squarings. A change that alters rounding on purpose (an
 integrating-factor RK4, say) re-pins the values and says so in CHANGES.md.
 
 The tracer (perfbench/tracing.py) patches the qnls functions it names in
@@ -43,41 +44,41 @@ def _load(name: str):
 PINNED = {
     "trajectory": {
         "conservation": {
-            "breakdowns.jsonl": "c42e82e473ce986eee6174282b622e56b20b46d86263f0d87797dab568650b28",
-            "trajectory.csv": "0637a1e465e4b6a037ba16bc1e6278752e156ac014b0894d7d9cc19369f7b731",
+            "breakdowns.jsonl": "02bddf1c47198e6332a31577840a69166b1b64d991d8f70f1e705d3809dffbc7",
+            "trajectory.csv": "0063494d0f7e807d9ed520c7ad6527380f94968101b045f88b3d213e5b5ed044",
         },
         "focusing_local": {
-            "focusing.csv": "8a56c419c5f857c873aed68af8b6d73097051a30091541b5afe599767899cd99",
+            "focusing.csv": "3f2b90203761e44063914fcaedf0f4c3ac92ac893708fc87c6d6c8775677edc3",
         },
         "growth": {
-            "growth.csv": "b3adb68f908b01e5c1d596b7076ebd9dea41a1b77767d0d6eb2cf8ffc4327a18",
+            "growth.csv": "199b7b030ac2e98b0f38a6ad3a5815113f1ddc10318ec142a20be11a4a15b9e6",
         },
         "plane_wave_order": {
-            "orders.csv": "b331dd1e7ed81944c58a44b34024d7c686b418d5300e44dfdd11ea3942ff066d",
+            "orders.csv": "efd82254dcd085e69db4194ac7ca6b4b694204a7cb6715f11d23d8ebdacaeab9",
         },
         "truncation_convergence": {
-            "flow_convergence.csv": "3d93a972d63b9255497214aea3ec61ae148029b4df7cf0914a9c6486993172d1",
-            "r2_curve.csv": "a96717e7c647806d64d3f60412118f9c57bea44a9a0d8ebe400b7980d314c262",
+            "flow_convergence.csv": "13b4a3d61b4f01ecc9e529b0e312b93fffe7844b357cd69f52103463b3ad5bd5",
+            "r2_curve.csv": "e53d42a3c02c6b3d3a948a1a05b2717f8be6aa62cba94075a78fb155161ff9bd",
         },
     },
     "ensemble": {
         "transport_mc": {
-            "ensemble.jsonl": "7ab63451301c003ecd05cf3caa54019e5533cffa8a35dc841a44beb4ddf48e5d",
+            "ensemble.jsonl": "18cb63979ef523d53550ff1e2351d7d0fe91bedcb574db8c434e515989dc8b6b",
             "tails.csv": "3062a69694f29fc007f6a8c801251e6dff9da7e398e456272ccfefe05147f2f7",
-            "transported_0.jsonl": "9af23be469c63fa3acc402f9916935a117e4ba0c863de63d042d571099ce507a",
-            "transported_1.jsonl": "a26d056847b6a10f8249d7004293aebf90825ad12d469b5e165a9cbe34454924",
+            "transported_0.jsonl": "dda0f3ab061ce4f3d66619aa64af6fde8ead3f43cbb7066572795356049cefac",
+            "transported_1.jsonl": "3fa85936c570d328277b2b48f1cfd6e0e496c2301f5a5089dfdda4c03e8d773c",
         },
     },
     "fields": {
         "continuity": {
-            "residuals.csv": "7b7591cc85f3f5a4877570d619b75c701bb42959e49e8edc47a4ddb5258d9c06",
+            "residuals.csv": "8c0284b6d4f2be887cb730f6e1e8f4a62c17311f017345bcbbd191fb4a217372",
         },
         "linear_invariance": {
             "ks.csv": "ceeb2f5594867c0ff809b46473c8f71fd35f43a6b7bff0d46b13afd7dd7f1a8d",
         },
         "smoothing_sweep": {
-            "perturb.csv": "419561f4a2a6d0c1d494582a64612290806ab8b1f85f6542578707fd9d8dcbc0",
-            "sweep.csv": "9f96013a83b35274ad95c8c14f33474ce2679b15eb34ae24b3a6639d287328c4",
+            "perturb.csv": "f95ecb2d11cd1dc06f70bdaf0211b2c0ff1e765ed0c67f43cbd2aa51de73b64f",
+            "sweep.csv": "b1b00f845ef2513cb2e6a95796a9c5de5a3a74cf294032519a79301334d8cc81",
         },
     },
 }

@@ -256,7 +256,7 @@ def test_synthesize_matches_direct_evaluation():
     for size in (2 * g.modes + 1, g.phys_size, g.quintic_pad()):
         a = np.zeros((2, size), dtype=complex)
         np.add.at(a, (..., np.arange(-g.modes, g.modes + 1) % size), block)
-        ref = np.fft.ifft(a, axis=-1) * size
+        ref = np.fft.ifft(a, axis=-1, norm="forward")
         assert synthesize(block, g.modes, size).tobytes() == ref.tobytes()
         assert synthesize(block[0], g.modes, size).tobytes() == ref[0].tobytes()
     # the FFT hides the sign of a zero except at size 1, where it is the identity
