@@ -21,18 +21,28 @@ energy of mode n by 1 - z^6/72 + z^8/576 with z = n^2 dt, which is 0.986 at
 n = 32 and dt = 1e-3.
 
 Independent fields on one grid are advanced together: evolve_block takes a
-(B, 2M+1) coefficient block, with a Galerkin cutoff per row, and runs each
-row through the same kernels as step (the spectral transforms act on the
-last axis).  Each step goes chunk by chunk, chunk_rows(quintic_pad) rows
-at a time (spectral's one row-chunk rule), so that the step's pad-sized
-temporaries stay small enough to be reused from the heap; a chunk's new
-rows overwrite its old ones in the block, so no block-sized array is made
-per step.  The H^1 guard (norm below blowup_threshold, which NaN fails) and
-the finiteness check apply per row: a row that fails either is frozen
-at its last good state and leaves the live mask at the step where step()
-would raise, and its trip time (the time of that state) is returned, while
-the other rows run on.  Each row is bit-for-bit a loop of step() calls on
-that row.  evolve is a one-row block that returns (times, states,
+(B, 2M+1) coefficient block, with a Galerkin cutoff per row (the spectral
+transforms act on the last axis).  Each step goes chunk by chunk,
+chunk_rows(quintic_pad) rows at a time (spectral's one row-chunk rule), so
+that the step's pad-sized temporaries stay small enough to be reused from
+the heap; a chunk's new rows overwrite its old ones in the block, so no
+block-sized array is made per step.
+
+The march steps each chunk in the quintic pad's FFT-bin layout
+(_rk4_bins): the rows are padded once per step, the stage inputs u + h k
+and their combination are formed on the pad, and the 2M+1 bins are taken
+back once.  step keeps the storage-order _rk4_coeffs, which pads and takes
+back at each of the four stages through _rhs_coeffs, synthesize and
+analyze: it is the reference the tests hold the march's rows to, and the
+benchmark's tracer test counts those calls in one step.  Every arithmetic
+operation of _rk4_bins has _rk4_coeffs's operands in its order, so each row
+is bit-for-bit a loop of step() calls on that row.
+
+The H^1 guard (norm below blowup_threshold, which NaN fails) and the
+finiteness check apply per row: a row that fails either is frozen at its
+last good state and leaves the live mask at the step where step() would
+raise, and its trip time (the time of that state) is returned, while the
+other rows run on.  evolve is a one-row block that returns (times, states,
 blowup_time): there is one schedule loop and one guard.  step advances one
 field: the tests hold the rows to it, and plane_wave_order steps with it.
 
@@ -40,18 +50,30 @@ A row may overflow inside a step (|u|^4 u past the float range).  The
 np.errstate that keeps this quiet is held once per step: by step around
 _rk4_coeffs, by _march around a step's chunks and the H^1 norms of their new
 rows, and once around the right-hand side that energy.projected_rates
-evaluates; spectral.quintic_rows holds none, so a caller outside these
-warns.
+evaluates; spectral.quintic_rows and quintic_bins hold none, so a caller
+outside these warns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, FourierField, GridSpec, chunk_rows, quintic_rows, sobolev_sq_rows, synthesize
+from .spectral import (
+    TWO_PI,
+    FourierField,
+    GridSpec,
+    chunk_rows,
+    from_bins,
+    quintic_bins,
+    quintic_rows,
+    sobolev_sq_rows,
+    synthesize,
+    to_bins,
+)
 
 FULL = None  # cutoff value meaning "no Galerkin projector"
 
@@ -79,10 +101,10 @@ class FlowParams:
     def __post_init__(self):
         if self.sigma not in (1, -1):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.blowup_threshold <= 0:
-            raise ValueError("blowup_threshold must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.blowup_threshold > 0:  # NaN would trip every row before its first step
+            raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
         if self.cutoff is not None and self.cutoff < 0:
             raise ValueError("cutoff must be >= 0 or None")
 
@@ -119,13 +141,35 @@ def _linear_symbol(modes: int) -> np.ndarray:
     return lin
 
 
+@lru_cache(maxsize=256)
+def _cut_bins(modes: int, cutoff: int | None, size: int) -> np.ndarray:
+    """The bins of a size-`size` transform that hold the modes P_M drops,
+    cutoff < |n| <= modes (none for FULL) (read-only, shared)."""
+    n = np.arange(-modes, modes + 1)
+    cut = to_bins(np.abs(n) > (modes if cutoff is None else cutoff), modes, size)
+    cut.flags.writeable = False
+    return cut
+
+
+@lru_cache(maxsize=256)
+def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndarray]:
+    """-i sigma and _linear_symbol(modes) in the bins of the modes of a
+    size-`size` transform, 0 in the other bins, each as chunk_rows(size)
+    equal rows: numpy multiplies a (rows, size) block by a (rows, size)
+    operand about twice as fast as by one row broadcast over the block
+    (read-only, shared)."""
+    rows = (chunk_rows(size), 1)
+    factor = np.tile(to_bins(np.full(2 * modes + 1, -1j * sigma), modes, size), rows)
+    lin = np.tile(to_bins(_linear_symbol(modes), modes, size), rows)
+    factor.flags.writeable = lin.flags.writeable = False
+    return factor, lin
+
+
 def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray | bool) -> np.ndarray:
     """du/dt of a coefficient vector or block.
 
-    `mask` is P_M on both sides of the quintic, per row for a block.  Where
-    it is True the projector is skipped; an all-True row of a mask copies the
-    values bit for bit, so a FULL row in a block with finite cutoffs gets the
-    same arithmetic as a FULL block.
+    `mask` is P_M on both sides of the quintic: one _cutoff_mask for every
+    row, or True to skip the projector.
     """
     w = c if mask is True else np.where(mask, c, 0.0)
     q = quintic_rows(w, grid)
@@ -147,6 +191,49 @@ def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: n
     return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.ndarray | None) -> np.ndarray:
+    """_rk4_coeffs of a (B, 2M+1) block, bit for bit, in the quintic pad's
+    FFT-bin layout: padded once, all four stages formed on the pad, the
+    2M+1 bins taken back once.  B is at most chunk_rows(quintic_pad), a
+    chunk of the march.
+
+    `cut` is one _cut_bins row per row, or None if no row has a projector:
+    P_M zeroes those bins in the transform's input and in the quintic.  The
+    factor -i sigma is 0 in the bins of no mode, so a finite quintic leaves
+    them 0 in every stage input.  Each operation takes _rk4_coeffs's
+    operands in its order, so each mode's bin rounds as its coefficient
+    does.  The caller holds the np.errstate.
+    """
+    u = to_bins(c, grid.modes, grid.quintic_pad())
+    factor, lin = (a[: len(c)] for a in _bin_symbols(grid.modes, u.shape[-1], p.sigma))
+
+    def rhs(x):
+        v = x + 0.0  # a -0.0 part enters the transform as +0.0, as synthesize pads it
+        if cut is not None:
+            np.copyto(v, 0.0, where=cut)
+        q = quintic_bins(v)
+        if cut is not None:
+            np.copyto(q, 0.0, where=cut)
+        q *= factor
+        q += lin * x
+        return q
+
+    # x is each stage input u + h k in turn, total the sum k1 + 2 k2 + 2 k3 + k4
+    k = total = rhs(u)
+    x = None
+    for h in (0.5 * dt, 0.5 * dt, dt):
+        x = np.multiply(h, k, out=x)
+        np.add(u, x, out=x)
+        if k is not total:  # k2 and k3, once their stage input is formed
+            np.multiply(2.0, k, out=k)
+            total += k
+        k = rhs(x)
+    total += k
+    np.multiply(dt / 6.0, total, out=total)
+    np.add(u, total, out=total)
+    return from_bins(total, grid.modes)
+
+
 def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.sqrt(sobolev_sq_rows(c, grid, 1.0))
 
@@ -157,8 +244,8 @@ def _finite_rows(c: np.ndarray) -> np.ndarray:
 
 def _schedule(t_end: float, dt: float) -> tuple[int, float]:
     """Full steps of size dt up to t_end, and the final partial step (0.0 if none)."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     n_steps = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_steps * dt
     return n_steps, remainder if remainder > 1e-12 else 0.0
@@ -185,8 +272,9 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     """Advance the live rows of c in place along evolve's schedule.
 
     Row i takes the Galerkin cutoff cutoffs[i].  Each step runs
-    chunk_rows(grid.quintic_pad()) rows at a time, and a chunk's new rows
-    overwrite its old ones as soon as they are computed (the rows are
+    chunk_rows(grid.quintic_pad()) rows at a time through _rk4_bins (with
+    each row's _cut_bins if some row has a projector), and a chunk's new
+    rows overwrite its old ones as soon as they are computed (the rows are
     independent); whether their H^1 norms are below the guard is kept for
     the next step.  Yields (k, t) after step k, t being the time of the new
     state: k * dt, or t_end after the partial step.  Before each step a row
@@ -199,27 +287,26 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     for m in set(cutoffs):
         replace(p, cutoff=m).check_grid(grid)
     n_steps, remainder = _schedule(t_end, p.dt)
-    masks = [_cutoff_mask(grid.modes, m) for m in cutoffs]
-    mask = True  # no projector anywhere, else one mask row per live row
+    size = grid.quintic_pad()
     rows = np.flatnonzero(live)
-    if any(m is not True for m in masks):
-        full = np.ones(2 * grid.modes + 1, dtype=bool)
-        mask = np.stack([full if m is True else m for m in masks])[rows]
+    cut = np.stack([_cut_bins(grid.modes, m, size) for m in cutoffs])[rows]  # one row per live row
+    if not cut.any():
+        cut = None  # no projector anywhere
     # the live rows; c[rows] is kept equal to it (c itself while every row is live)
     block = c if rows.size == len(c) else c[rows]
-    per_chunk = chunk_rows(grid.quintic_pad())
+    per_chunk = chunk_rows(size)
     t = 0.0
 
     def chunks():
         return [slice(i, i + per_chunk) for i in range(0, rows.size, per_chunk)]
 
     def leave(good):
-        nonlocal rows, block, under, mask, parts
+        nonlocal rows, block, under, cut, parts
         live[rows[~good]] = False
         trip_times[rows[~good]] = t
         rows, block, under = rows[good], block[good], under[good]
-        if mask is not True:
-            mask = mask[good]
+        if cut is not None:
+            cut = cut[good]
         parts = chunks()
 
     parts = chunks()
@@ -236,7 +323,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
             # of a finite row past the float range's square root
             with np.errstate(over="ignore", invalid="ignore"):
                 for part in parts:
-                    new = _rk4_coeffs(block[part], grid, p, dt, mask if mask is True else mask[part])
+                    new = _rk4_bins(block[part], grid, p, dt, cut if cut is None else cut[part])
                     under[part] = ok = _h1_norms(new, grid) < p.blowup_threshold
                     if ok.all():
                         block[part] = new

@@ -20,6 +20,13 @@ sum, and analyze carries the 1/size, applied inside pocketfft.  They are
 equal bit for bit to scipy.fft and to numpy.fft with norm="forward" at every
 size the configs use.
 
+Coefficients are held in storage order or in the FFT-bin layout of a
+transform, mode n in bin n % size and 0 in the other bins (to_bins and
+from_bins convert).  quintic_rows works in storage order, through
+synthesize and analyze; quintic_bins is the same quintic in the bin layout,
+in place, so that flow's march pads once per RK4 step, not once per stage.
+No other module calls pocketfft's c2c.
+
 A block is evaluated chunk_rows(size) rows at a time, size being its widest
 pad: the quintic pad for flow's RK4 step, the degree-10 pad for the
 pad_chunked functionals.  Rows are independent, so no value depends on it.
@@ -153,7 +160,22 @@ def analyze(values: np.ndarray, modes: int) -> np.ndarray:
     """
     # scipy.fft.fft(values, axis=-1, norm="forward"): inorm 2 = divide by
     # size, into a new array (out=None) so that values is not written
-    return c2c(values, (-1,), True, 2, None, 1).take(_bins(modes, values.shape[-1]), axis=-1)
+    return from_bins(c2c(values, (-1,), True, 2, None, 1), modes)
+
+
+def to_bins(coeffs: np.ndarray, modes: int, size: int) -> np.ndarray:
+    """coeffs (last axis n = -modes..modes, any dtype) copied bit for bit
+    into the FFT bins n % size of a zero array of `size` bins."""
+    a = np.zeros(coeffs.shape[:-1] + (size,), dtype=coeffs.dtype)
+    a[..., : modes + 1] = coeffs[..., modes:]
+    a[..., size - modes :] = coeffs[..., :modes]
+    return a
+
+
+def from_bins(a: np.ndarray, modes: int) -> np.ndarray:
+    """The bins n % size of n = -modes..modes of `a` (size = a.shape[-1]),
+    in storage order: the inverse of to_bins."""
+    return a.take(_bins(modes, a.shape[-1]), axis=-1)
 
 
 def derivatives(c: np.ndarray, grid: GridSpec, size: int, order: int) -> list[np.ndarray]:
@@ -194,12 +216,28 @@ def quintic_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     left to the caller's finiteness check, and the caller holds the
     np.errstate that keeps it quiet.
     """
-    v = synthesize(c, grid.modes, grid.quintic_pad())
+    return analyze(_times_abs4(synthesize(c, grid.modes, grid.quintic_pad())), grid.modes)
+
+
+def quintic_bins(a: np.ndarray) -> np.ndarray:
+    """quintic_rows in the FFT-bin layout, in place.
+
+    `a` is to_bins of coefficient rows at a size of at least 6M + 1.  It is
+    overwritten by the bins of |u|^4 u and returned: those of |n| <= M equal
+    quintic_rows bit for bit when `a` holds no -0.0 part (synthesize pads
+    none), and the others hold the product's modes past M.
+    """
+    c2c(a, (-1,), False, 0, a, 1)
+    return c2c(_times_abs4(a), (-1,), True, 2, a, 1)
+
+
+def _times_abs4(v: np.ndarray) -> np.ndarray:
+    """v *= |v|^4 in place, by two squarings, not a pow per sample."""
     a = np.abs(v)
-    a *= a  # |u|^4 by two squarings, not a pow per sample
+    a *= a
     a *= a
     v *= a
-    return analyze(v, grid.modes)
+    return v
 
 
 def chunk_rows(size: int) -> int:

@@ -96,22 +96,22 @@ class TestRhs:
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_rows_and_blocks_match_the_convolution_oracle(self, grid8, sigma):
-        # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row, with the
-        # row's own mask; the block takes one mask row per row, as _march does
+        # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row; a block
+        # under one cutoff's mask, as energy.projected_rates passes it, gives
+        # each row's values bit for bit
         cutoffs = [FULL, 5, 2, grid8.modes]
         fields = [random_field(grid8, seed=40 + i, amp=0.5, decay=0.2) for i in range(len(cutoffs))]
+        coeffs = np.stack([u.coeffs for u in fields])
         p = FlowParams(sigma=sigma)
-        masks = [_cutoff_mask(grid8.modes, m) for m in cutoffs]
-        rows = [_rhs_coeffs(u.coeffs, grid8, replace(p, cutoff=m), mask) for u, m, mask in zip(fields, cutoffs, masks)]
-        full = np.ones(2 * grid8.modes + 1, dtype=bool)
-        block = _rhs_coeffs(
-            np.stack([u.coeffs for u in fields]), grid8, p, np.stack([full if m is True else m for m in masks])
-        )
-        for i, (u, m) in enumerate(zip(fields, cutoffs)):
+        for m in cutoffs:
+            mask = _cutoff_mask(grid8.modes, m)
+            rows = [_rhs_coeffs(c, grid8, replace(p, cutoff=m), mask) for c in coeffs]
+            block = _rhs_coeffs(coeffs, grid8, p, mask)
             m = grid8.modes if m is FULL else m
-            want = -1j * grid8.n**2 * u.coeffs - 1j * sigma * project(quintic_convolution(project(u, m)), m).coeffs
-            assert np.max(np.abs(rows[i] - want)) <= 1e-12 * np.max(np.abs(want)), i
-            assert block[i].tobytes() == rows[i].tobytes(), i
+            for i, u in enumerate(fields):
+                want = -1j * grid8.n**2 * u.coeffs - 1j * sigma * project(quintic_convolution(project(u, m)), m).coeffs
+                assert np.max(np.abs(rows[i] - want)) <= 1e-12 * np.max(np.abs(want)), (m, i)
+                assert block[i].tobytes() == rows[i].tobytes(), (m, i)
 
     def test_cutoff_exceeds_grid(self, grid8):
         with pytest.raises(ValueError, match="cutoff"):
@@ -233,23 +233,31 @@ class TestEvolve:
 class TestEvolveBlock:
     """evolve_block and evolve against a plain step() loop, bit for bit."""
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            FlowParams(sigma=1, cutoff=10, dt=1e-3),
-            FlowParams(sigma=-1, cutoff=FULL, dt=1e-3),
-        ],
-        ids=["rk4-cutoff", "rk4-full"],
-    )
-    def test_rows_are_single_member_runs(self, grid16, p):
-        block = np.stack([random_field(grid16, seed=s, amp=0.3, decay=0.3).coeffs for s in range(4)])
-        t_end = 0.0125  # 12 full steps and a partial one
-        c, live, trip_times = evolve_block(block, np.ones(4, dtype=bool), grid16, p, t_end)
+    @pytest.mark.parametrize("cutoffs", ["full", "half", "mixed"])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("modes", [8, 32, 128], ids=["pad49", "pad196", "pad770"])
+    def test_rows_are_single_member_runs(self, modes, sigma, cutoffs):
+        # _march steps in the quintic pad's bin layout, step in storage order:
+        # rows with -0.0 parts, a one-mode row and a zero row, at each cutoff
+        # pattern (mixed: FULL, 0, 1, M-1, M), to a partial last step
+        grid = GridSpec(modes=modes)
+        assert grid.quintic_pad() == {8: 49, 32: 196, 128: 770}[modes]
+        rng = np.random.default_rng(modes)
+        n = grid.n
+        block = 0.5 * (rng.standard_normal((5, n.size)) + 1j * rng.standard_normal((5, n.size))) / (1.0 + n * n)
+        block.real[rng.random(block.shape) < 0.2] = -0.0
+        block.imag[rng.random(block.shape) < 0.2] = -0.0
+        block[3] = mode_field(grid, {1: complex(0.8, -0.0)}).coeffs
+        block[4] = -0.0
+        cutoffs = {"full": [FULL] * 5, "half": [modes // 2] * 5, "mixed": [FULL, 0, 1, modes - 1, modes]}[cutoffs]
+        p = FlowParams(sigma=sigma, dt=1e-4)
+        t_end = 12.5 * p.dt
+        c, live, trip_times = evolve_block(block, np.ones(5, dtype=bool), grid, p, t_end, cutoffs)
         assert live.all() and np.isnan(trip_times).all()
-        for row, c0 in zip(c, block):
-            ref, blowup_time, _ = step_loop(FourierField(grid16, c0), p, t_end)
+        for i, (row, c0, m) in enumerate(zip(c, block, cutoffs)):
+            ref, blowup_time, _ = step_loop(FourierField(grid, c0), replace(p, cutoff=m), t_end)
             assert blowup_time is None
-            assert row.tobytes() == ref.coeffs.tobytes()
+            assert row.tobytes() == ref.coeffs.tobytes(), i
 
     def test_rows_take_their_own_cutoffs(self, grid16):
         # FULL, cutoff = modes (the identity projector) and two finite cutoffs
@@ -424,3 +432,29 @@ class TestParams:
             FlowParams(dt=0.0)
         with pytest.raises(ValueError):
             FlowParams(blowup_threshold=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", float("nan")),
+            ("dt", float("inf")),
+            ("dt", -float("inf")),
+            ("blowup_threshold", float("nan")),  # would trip every row before its first step
+        ],
+    )
+    def test_non_finite_params_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FlowParams(**{field: value})
+
+    def test_an_infinite_guard_is_no_guard(self):
+        assert FlowParams(blowup_threshold=float("inf")).blowup_threshold == float("inf")
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_t_end_is_rejected(self, grid8, t_end):
+        # NaN has no whole step count and inf overflows one: both must fail
+        # with the field's name, before any step
+        c = mode_field(grid8, {1: 0.5}).coeffs
+        with pytest.raises(ValueError, match="t_end"):
+            evolve(c, grid8, FlowParams(), t_end)
+        with pytest.raises(ValueError, match="t_end"):
+            evolve_block(c[np.newaxis], np.ones(1, dtype=bool), grid8, FlowParams(), t_end)

@@ -18,8 +18,9 @@ from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolv
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
 from qnls.energy import breakdown_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
-from qnls.spectral import TWO_PI, analyze, chunk_rows, jet, quintic_rows, synthesize
+from qnls.spectral import TWO_PI, analyze, chunk_rows, from_bins, jet, quintic_bins, quintic_rows, synthesize, to_bins
 
+from conftest import step_loop
 from oracles import (
     analyze_numpy,
     derivative,
@@ -91,6 +92,21 @@ def test_kernels_are_their_numpy_formulas_bit_for_bit(kernel):
         got = quintic_rows(c, grid)
     want = quintic_rows_numpy(c, grid)
     assert np.array_equal(np.isfinite(got), np.isfinite(want))  # overflow lands in the same bins
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(kernel=kernel_inputs())
+def test_quintic_bins_is_quintic_rows_bit_for_bit(kernel):
+    # the march's quintic in the pad's bin layout, -0.0 parts and overflow
+    # included; to_bins and from_bins round-trip every bit
+    grid, c = kernel
+    a = to_bins(c, grid.modes, grid.quintic_pad())
+    assert from_bins(a, grid.modes).tobytes() == c.tobytes()
+    a += 0.0  # a -0.0 part enters the transform as +0.0, as synthesize pads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = from_bins(quintic_bins(a), grid.modes)
+        want = quintic_rows(c, grid)
     assert got.tobytes() == want.tobytes()
 
 
@@ -227,6 +243,10 @@ def test_evolve_block_rows_are_evolve_runs(block, data, sigma):
         _, states, blowup_time = evolve(c0, grid, replace(p, cutoff=cutoff), t_end)
         assert row.tobytes() == states[-1].tobytes()
         assert blowup_time == (None if ok else trip_time)
+        # both march in the bin layout; step, in storage order, is the reference
+        ref, ref_blowup_time, _ = step_loop(FourierField(grid, c0), replace(p, cutoff=cutoff), t_end)
+        assert row.tobytes() == ref.coeffs.tobytes()
+        assert ref_blowup_time == blowup_time
 
 
 @PROPERTY

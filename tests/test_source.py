@@ -172,8 +172,10 @@ def _assigned_names(node: ast.AST) -> list[str]:
 
 def test_one_row_chunk_rule():
     # blocks are chunked by the one constant in spectral; the RK4 step of a
-    # block runs only through _march, which chunks it, and step, one row
-    defined, old_rule, callers = [], [], []
+    # block runs only through _march, which chunks it and steps it in the
+    # quintic pad's bin layout (_rk4_bins), and step keeps the storage-order
+    # _rk4_coeffs, the reference the tests hold the march's rows to
+    defined, old_rule, callers = [], [], {"_rk4_bins": [], "_rk4_coeffs": []}
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -185,14 +187,14 @@ def test_one_row_chunk_rule():
             if isinstance(node, (ast.Assign, ast.AnnAssign)) and "CHUNK_SAMPLES" in _assigned_names(node)
         ]
         for top in tree.body:
-            calls = [
-                node for node in ast.walk(top)
-                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_rk4_coeffs"
-            ]
-            callers += [f"{path.name}:{getattr(top, 'name', '<module>')}"] * len(calls)
+            for node in ast.walk(top):
+                name = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+                if name in callers:
+                    callers[name].append(f"{path.name}:{getattr(top, 'name', '<module>')}")
     assert [hit.split(":")[0] for hit in defined] == ["spectral.py"], f"CHUNK_SAMPLES set at: {defined}"
     assert old_rule == [], f"PAD_SAMPLES named in: {old_rule}"
-    assert sorted(set(callers)) == ["flow.py:_march", "flow.py:step"], f"_rk4_coeffs called from: {callers}"
+    assert sorted(set(callers["_rk4_bins"])) == ["flow.py:_march"], f"_rk4_bins called from: {callers['_rk4_bins']}"
+    assert sorted(set(callers["_rk4_coeffs"])) == ["flow.py:step"], f"_rk4_coeffs called from: {callers['_rk4_coeffs']}"
 
 
 def _per_iteration(node: ast.AST) -> list[ast.AST]:
