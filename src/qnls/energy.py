@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import FlowParams, _cutoff_mask, _rhs_coeffs
+from .flow import FlowParams, _cut, _project, _rhs_coeffs
 from .spectral import TWO_PI, FourierField, GridSpec, derivatives, jet, pad_chunked, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
@@ -144,11 +144,10 @@ def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
     equation right-hand side; corrected_rate turns them into F_2.
     """
     p.check_grid(grid)
-    mask = _cutoff_mask(grid.modes, p.cutoff)
+    cut = _cut(grid.modes, p.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _rhs_coeffs(c, grid, p, mask)
-    if mask is not True:
-        c, v = np.where(mask, c, 0.0), np.where(mask, v, 0.0)
+        v = _rhs_coeffs(c, grid, p, cut)
+    c, v = _project(c, cut), _project(v, cut)
     return (c, *directional_terms(c, v, grid))
 
 
@@ -178,8 +177,7 @@ def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma:
     [c, P_{M_1} c, P_{M_2} c, ...]."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly increasing")
-    n = np.abs(grid.n)
-    block = np.stack([c] + [np.where(n <= M, c, 0.0) for M in m_list])
+    block = np.stack([c] + [_project(c, _cut(grid.modes, M)) for M in m_list])
     total, _ = r2_rows(block, grid, sigma)
     return np.abs(total[1:] - total[0])
 

@@ -368,7 +368,7 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     sigma = cfg.flow.sigma
     n_members = cfg.run.ensemble_size
     seeds = [derive_seed(cfg.measure.base_seed, i) for i in range(n_members)]
-    c = sample_mu(cfg.measure, range(n_members), cfg.grid, seeds)
+    c = sample_mu(cfg.measure, range(n_members), cfg.grid)
     live = np.ones(n_members, dtype=bool)
     initial = observables_rows(c, cfg.grid, sigma)
     write_ensemble(out / "ensemble.jsonl", seeds, live, initial)
@@ -566,6 +566,8 @@ def emit_plots(run_dir) -> Path:
         raise FileNotFoundError(f"no manifest.json in {run_dir}")
     try:
         files = json.loads(manifest_path.read_text())["files"]
+        if not isinstance(files, dict):
+            raise TypeError(f"files must map names to checksums, got {type(files).__name__}")
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{manifest_path} is not a run manifest: {exc!r}") from exc
     missing = [

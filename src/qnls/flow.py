@@ -10,9 +10,8 @@ coefficient form:
 Time steps are classical RK4 on this coefficient ODE system, with the
 quintic extracted alias-free on GridSpec.quintic_pad() >= 6M + 1, for every
 Galerkin cutoff.  The right-hand side is assembled in the quintic's own
-array: spectral.quintic_rows (one synthesize and one analyze, which carries
-the transforms' 1/size), the mask, the factor -i sigma in place, then
--i n^2 u_n added in place.
+array: the quintic, P_M, the factor -i sigma in place, then -i n^2 u_n
+added in place.
 
 RK4 is stable on the imaginary axis only up to |n^2 dt| = 2*sqrt(2)
 (RK4_IMAGINARY_LIMIT, checked at parse time for every stepping experiment);
@@ -28,15 +27,14 @@ that the step's pad-sized temporaries stay small enough to be reused from
 the heap; a chunk's new rows overwrite its old ones in the block, so no
 block-sized array is made per step.
 
-The march steps each chunk in the quintic pad's FFT-bin layout
-(_rk4_bins): the rows are padded once per step, the stage inputs u + h k
-and their combination are formed on the pad, and the 2M+1 bins are taken
-back once.  step keeps the storage-order _rk4_coeffs, which pads and takes
-back at each of the four stages through _rhs_coeffs, synthesize and
-analyze: it is the reference the tests hold the march's rows to, and the
-benchmark's tracer test counts those calls in one step.  Every arithmetic
-operation of _rk4_bins has _rk4_coeffs's operands in its order, so each row
-is bit-for-bit a loop of step() calls on that row.
+One _rk4 steps both layouts, with P_M from one _cut.  The march
+(_rk4_bins) steps each chunk in the quintic pad's FFT-bin layout: the rows
+are padded once per step, the stage inputs u + h k and their combination
+are formed on the pad, and the 2M+1 bins are taken back once.  step keeps
+its storage-order _rhs_coeffs, through synthesize and analyze at each
+stage, for the benchmark's tracer test, which counts those calls in one
+step.  Each mode's bin rounds as its coefficient does, so each row of the
+march is bit-for-bit a loop of step() calls on that row.
 
 The H^1 guard (norm below blowup_threshold, which NaN fails) and the
 finiteness check apply per row: a row that fails either is frozen at its
@@ -48,7 +46,7 @@ field: the tests hold the rows to it, and plane_wave_order steps with it.
 
 A row may overflow inside a step (|u|^4 u past the float range).  The
 np.errstate that keeps this quiet is held once per step: by step around
-_rk4_coeffs, by _march around a step's chunks and the H^1 norms of their new
+its _rk4, by _march around a step's chunks and the H^1 norms of their new
 rows, and once around the right-hand side that energy.projected_rates
 evaluates; spectral.quintic_rows and quintic_bins hold none, so a caller
 outside these warns.
@@ -122,14 +120,22 @@ def linear_flow_rows(c: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _cutoff_mask(modes: int, cutoff: int | None) -> np.ndarray | bool:
-    """P_M as the mask |n| <= cutoff over n = -modes..modes (read-only,
-    shared), or True where P_M is the identity (FULL or cutoff >= modes)."""
+def _cut(modes: int, cutoff: int | None, size: int | None = None) -> np.ndarray | None:
+    """The mask of the modes P_M drops, cutoff < |n| <= modes, in storage
+    order or in the bins of a size-`size` transform (read-only, shared);
+    None where P_M is the identity (FULL or cutoff >= modes)."""
     if cutoff is None or cutoff >= modes:
-        return True
-    mask = np.abs(np.arange(-modes, modes + 1)) <= cutoff
-    mask.flags.writeable = False
-    return mask
+        return None
+    cut = np.abs(np.arange(-modes, modes + 1)) > cutoff
+    if size is not None:
+        cut = to_bins(cut, modes, size)
+    cut.flags.writeable = False
+    return cut
+
+
+def _project(c: np.ndarray, cut: np.ndarray | None) -> np.ndarray:
+    """P_M c for the _cut mask `cut`: c itself, or a copy with those modes 0."""
+    return c if cut is None else np.where(cut, 0.0, c)
 
 
 @lru_cache(maxsize=256)
@@ -139,16 +145,6 @@ def _linear_symbol(modes: int) -> np.ndarray:
     lin = -1j * n * n
     lin.flags.writeable = False
     return lin
-
-
-@lru_cache(maxsize=256)
-def _cut_bins(modes: int, cutoff: int | None, size: int) -> np.ndarray:
-    """The bins of a size-`size` transform that hold the modes P_M drops,
-    cutoff < |n| <= modes (none for FULL) (read-only, shared)."""
-    n = np.arange(-modes, modes + 1)
-    cut = to_bins(np.abs(n) > (modes if cutoff is None else cutoff), modes, size)
-    cut.flags.writeable = False
-    return cut
 
 
 @lru_cache(maxsize=256)
@@ -165,44 +161,42 @@ def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndar
     return factor, lin
 
 
-def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, mask: np.ndarray | bool) -> np.ndarray:
-    """du/dt of a coefficient vector or block.
-
-    `mask` is P_M on both sides of the quintic: one _cutoff_mask for every
-    row, or True to skip the projector.
-    """
-    w = c if mask is True else np.where(mask, c, 0.0)
-    q = quintic_rows(w, grid)
-    if mask is not True:
-        q = np.where(mask, q, 0.0)
+def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, cut: np.ndarray | None) -> np.ndarray:
+    """du/dt of a coefficient vector or block, under one _cut mask for all rows."""
+    q = _project(quintic_rows(_project(c, cut), grid), cut)
     q *= -1j * p.sigma
     q += _linear_symbol(grid.modes) * c
     return q
 
 
-def _rk4_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, mask: np.ndarray | bool) -> np.ndarray:
-    """One RK4 step of a coefficient vector or (B, 2M+1) block.  The caller
-    holds the np.errstate that keeps overflow quiet, and its finiteness check
-    finds it."""
-    k1 = _rhs_coeffs(c, grid, p, mask)
-    k2 = _rhs_coeffs(c + 0.5 * dt * k1, grid, p, mask)
-    k3 = _rhs_coeffs(c + 0.5 * dt * k2, grid, p, mask)
-    k4 = _rhs_coeffs(c + dt * k3, grid, p, mask)
-    return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(u: np.ndarray, rhs, dt: float) -> np.ndarray:
+    """One classical RK4 step of du/dt = rhs(u) in the layout u and rhs share;
+    rhs returns a new array and leaves its input alone.  The caller holds the
+    np.errstate that keeps overflow quiet; its finiteness check finds it."""
+    # x is each stage input u + h k in turn, total the sum k1 + 2 k2 + 2 k3 + k4
+    k = total = rhs(u)
+    x = None
+    for h in (0.5 * dt, 0.5 * dt, dt):
+        x = np.multiply(h, k, out=x)
+        np.add(u, x, out=x)
+        if k is not total:  # k2 and k3, once their stage input is formed
+            np.multiply(2.0, k, out=k)
+            total += k
+        k = rhs(x)
+    total += k
+    np.multiply(dt / 6.0, total, out=total)
+    np.add(u, total, out=total)
+    return total
 
 
 def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.ndarray | None) -> np.ndarray:
-    """_rk4_coeffs of a (B, 2M+1) block, bit for bit, in the quintic pad's
-    FFT-bin layout: padded once, all four stages formed on the pad, the
-    2M+1 bins taken back once.  B is at most chunk_rows(quintic_pad), a
-    chunk of the march.
+    """_rk4 of a chunk of the march, a (B, 2M+1) block, in the quintic
+    pad's FFT-bin layout: padded once, the 2M+1 bins taken back once.
 
-    `cut` is one _cut_bins row per row, or None if no row has a projector:
+    `cut` is one _cut bin mask per row, or None if no row has a projector:
     P_M zeroes those bins in the transform's input and in the quintic.  The
     factor -i sigma is 0 in the bins of no mode, so a finite quintic leaves
-    them 0 in every stage input.  Each operation takes _rk4_coeffs's
-    operands in its order, so each mode's bin rounds as its coefficient
-    does.  The caller holds the np.errstate.
+    them 0 in every stage input.
     """
     u = to_bins(c, grid.modes, grid.quintic_pad())
     factor, lin = (a[: len(c)] for a in _bin_symbols(grid.modes, u.shape[-1], p.sigma))
@@ -218,20 +212,7 @@ def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.n
         q += lin * x
         return q
 
-    # x is each stage input u + h k in turn, total the sum k1 + 2 k2 + 2 k3 + k4
-    k = total = rhs(u)
-    x = None
-    for h in (0.5 * dt, 0.5 * dt, dt):
-        x = np.multiply(h, k, out=x)
-        np.add(u, x, out=x)
-        if k is not total:  # k2 and k3, once their stage input is formed
-            np.multiply(2.0, k, out=k)
-            total += k
-        k = rhs(x)
-    total += k
-    np.multiply(dt / 6.0, total, out=total)
-    np.add(u, total, out=total)
-    return from_bins(total, grid.modes)
+    return from_bins(_rk4(u, rhs, dt), grid.modes)
 
 
 def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -261,8 +242,10 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     h1 = float(_h1_norms(u.coeffs, u.grid))
     if not h1 < p.blowup_threshold:
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
+    cut = _cut(u.grid.modes, p.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _rk4_coeffs(u.coeffs, u.grid, p, p.dt if dt is None else dt, _cutoff_mask(u.grid.modes, p.cutoff))
+        # _rhs_coeffs looked up per call, so that a tracer patched into flow counts it
+        c = _rk4(u.coeffs, lambda x: _rhs_coeffs(x, u.grid, p, cut), p.dt if dt is None else dt)
     if not _finite_rows(c):
         raise BlowUpError("state left the representable range during a step")
     return FourierField(u.grid, c)
@@ -272,26 +255,25 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     """Advance the live rows of c in place along evolve's schedule.
 
     Row i takes the Galerkin cutoff cutoffs[i].  Each step runs
-    chunk_rows(grid.quintic_pad()) rows at a time through _rk4_bins (with
-    each row's _cut_bins if some row has a projector), and a chunk's new
-    rows overwrite its old ones as soon as they are computed (the rows are
-    independent); whether their H^1 norms are below the guard is kept for
-    the next step.  Yields (k, t) after step k, t being the time of the new
-    state: k * dt, or t_end after the partial step.  Before each step a row
-    whose H^1 norm is not below the guard (NaN and inf are not), and after it
-    a row that is no longer finite, keeps its last good state, leaves `live`
-    and gets that state's time in trip_times.  Finiteness is checked only in
-    a chunk where some new norm fails the guard; a finite row over the guard
-    after the last step stays live.  Stops once no row is live.
+    chunk_rows(grid.quintic_pad()) rows at a time through _rk4_bins, and a
+    chunk's new rows overwrite its old ones as soon as they are computed (the
+    rows are independent); whether their H^1 norms are below the guard is kept
+    for the next step.  Yields (k, t) after step k, t being the time of the
+    new state: k * dt, or t_end after the partial step.  Before each step a
+    row whose H^1 norm is not below the guard (NaN and inf are not), and after
+    it a row that is no longer finite, keeps its last good state, leaves
+    `live` and gets that state's time in trip_times.  Finiteness is checked
+    only in a chunk where some new norm fails the guard; a finite row over the
+    guard after the last step stays live.  Stops once no row is live.
     """
     for m in set(cutoffs):
         replace(p, cutoff=m).check_grid(grid)
     n_steps, remainder = _schedule(t_end, p.dt)
     size = grid.quintic_pad()
     rows = np.flatnonzero(live)
-    cut = np.stack([_cut_bins(grid.modes, m, size) for m in cutoffs])[rows]  # one row per live row
-    if not cut.any():
-        cut = None  # no projector anywhere
+    cut = [_cut(grid.modes, cutoffs[i], size) for i in rows]  # one per live row
+    none = np.zeros(size, dtype=bool)  # the mask of a row without projector
+    cut = None if all(x is None for x in cut) else np.stack([none if x is None else x for x in cut])
     # the live rows; c[rows] is kept equal to it (c itself while every row is live)
     block = c if rows.size == len(c) else c[rows]
     per_chunk = chunk_rows(size)
@@ -305,8 +287,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         live[rows[~good]] = False
         trip_times[rows[~good]] = t
         rows, block, under = rows[good], block[good], under[good]
-        if cut is not None:
-            cut = cut[good]
+        cut = cut if cut is None else cut[good]
         parts = chunks()
 
     parts = chunks()

@@ -66,6 +66,8 @@ class MeasureSpec:
     base_seed: int = 20260810
 
     def __post_init__(self):
+        if not np.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if self.M < 0:
             raise ValueError("M must be >= 0")
 
@@ -83,20 +85,17 @@ def _standard_normals(k: np.ndarray) -> np.ndarray:
     return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
-def sample_mu(spec: MeasureSpec, indices, grid: GridSpec, seeds=None) -> np.ndarray:
+def sample_mu(spec: MeasureSpec, indices, grid: GridSpec) -> np.ndarray:
     """The (len(indices), 2 grid.modes + 1) coefficient block on `grid` of
     the ensemble members of mu_s with these indices, in their order; each
     row is deterministic per (spec, index).
 
     A member's normals are its first 2 (2M+1) draws in mode order
-    n = -M..M, h_n then l_n for each n.  `seeds`, if given, are the
-    members' derive_seed(spec.base_seed, index), from a caller that also
-    writes them out.
+    n = -M..M, h_n then l_n for each n.
     """
     if grid.modes < spec.M:
         raise ValueError(f"grid modes {grid.modes} < sample cutoff {spec.M}")
-    if seeds is None:
-        seeds = [derive_seed(spec.base_seed, i) for i in indices]
+    seeds = [derive_seed(spec.base_seed, i) for i in indices]
     n = np.arange(-spec.M, spec.M + 1)
     weight = (1.0 + n * n) ** (spec.s / 2.0)
     width = 2 * n.size

@@ -314,8 +314,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text, why",
-        [(None, "no manifest.json"), ("{not json", "JSONDecodeError"), ('{"experiment": "growth"}', "KeyError")],
-        ids=["no-manifest", "not-json", "no-files"],
+        [
+            (None, "no manifest.json"),
+            ("{not json", "JSONDecodeError"),
+            ('{"experiment": "growth"}', "KeyError"),
+            ('{"files": 5}', "files must map names to checksums, got int"),
+            ('{"files": ["growth.csv"]}', "files must map names to checksums, got list"),
+        ],
+        ids=["no-manifest", "not-json", "no-files", "files-an-int", "files-a-list"],
     )
     def test_plots_of_a_broken_run_dir_exit_2(self, tmp_path, capsys, text, why):
         if text is not None:

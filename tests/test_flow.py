@@ -19,8 +19,8 @@ from qnls import (
 )
 from qnls.config import default_config
 from qnls.experiments import smooth_random_field
-from qnls.flow import FULL, _cutoff_mask, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
-from qnls.spectral import chunk_rows, quintic_rows
+from qnls.flow import FULL, _cut, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
+from qnls.spectral import chunk_rows, from_bins, quintic_rows, to_bins
 
 from conftest import random_field, step_loop
 from oracles import mode_field, project, quintic_convolution, sample_field, sobolev_norm_sq, zero_field
@@ -77,19 +77,19 @@ class TestLinearFlow:
 class TestRhs:
     def test_zero(self, grid8):
         p = FlowParams(sigma=1, cutoff=FULL)
-        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, p, True) == 0)
+        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, p, None) == 0)
 
     def test_plane_wave(self, grid8):
         # |u|^4 u = u for e^{inx}, so du/dt = -i(n^2 + sigma) u
         p = FlowParams(sigma=1, cutoff=FULL)
         for n in (1, 3):
-            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p, True)
+            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p, None)
             assert v[grid8.modes + n] == pytest.approx(-1j * (n * n + 1), rel=1e-13)
 
     def test_projector_annihilates(self, grid8):
         # pi_1 e^{i2x} = 0 kills the nonlinearity entirely
         p = FlowParams(sigma=1, cutoff=1)
-        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}), grid8, p, _cutoff_mask(grid8.modes, 1))
+        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}), grid8, p, _cut(grid8.modes, 1))
         assert v[grid8.modes + 2] == pytest.approx(-4j, rel=1e-14)
         others = np.delete(v, grid8.modes + 2)
         assert np.max(np.abs(others)) < 1e-15
@@ -97,16 +97,16 @@ class TestRhs:
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_rows_and_blocks_match_the_convolution_oracle(self, grid8, sigma):
         # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row; a block
-        # under one cutoff's mask, as energy.projected_rates passes it, gives
+        # under one cutoff's _cut, as energy.projected_rates passes it, gives
         # each row's values bit for bit
         cutoffs = [FULL, 5, 2, grid8.modes]
         fields = [random_field(grid8, seed=40 + i, amp=0.5, decay=0.2) for i in range(len(cutoffs))]
         coeffs = np.stack([u.coeffs for u in fields])
         p = FlowParams(sigma=sigma)
         for m in cutoffs:
-            mask = _cutoff_mask(grid8.modes, m)
-            rows = [_rhs_coeffs(c, grid8, replace(p, cutoff=m), mask) for c in coeffs]
-            block = _rhs_coeffs(coeffs, grid8, p, mask)
+            cut = _cut(grid8.modes, m)
+            rows = [_rhs_coeffs(c, grid8, replace(p, cutoff=m), cut) for c in coeffs]
+            block = _rhs_coeffs(coeffs, grid8, p, cut)
             m = grid8.modes if m is FULL else m
             for i, u in enumerate(fields):
                 want = -1j * grid8.n**2 * u.coeffs - 1j * sigma * project(quintic_convolution(project(u, m)), m).coeffs
@@ -116,6 +116,25 @@ class TestRhs:
     def test_cutoff_exceeds_grid(self, grid8):
         with pytest.raises(ValueError, match="cutoff"):
             step(zero_field(grid8), FlowParams(cutoff=9))
+
+    @pytest.mark.parametrize(
+        "modes, cutoff", [(m, c) for m in (1, 8, 32) for c in dict.fromkeys((FULL, 0, 1, m - 1, m))]
+    )
+    def test_cut_is_one_projector_in_both_layouts(self, modes, cutoff):
+        # the modes P_M drops, in storage order and in the bin layout of the
+        # least size to_bins takes and of the quintic pad the march steps on;
+        # None exactly where P_M is the identity
+        grid = GridSpec(modes=modes)
+        sizes = (2 * modes + 1, grid.quintic_pad())
+        cut = _cut(modes, cutoff)
+        if cutoff is FULL or cutoff >= modes:
+            assert cut is None and all(_cut(modes, cutoff, size) is None for size in sizes)
+            return
+        assert np.array_equal(cut, np.abs(grid.n) > cutoff) and not cut.flags.writeable
+        for size in sizes:
+            bins = _cut(modes, cutoff, size)
+            assert np.array_equal(bins, to_bins(cut, modes, size)) and not bins.flags.writeable
+            assert np.array_equal(from_bins(bins, modes), cut)
 
 
 class TestStep:

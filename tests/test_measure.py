@@ -63,6 +63,12 @@ class TestSampler:
         with pytest.raises(ValueError, match="cutoff"):
             sample_mu(spec, [0], GridSpec(modes=8))
 
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_s_rejected(self, s):
+        # NaN would fill every row with NaN and +inf zero all modes but n = 0
+        with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+            MeasureSpec(s=s, M=4)
+
     def test_single_mode_second_moment(self):
         # M = 0: one complex gaussian with E|u_0|^2 = 2
         spec = MeasureSpec(s=3.0, M=0, base_seed=123)

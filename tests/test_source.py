@@ -173,9 +173,9 @@ def _assigned_names(node: ast.AST) -> list[str]:
 def test_one_row_chunk_rule():
     # blocks are chunked by the one constant in spectral; the RK4 step of a
     # block runs only through _march, which chunks it and steps it in the
-    # quintic pad's bin layout (_rk4_bins), and step keeps the storage-order
-    # _rk4_coeffs, the reference the tests hold the march's rows to
-    defined, old_rule, callers = [], [], {"_rk4_bins": [], "_rk4_coeffs": []}
+    # quintic pad's bin layout (_rk4_bins); one RK4 stage loop, _rk4, steps
+    # both that layout and step's storage order
+    defined, old_rule, callers = [], [], {"_rk4_bins": [], "_rk4": []}
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -194,7 +194,7 @@ def test_one_row_chunk_rule():
     assert [hit.split(":")[0] for hit in defined] == ["spectral.py"], f"CHUNK_SAMPLES set at: {defined}"
     assert old_rule == [], f"PAD_SAMPLES named in: {old_rule}"
     assert sorted(set(callers["_rk4_bins"])) == ["flow.py:_march"], f"_rk4_bins called from: {callers['_rk4_bins']}"
-    assert sorted(set(callers["_rk4_coeffs"])) == ["flow.py:step"], f"_rk4_coeffs called from: {callers['_rk4_coeffs']}"
+    assert sorted(set(callers["_rk4"])) == ["flow.py:_rk4_bins", "flow.py:step"], f"_rk4 called from: {callers['_rk4']}"
 
 
 def _per_iteration(node: ast.AST) -> list[ast.AST]:
