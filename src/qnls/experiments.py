@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, serialize_config
+from .config import FIT_FRACTION, ExperimentConfig, serialize_config
 from .densities import residual_rows, scale_rows
 from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
 from .flow import FULL, BlowUpError, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows, step
@@ -138,6 +138,9 @@ def _write_breakdowns(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 # ----------------------------------------------------------------- experiments
+# Each verdict's threshold is a constant next to its runner, not a config key.
+
+DRIFT_TOL = 1e-8  # relative drift of mass, momentum and Hamiltonian
 
 
 def run_conservation(cfg: ExperimentConfig, out: Path):
@@ -153,18 +156,15 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     for k in ("mass", "momentum", "hamiltonian"):
         first, last = columns[k][[0, -1]].tolist()
         drifts[k] = abs(last - first) / abs(first)
-    tol = pm["drift_tol"]
-    stats = {"tolerance": tol, **{f"drift_{k}": v for k, v in drifts.items()}}
+    stats = {"tolerance": DRIFT_TOL, **{f"drift_{k}": v for k, v in drifts.items()}}
     if blowup_time is not None:  # the drifts cover only [0, blowup_time]
         stats["blowup_time"] = blowup_time
-    verdicts = [
-        Verdict(
-            "conserved_quantities_drift",
-            blowup_time is None and all(v < tol for v in drifts.values()),
-            stats,
-        )
-    ]
+    ok = blowup_time is None and all(v < DRIFT_TOL for v in drifts.values())
+    verdicts = [Verdict("conserved_quantities_drift", ok, stats)]
     return {"trajectory.csv": out / "trajectory.csv", "breakdowns.jsonl": out / "breakdowns.jsonl"}, verdicts
+
+
+MIN_ORDER, MAX_ORDER = 3.7, 4.3  # band about RK4's order 4
 
 
 def run_plane_wave_order(cfg: ExperimentConfig, out: Path):
@@ -195,14 +195,13 @@ def run_plane_wave_order(cfg: ExperimentConfig, out: Path):
         for i in range(len(errors))
     ]
     _write_csv(out / "orders.csv", ("dt", "error", "order"), rows)
-    verdicts = [
-        Verdict(
-            "rk4_order",
-            all(pm["min_order"] <= o <= pm["max_order"] for o in orders),
-            {"orders": orders, "min_order": pm["min_order"], "max_order": pm["max_order"]},
-        )
-    ]
+    stats = {"orders": orders, "min_order": MIN_ORDER, "max_order": MAX_ORDER}
+    verdicts = [Verdict("rk4_order", all(MIN_ORDER <= o <= MAX_ORDER for o in orders), stats)]
     return {"orders.csv": out / "orders.csv"}, verdicts
+
+
+# rounding-level tolerances of the identities, relative to each field's scale
+ELELE_TOL, J0_TOL, CONTINUITY_TOL = 1e-9, 1e-9, 1e-8
 
 
 def run_continuity(cfg: ExperimentConfig, out: Path):
@@ -233,11 +232,14 @@ def run_continuity(cfg: ExperimentConfig, out: Path):
     worst = {name: max([0.0, *col]) for name, col in zip(names, list(zip(*rows))[2:])}
     laws = {k: worst[k] for k in names[2:]}
     verdicts = [
-        Verdict("eleele_identity", worst["eleele"] < pm["eleele_tol"], {"worst": worst["eleele"], "tol": pm["eleele_tol"]}),
-        Verdict("j0_vanishes", worst["j0"] < pm["j0_tol"], {"worst": worst["j0"], "tol": pm["j0_tol"]}),
-        Verdict("continuity_laws", max(laws.values()) < pm["continuity_tol"], laws),
+        Verdict("eleele_identity", worst["eleele"] < ELELE_TOL, {"worst": worst["eleele"], "tol": ELELE_TOL}),
+        Verdict("j0_vanishes", worst["j0"] < J0_TOL, {"worst": worst["j0"], "tol": J0_TOL}),
+        Verdict("continuity_laws", max(laws.values()) < CONTINUITY_TOL, laws),
     ]
     return {"residuals.csv": out / "residuals.csv"}, verdicts
+
+
+KS_ALPHA = 0.05  # significance level of each two-sample KS test
 
 
 def run_linear_invariance(cfg: ExperimentConfig, out: Path):
@@ -248,7 +250,7 @@ def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     sigma = cfg.flow.sigma
     columns = {0.0: observables_rows(c, cfg.grid, sigma)}
     columns.update((t, observables_rows(linear_flow_rows(c, cfg.grid, t), cfg.grid, sigma)) for t in times)
-    crit = ks_critical_value(n_samp, n_samp, pm["alpha"])
+    crit = ks_critical_value(n_samp, n_samp, KS_ALPHA)
     rows = []
     all_pass = True
     for name in OBSERVABLE_NAMES:
@@ -268,9 +270,13 @@ def run_linear_invariance(cfg: ExperimentConfig, out: Path):
     return {"ks.csv": out / "ks.csv"}, verdicts
 
 
+# the largest max/min of a ratio over the sweep that counts as uniform in M,
+# and the least log2-slope in M of the uncorrected ratio
+UNIFORMITY_FACTOR, SLOPE_MIN = 2.0, 1.0
+
+
 def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
-    m0 = pm["m0"]
     sweep = list(pm["m_sweep"])
     grid = cfg.grid
     term_names = [name for name, _, _ in R2_TERMS]
@@ -284,7 +290,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     unc = []
     for M in sweep:
         w, rate, raw = projected_rates(c, grid, replace(cfg.flow, cutoff=M))
-        b = smoothing_bound_rows(w, grid, m0)
+        b = smoothing_bound_rows(w, grid)
         unc.append(float(np.max(np.abs(rate) / b)))
         for key, overrides in scale_sets.items():
             r = np.abs(corrected_rate(rate, raw, cfg.flow.sigma, overrides)) / b
@@ -304,7 +310,7 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     for name in term_names:
         vals = max_ratio[name]
         v_ratio = max(vals) / min(vals)
-        perturb_breaks[name] = v_ratio >= pm["uniformity_factor"]
+        perturb_breaks[name] = v_ratio >= UNIFORMITY_FACTOR
         perturb_rows.append([name, 1.0 + pm["perturbation"], v_ratio, perturb_breaks[name]])
     _write_csv(
         out / "perturb.csv", ("term", "factor", "max_over_min", "breaks_uniformity"), perturb_rows
@@ -313,13 +319,13 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     verdicts = [
         Verdict(
             "f2_ratio_cutoff_uniform",
-            variation < pm["uniformity_factor"],
-            {"max_over_min": variation, "factor": pm["uniformity_factor"], "ratios": ratios},
+            variation < UNIFORMITY_FACTOR,
+            {"max_over_min": variation, "factor": UNIFORMITY_FACTOR, "ratios": ratios},
         ),
         Verdict(
             "uncorrected_ratio_slope",
-            slope >= pm["slope_min"],
-            {"slope": slope, "slope_min": pm["slope_min"], "uncorrected": unc},
+            slope >= SLOPE_MIN,
+            {"slope": slope, "slope_min": SLOPE_MIN, "uncorrected": unc},
         ),
         Verdict(
             "perturbation_breaks_uniformity",
@@ -328,6 +334,9 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
         ),
     ]
     return {"sweep.csv": out / "sweep.csv", "perturb.csv": out / "perturb.csv"}, verdicts
+
+
+GROWTH_SLACK = 2.0  # the E_2 drift may reach this multiple of C_fit * t
 
 
 def run_growth(cfg: ExperimentConfig, out: Path):
@@ -346,20 +355,17 @@ def run_growth(cfg: ExperimentConfig, out: Path):
     alpha = float(
         np.polyfit(np.log(times[upper]), 0.5 * np.log(h2s[upper]), 1)[0]
     )
-    # linear bound: C fitted on the first decile, checked on the rest
-    head = (times > 0) & (times <= pm["fit_fraction"] * times[-1])
-    tail = times > pm["fit_fraction"] * times[-1]
+    # linear bound: C fitted on the first FIT_FRACTION of the run, checked on the rest
+    head = (times > 0) & (times <= FIT_FRACTION * times[-1])
+    tail = times > FIT_FRACTION * times[-1]
     drift = np.abs(e2s - e2s[0])
     c_fit = max(float(np.max(drift[head] / times[head])), 1e-12)
-    ok = bool(np.all(drift[tail] <= pm["slack"] * c_fit * times[tail]))
-    verdicts = [
-        Verdict(
-            "e2_linear_bound",
-            ok,
-            {"C_fit": c_fit, "slack": pm["slack"], "h2_exponent": alpha},
-        )
-    ]
+    ok = bool(np.all(drift[tail] <= GROWTH_SLACK * c_fit * times[tail]))
+    verdicts = [Verdict("e2_linear_bound", ok, {"C_fit": c_fit, "slack": GROWTH_SLACK, "h2_exponent": alpha})]
     return {"growth.csv": out / "growth.csv"}, verdicts
+
+
+LOG_SLACK = float(np.log(2.0))  # log r(t2) may exceed (t2 / t1) * max(log r(t1), 0) by ln 2
 
 
 def run_transport_mc(cfg: ExperimentConfig, out: Path):
@@ -413,17 +419,16 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     for name in watch:
         log1 = np.log(max(ratios[name][t1], 1e-300))
         log2_ = np.log(max(ratios[name][t2], 1e-300))
-        if log2_ > (t2 / t1) * max(log1, 0.0) + pm["log_slack"]:
+        if log2_ > (t2 / t1) * max(log1, 0.0) + LOG_SLACK:
             linear_ok = False
     verdicts = [
         Verdict("tail_ratios_finite", bool(finite), {k: ratios[k] for k in watch}),
-        Verdict(
-            "log_ratio_at_most_linear",
-            bool(finite and linear_ok),
-            {"log_slack": pm["log_slack"]},
-        ),
+        Verdict("log_ratio_at_most_linear", bool(finite and linear_ok), {"log_slack": LOG_SLACK}),
     ]
     return files, verdicts
+
+
+FINAL_FRACTION = 1e-3  # the last Delta R_2 of a curve must be below this share of its first
 
 
 def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
@@ -439,7 +444,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
         for M, d in zip(m_list, curve):
             rows.append([idx, M, d])
         mono_all = mono_all and bool(np.all(np.diff(curve) <= 0.0))
-        final_all = final_all and bool(curve[-1] < pm["final_fraction"] * curve[0])
+        final_all = final_all and bool(curve[-1] < FINAL_FRACTION * curve[0])
     _write_csv(out / "r2_curve.csv", ("sample", "M", "delta_r2"), rows)
     files["r2_curve.csv"] = out / "r2_curve.csv"
     verdicts.append(

@@ -15,7 +15,7 @@ from qnls import FlowParams, FourierField, GridSpec, spectral
 from qnls.cli import main
 from qnls.config import apply_overrides, default_config, parse_config
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag
-from qnls.experiments import emit_plots, run
+from qnls.experiments import DRIFT_TOL, KS_ALPHA, emit_plots, run
 from qnls.flow import linear_flow_rows
 from qnls.measure import (
     OBSERVABLE_NAMES,
@@ -93,7 +93,7 @@ class TestRun:
             t: [observables(FourierField(u.grid, linear_flow_rows(u.coeffs, u.grid, t))) for u in members]
             for t in cfg.params["times"]
         }
-        crit = ks_critical_value(size, size, cfg.params["alpha"])
+        crit = ks_critical_value(size, size, KS_ALPHA)
         lines = ["observable,time,ks,critical,pass"]
         for name in OBSERVABLE_NAMES:
             for t in cfg.params["times"]:
@@ -110,7 +110,7 @@ class TestRun:
         assert run(cfg).error is None
         c = sample_mu(cfg.measure, range(200), cfg.grid)
         times = cfg.params["times"]
-        crit = ks_critical_value(200, 200, cfg.params["alpha"])
+        crit = ks_critical_value(200, 200, KS_ALPHA)
 
         def ks_rows(sigma):
             before = observables_rows(c, cfg.grid, sigma)
@@ -332,16 +332,20 @@ class TestCli:
         assert not (tmp_path / "plots.gp").exists()
 
     def test_failing_verdict_exit_1(self, tmp_path):
-        # a drift tolerance of zero cannot be met
+        # RK4 at dt = 0.01 (16^2 * dt = 2.56, inside its stability limit)
+        # drifts the Hamiltonian by ~2e-5 in five steps, far above DRIFT_TOL
         path = tmp_path / "cons.ini"
         path.write_text(
             "[experiment]\nname = conservation\n"
             f"output_dir = {tmp_path / 'c'}\n"
             "[grid]\nmodes = 16\n"
+            "[flow]\ndt = 0.01\n"
             "[run]\nt_end = 0.05\n"
-            "[params]\ndrift_tol = 0.0\n"
         )
         assert main(["run", str(path)]) == 1
+        [verdict] = json.loads((tmp_path / "c" / "manifest.json").read_text())["verdicts"]
+        assert verdict["name"] == "conserved_quantities_drift" and "blowup_time" not in verdict["stats"]
+        assert verdict["stats"]["drift_hamiltonian"] > 1e3 * DRIFT_TOL
 
     def test_subcommand_with_overrides(self, tmp_path, capsys):
         code = main(

@@ -1,8 +1,10 @@
-"""Source hygiene checks that need no linter: only the standard library."""
+"""Source hygiene checks that need no linter: ast walks over src/qnls."""
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+from qnls.config import PARAMS_SCHEMA
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qnls"
 
@@ -81,6 +83,25 @@ def test_configs_are_not_edited_past_the_parser():
         if isinstance(node, ast.Call) and ast.unparse(node.func) in ("replace", "dataclasses.replace")
     ]
     assert edits == [], f"configs edited with dataclasses.replace: {edits}"
+
+
+def test_each_runner_reads_exactly_its_params_schema():
+    # a key the schema lacks is a KeyError only a run finds, and a key no
+    # runner reads is a setting that changes nothing
+    tree = ast.parse((SRC / "experiments.py").read_text())
+    runners = {node.name.removeprefix("run_"): node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    mismatched = {}
+    for name, schema in PARAMS_SCHEMA.items():
+        reads = {
+            node.slice.value
+            for node in ast.walk(runners[name])
+            if isinstance(node, ast.Subscript)
+            and ast.unparse(node.value) == "pm"
+            and isinstance(node.slice, ast.Constant)
+        }
+        if reads != set(schema):
+            mismatched[name] = {"unread": set(schema) - reads, "not in schema": reads - set(schema)}
+    assert mismatched == {}, f"pm[...] reads differ from PARAMS_SCHEMA: {mismatched}"
 
 
 PERFBENCH = SRC.parents[1] / "perfbench"
