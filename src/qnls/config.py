@@ -238,6 +238,8 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
 
     try:
         grid = GridSpec(**kw["grid"])
+        if grid.modes < 1:  # GridSpec(0), the constants, is a band, not a grid to run on
+            raise ConfigError(f"[grid] needs modes >= 1, got {grid.modes}")
         flow = FlowParams(**kw["flow"])
         flow.check_grid(grid)
         measure = MeasureSpec(**kw["measure"])

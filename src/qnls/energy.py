@@ -25,7 +25,9 @@ acceptance criterion 4c catches a 10% drift in any of the three coefficients
 that cancel second derivatives.
 
 Every integrand here has total degree <= 10 in (u, conj u, v, conj v), so a
-padded transform of size >= 10*modes + 1 makes all integrals exact.
+padded transform of size >= 10*modes + 1 makes all integrals exact.  P_M u
+is band-limited to M, so projected_rates and r2_truncation_curve take its
+2M+1 coefficients on GridSpec(M)'s pads: the same integrals, to rounding.
 
 Results on a block of coefficient rows are name -> (B,) arrays
 (breakdown_rows); e2 and full_breakdown give one field's as floats.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import FlowParams, _cut, _project, _rhs_coeffs
+from .flow import FULL, FlowParams, _rhs_coeffs
 from .spectral import TWO_PI, FourierField, GridSpec, derivatives, jet, pad_chunked, sobolev_sq_rows, synthesize
 
 # (name, coefficient, sigma exponent)
@@ -135,20 +137,35 @@ def e2_directional(u: FourierField, v: FourierField, sigma: int = 1) -> float:
     return float(corrected_rate(*directional_terms(u.coeffs, v.coeffs, u.grid), sigma))
 
 
+def _band(grid: GridSpec, cutoff: int | None) -> tuple[slice, GridSpec]:
+    """Where P_M's band sits in a row on `grid`, the modes |n| <= m with
+    m = min(cutoff, grid.modes) (grid.modes for FULL), and GridSpec(m)."""
+    m = grid.modes if cutoff is FULL else min(cutoff, grid.modes)
+    return slice(grid.modes - m, grid.modes + m + 1), GridSpec(m)
+
+
 @pad_chunked
+def _band_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
+    """directional_terms of each row of c, a block on P_M's band `grid`,
+    along the equation's right-hand side there, where P_M is the identity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _rhs_coeffs(c, grid, p, None)
+    return directional_terms(c, v, grid)
+
+
 def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
     """(P_M c, d/dt ||P_M u||_{H^2}^2, raw R_2 variations) along the truncated
     flow, per row of a (B, 2M+1) coefficient block c on `grid`.
 
     The variations are taken at the projected state along the projected
-    equation right-hand side; corrected_rate turns them into F_2.
+    equation right-hand side, on P_M's band (_band) and chunked by its
+    degree-10 pad; corrected_rate turns them into F_2.
     """
     p.check_grid(grid)
-    cut = _cut(grid.modes, p.cutoff)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _rhs_coeffs(c, grid, p, cut)
-    c, v = _project(c, cut), _project(v, cut)
-    return (c, *directional_terms(c, v, grid))
+    band, band_grid = _band(grid, p.cutoff)
+    w = np.zeros_like(c)
+    w[..., band] = c[..., band]
+    return (w, *_band_rates(w[..., band], band_grid, p))
 
 
 def smoothing_bound_rows(c: np.ndarray, grid: GridSpec, m0: int = DEFAULT_M0) -> np.ndarray:
@@ -173,13 +190,12 @@ def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
 
 def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma: int = 1) -> np.ndarray:
     """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, of the
-    coefficient row c on `grid`, from one r2_rows call on the block
-    [c, P_{M_1} c, P_{M_2} c, ...]."""
+    coefficient row c on `grid`, R_2(P_M u) taken on P_M's band (_band)."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly increasing")
-    block = np.stack([c] + [_project(c, _cut(grid.modes, M)) for M in m_list])
-    total, _ = r2_rows(block, grid, sigma)
-    return np.abs(total[1:] - total[0])
+    whole = r2_rows(c, grid, sigma)[0]
+    bands = (_band(grid, M) for M in m_list)
+    return np.array([abs(r2_rows(c[..., band], g, sigma)[0] - whole) for band, g in bands])
 
 
 @pad_chunked

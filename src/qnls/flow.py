@@ -64,6 +64,7 @@ from .spectral import (
     TWO_PI,
     FourierField,
     GridSpec,
+    _sobolev_weights,
     chunk_rows,
     from_bins,
     quintic_bins,
@@ -148,17 +149,19 @@ def _linear_symbol(modes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndarray]:
+def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """-i sigma and _linear_symbol(modes) in the bins of the modes of a
-    size-`size` transform, 0 in the other bins, each as chunk_rows(size)
-    equal rows: numpy multiplies a (rows, size) block by a (rows, size)
-    operand about twice as fast as by one row broadcast over the block
-    (read-only, shared)."""
+    size-`size` transform, 0 in the other bins, and the guard's H^1 weights
+    of sobolev_sq_rows in storage order, each as chunk_rows(size) equal
+    rows: numpy multiplies a (rows, size) block by a (rows, size) operand
+    about twice as fast as by one row broadcast over the block (read-only,
+    shared)."""
     rows = (chunk_rows(size), 1)
     factor = np.tile(to_bins(np.full(2 * modes + 1, -1j * sigma), modes, size), rows)
     lin = np.tile(to_bins(_linear_symbol(modes), modes, size), rows)
-    factor.flags.writeable = lin.flags.writeable = False
-    return factor, lin
+    h1 = np.tile(_sobolev_weights(modes, 1.0), rows)
+    factor.flags.writeable = lin.flags.writeable = h1.flags.writeable = False
+    return factor, lin, h1
 
 
 def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, cut: np.ndarray | None) -> np.ndarray:
@@ -199,7 +202,7 @@ def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.n
     them 0 in every stage input.
     """
     u = to_bins(c, grid.modes, grid.quintic_pad())
-    factor, lin = (a[: len(c)] for a in _bin_symbols(grid.modes, u.shape[-1], p.sigma))
+    factor, lin, _ = (a[: len(c)] for a in _bin_symbols(grid.modes, u.shape[-1], p.sigma))
 
     def rhs(x):
         v = x + 0.0  # a -0.0 part enters the transform as +0.0, as synthesize pads it
@@ -215,8 +218,10 @@ def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.n
     return from_bins(_rk4(u, rhs, dt), grid.modes)
 
 
-def _h1_norms(c: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return np.sqrt(sobolev_sq_rows(c, grid, 1.0))
+def _h1_norms(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """np.sqrt(sobolev_sq_rows(c, grid, 1.0)) bit for bit, of each row of a
+    chunk c of the march, from _bin_symbols' tiled H^1 weights."""
+    return np.sqrt(TWO_PI * np.sum(weights[: len(c)] * np.abs(c) ** 2, axis=-1))
 
 
 def _finite_rows(c: np.ndarray) -> np.ndarray:
@@ -239,7 +244,7 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     the state is no longer finite after it.
     """
     p.check_grid(u.grid)
-    h1 = float(_h1_norms(u.coeffs, u.grid))
+    h1 = float(np.sqrt(sobolev_sq_rows(u.coeffs, u.grid, 1.0)))
     if not h1 < p.blowup_threshold:
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
     cut = _cut(u.grid.modes, p.cutoff)
@@ -277,6 +282,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     # the live rows; c[rows] is kept equal to it (c itself while every row is live)
     block = c if rows.size == len(c) else c[rows]
     per_chunk = chunk_rows(size)
+    h1 = _bin_symbols(grid.modes, size, p.sigma)[2]
     t = 0.0
 
     def chunks():
@@ -293,7 +299,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     parts = chunks()
     under = np.empty(rows.size, dtype=bool)  # H^1 norm below the guard, per row
     for part in parts:
-        under[part] = _h1_norms(block[part], grid) < p.blowup_threshold
+        under[part] = _h1_norms(block[part], h1) < p.blowup_threshold
     for k in range(1, n_steps + 1 + (remainder > 0)):
         if not under.all():
             leave(under)
@@ -305,7 +311,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
             with np.errstate(over="ignore", invalid="ignore"):
                 for part in parts:
                     new = _rk4_bins(block[part], grid, p, dt, cut if cut is None else cut[part])
-                    under[part] = ok = _h1_norms(new, grid) < p.blowup_threshold
+                    under[part] = ok = _h1_norms(new, h1) < p.blowup_threshold
                     if ok.all():
                         block[part] = new
                     else:

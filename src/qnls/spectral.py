@@ -13,12 +13,13 @@ exact integrals need a transform size of at least d*M + 1 and exact
 coefficient extraction up to mode M needs (d+1)*M + 1; pad_for_degree(d)
 returns the smallest FFT-friendly size >= d*M + 1.  The quintic |u|^4 u is
 extracted on pad_for_degree(6), the degree-10 energy integrands are
-integrated on pad_for_degree(10).  Transforms are scipy's pocketfft, called
-through its c2c binding, so that a one-row transform skips scipy.fft's
-dispatch, in the norm="forward" convention: synthesize is the unnormalised
-sum, and analyze carries the 1/size, applied inside pocketfft.  They are
-equal bit for bit to scipy.fft and to numpy.fft with norm="forward" at every
-size the configs use.
+integrated on pad_for_degree(10).  M is the band of the field, not of the
+grid it sits on: energy evaluates a projection P_m u on GridSpec(m)'s pads.
+Transforms are scipy's pocketfft, called through its c2c binding, so that a
+one-row transform skips scipy.fft's dispatch, in the norm="forward"
+convention: synthesize is the unnormalised sum, and analyze carries the
+1/size, applied inside pocketfft.  They are equal bit for bit to scipy.fft
+and to numpy.fft with norm="forward" at every size the configs use.
 
 Coefficients are held in storage order or in the FFT-bin layout of a
 transform, mode n in bin n % size and 0 in the other bins (to_bins and
@@ -62,13 +63,14 @@ def _mode_indices(modes: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Mode cutoff: coefficients are kept for |n| <= modes."""
+    """Mode cutoff: coefficients are kept for |n| <= modes.  modes = 0 holds
+    the constants alone, the band of the projector P_0."""
 
     modes: int
 
     def __post_init__(self):
-        if self.modes < 1:
-            raise ValueError(f"modes must be >= 1, got {self.modes}")
+        if self.modes < 0:
+            raise ValueError(f"modes must be >= 0, got {self.modes}")
 
     @property
     def phys_size(self) -> int:

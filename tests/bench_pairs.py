@@ -18,6 +18,12 @@ median better by more than the parent's interquartile range; the last line
 says whether the claim holds, and if not, why. Whether a metric is better
 lower or higher is read from the parent's BENCHMARK.json.
 
+`--record BENCH_<pr>.json` also writes the pairs it ran into that JSON
+file: per pair its seed, the side run first and each side's `correct`,
+`failed` and metrics; per metric the summary above; the claim's verdict and
+reasons; and the machine block run.py prints. The file holds one entry per
+workload, so runs of other workloads recorded in it before are kept.
+
 Pytest does not collect this file. Ten pairs at 36 s take about 15 minutes.
 """
 
@@ -47,11 +53,14 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"{checkout}: perfbench/run.py exited with code {proc.returncode}")
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    summary = json.loads(lines[-1])
+    machine = [json.loads(line.split(":", 1)[1]) for line in lines if line.startswith("machine:")]
     return {
         "correct": summary["correct"],
         "failed": summary["failed"],
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+        "machine": machine[0] if machine else None,
     }
 
 
@@ -102,6 +111,26 @@ def failure_reasons(parent: list[dict], change: list[dict]) -> list[str]:
     return reasons
 
 
+def record(path: Path, workload: str, seed: int, runs: dict, summaries: dict, claim: dict) -> None:
+    """Write the pairs of `workload` that started at `seed`, with their
+    summaries and claim, into the JSON file at `path`, keeping the other
+    workloads recorded there."""
+    data = json.loads(path.read_text()) if path.exists() else {}
+    pairs = [
+        {"seed": seed + i, "first": pair_order(i)[0],
+         **{side: {k: v for k, v in runs[side][i].items() if k != "machine"} for side in runs}}
+        for i in range(len(runs["parent"]))
+    ]
+    data["machine"] = runs["change"][-1].get("machine")
+    data.setdefault("workloads", {})[workload] = {
+        "run": f"perfbench/run.py --workload {workload} --seed <seed> --seconds {SECONDS} --trace 0",
+        "pairs": pairs,
+        "summary": summaries,
+        "claim": claim,
+    }
+    path.write_text(json.dumps(data, indent=1) + "\n")
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent", type=Path)
@@ -109,6 +138,7 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i takes seed + i")
+    ap.add_argument("--record", type=Path, help="JSON file (BENCH_<pr>.json) to write the pairs into")
     args = ap.parse_args(argv)
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
@@ -124,15 +154,14 @@ def main(argv: list[str]) -> int:
               f"{METRIC} parent {p:.4f}  change {c:.4f}  ratio {c / p:.3f}; failed operations "
               f"parent {last['parent']['failed']}  change {last['change']['failed']}", flush=True)
     print(f"workload {args.workload}, {args.pairs} pairs")
-    result = None
+    summaries = {}
     for name in runs["parent"][0]["metrics"]:
-        s = summarize([r["metrics"][name] for r in runs["parent"]],
-                      [r["metrics"][name] for r in runs["change"]], lower[name])
+        s = summaries[name] = summarize([r["metrics"][name] for r in runs["parent"]],
+                                        [r["metrics"][name] for r in runs["change"]], lower[name])
         print(f"  {name}: median parent {s['parent_median']:.4g}  change {s['change_median']:.4g}"
               f"  (ratio {s['ratio']:.3f}); parent quartiles {s['parent_q1']:.4g} .. {s['parent_q3']:.4g}"
               f"  (IQR {s['parent_iqr']:.3g}); change better in {s['wins']} of {s['pairs']}")
-        if name == METRIC:
-            result = s
+    result = summaries.get(METRIC)
     if result is None:
         raise SystemExit(f"the benchmark reported no {METRIC}")
     reasons = failure_reasons(runs["parent"], runs["change"])
@@ -142,6 +171,9 @@ def main(argv: list[str]) -> int:
           f"median gap {abs(result['parent_median'] - result['change_median']):.4g}"
           f" against parent IQR {result['parent_iqr']:.4g}"
           + "".join(f"; {r}" for r in reasons) + ")")
+    if args.record:
+        claim = {"metric": METRIC, "holds": holds, "reasons": reasons}
+        record(args.record, args.workload, args.seed, runs, summaries, claim)
     return 0
 
 

@@ -12,7 +12,8 @@ from scipy.special import ndtri
 
 from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sobolev_sq_rows
 from qnls.config import ExperimentConfig
-from qnls.energy import DEFAULT_M0, corrected_rate, projected_rates, r2_rows
+from qnls.energy import DEFAULT_M0, corrected_rate, directional_terms, projected_rates, r2_rows
+from qnls.flow import _cut, _project, _rhs_coeffs
 from qnls.measure import derive_seed
 from qnls.spectral import TWO_PI, jet, synthesize
 
@@ -84,6 +85,26 @@ def f2(u: FourierField, p: FlowParams, overrides: dict[str, float] | None = None
     """
     _, rate, raw = projected_rates(u.coeffs[np.newaxis], u.grid, p)
     return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
+
+
+def projected_rates_masked(c: np.ndarray, grid: GridSpec, p: FlowParams):
+    """energy.projected_rates on the pads of `grid` itself: P_M applied as a
+    mask on the full row, before and after the quintic, and every transform
+    at the grid's sizes.  The same values to rounding."""
+    p.check_grid(grid)
+    cut = _cut(grid.modes, p.cutoff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _rhs_coeffs(c, grid, p, cut)
+    c, v = _project(c, cut), _project(v, cut)
+    return (c, *directional_terms(c, v, grid))
+
+
+def r2_truncation_curve_masked(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma: int = 1) -> np.ndarray:
+    """energy.r2_truncation_curve on the pads of `grid` itself: one r2_rows
+    call on the block [c, P_{M_1} c, P_{M_2} c, ...] of masked rows."""
+    block = np.stack([c] + [_project(c, _cut(grid.modes, M)) for M in m_list])
+    total, _ = r2_rows(block, grid, sigma)
+    return np.abs(total[1:] - total[0])
 
 
 def values(u: FourierField, size: int | None = None) -> np.ndarray:

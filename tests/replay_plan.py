@@ -19,7 +19,8 @@ if any do. Two checkouts that should give the same data give an empty diff.
 error alone: a change that moves rounding on purpose moves data files and
 stats, and must still pass and fail the same verdicts.
 
-Pytest does not collect this file. A dump takes a few minutes on one core.
+Pytest does not collect this file. A dump takes about 40 s on one core when
+nothing else runs on it.
 """
 
 from __future__ import annotations

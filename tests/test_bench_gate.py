@@ -11,8 +11,10 @@ is left out of the pins: it echoes the temporary output_dir.
 The pins were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64, from the
 code whose transforms follow numpy's norm="forward" convention (synthesize
 unscaled, analyze scaling by 1/size inside pocketfft) and whose quintic
-forms |u|^4 by two squarings. A change that alters rounding on purpose (an
-integrating-factor RK4, say) re-pins the values and says so in CHANGES.md.
+forms |u|^4 by two squarings, and which evaluates each P_M-projected field
+of energy.projected_rates and r2_truncation_curve on GridSpec(M)'s pads. A
+change that alters rounding on purpose (an integrating-factor RK4, say)
+re-pins the values and says so in CHANGES.md.
 
 The tracer (perfbench/tracing.py) patches the qnls functions it names in
 LAYER_TARGETS, looked up with no default; every one of them must exist.
@@ -58,7 +60,7 @@ PINNED = {
         },
         "truncation_convergence": {
             "flow_convergence.csv": "13b4a3d61b4f01ecc9e529b0e312b93fffe7844b357cd69f52103463b3ad5bd5",
-            "r2_curve.csv": "e53d42a3c02c6b3d3a948a1a05b2717f8be6aa62cba94075a78fb155161ff9bd",
+            "r2_curve.csv": "4951c181d40cea698bbf65c8af486d77ae56f60261dbfb6c25007e811b434c3a",
         },
     },
     "ensemble": {
@@ -77,8 +79,8 @@ PINNED = {
             "ks.csv": "ceeb2f5594867c0ff809b46473c8f71fd35f43a6b7bff0d46b13afd7dd7f1a8d",
         },
         "smoothing_sweep": {
-            "perturb.csv": "f95ecb2d11cd1dc06f70bdaf0211b2c0ff1e765ed0c67f43cbd2aa51de73b64f",
-            "sweep.csv": "b1b00f845ef2513cb2e6a95796a9c5de5a3a74cf294032519a79301334d8cc81",
+            "perturb.csv": "8a083f4e68545b31f779c0e8838ef3c813677623fcf31daf8a992f8d0592c22d",
+            "sweep.csv": "920cab1d99d6a9277fdf7942260e6e4d16406657c3bcb180b637d166b05661dc",
         },
     },
 }

@@ -108,3 +108,24 @@ def test_failures_count_against_the_parent_s():
     assert bench_pairs.failure_reasons(parent, [{"correct": True, "failed": 2}] * 2) == [
         "4 failed operations on the change against 2 on the parent"
     ]
+
+
+def test_record_keeps_each_workload_and_the_machine(tmp_path, monkeypatch):
+    machine = {"nproc": 2, "cpu_model": "test"}
+
+    def with_machine(run):
+        return lambda checkout, workload, seed: {**run(checkout, workload, seed), "machine": machine}
+
+    monkeypatch.setattr(bench_pairs, "run_once", with_machine(fake_runs([])))
+    path = tmp_path / "BENCH_7.json"
+    checkouts = make_checkouts(tmp_path)
+    for workload in ("ensemble", "fields"):
+        argv = checkouts + ["--workload", workload, "--pairs", "2", "--seed", "5", "--record", str(path)]
+        assert bench_pairs.main(argv) == 0
+    data = json.loads(path.read_text())
+    assert data["machine"] == machine and list(data["workloads"]) == ["ensemble", "fields"]
+    fields = data["workloads"]["fields"]
+    assert [(p["seed"], p["first"]) for p in fields["pairs"]] == [(5, "parent"), (6, "change")]
+    assert fields["pairs"][1]["change"] == {"correct": True, "failed": 0, "metrics": {"wall_s": 0.56, "work_per_s": 2.0}}
+    assert fields["summary"]["wall_s"]["wins"] == 2
+    assert fields["claim"] == {"metric": "wall_s", "holds": True, "reasons": []}

@@ -171,6 +171,12 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"\[grid\] modes"):
             parse_config(MINIMAL + "[grid]\nmodes = many\n")
 
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_rejects_zero_modes(self, name):
+        # GridSpec(0) is P_0's band in energy; no experiment runs on it
+        with pytest.raises(ConfigError, match=r"\[grid\] needs modes >= 1, got 0"):
+            parse_config(f"[experiment]\nname = {name}\n\n[grid]\nmodes = 0\n")
+
     def test_field_validation_propagates(self):
         with pytest.raises(ConfigError, match="sigma"):
             parse_config(MINIMAL + "[flow]\nsigma = 2\n")

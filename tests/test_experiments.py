@@ -26,10 +26,11 @@ from qnls.measure import (
     observables_rows,
     sample_mu,
 )
-from qnls.spectral import chunk_rows, synthesize
+from qnls.energy import r2_rows
+from qnls.spectral import TWO_PI, chunk_rows, synthesize
 
 from conftest import step_loop
-from oracles import sample_field, sobolev_norm_sq
+from oracles import r2_truncation_curve_masked, sample_field, sobolev_norm_sq
 
 
 def observables_in(path):
@@ -80,6 +81,26 @@ class TestRun:
         m1 = run(tiny_conservation(tmp_path))
         m2 = run(tiny_conservation(tmp_path))
         assert m1.files == m2.files
+
+    def test_truncation_convergence_takes_cutoff_0(self, tmp_path):
+        # P_0 u is the constant u_0, taken on GridSpec(0): R_2 keeps only
+        # (4/15) int N^5 = (4/15) 2 pi |u_0|^10 there
+        text = (
+            "[experiment]\nname = truncation_convergence\n"
+            f"output_dir = {tmp_path / 'tc'}\n"
+            "[grid]\nmodes = 16\n[measure]\nM = 16\n[run]\nensemble_size = 3\n"
+            "[params]\nm_list = 0, 4, 16\nwith_flow = false\n"
+        )
+        cfg = parse_config(text)
+        assert run(cfg).error is None
+        rows = [line.split(",") for line in (tmp_path / "tc" / "r2_curve.csv").read_text().splitlines()[1:]]
+        assert [(int(i), int(M)) for i, M, _ in rows] == [(i, M) for i in range(3) for M in (0, 4, 16)]
+        for i, c in enumerate(sample_mu(cfg.measure, range(3), cfg.grid)):
+            got = [float(d) for _, _, d in rows[3 * i : 3 * i + 3]]
+            whole = r2_rows(c, cfg.grid, cfg.flow.sigma)[0]
+            assert got[0] == pytest.approx(abs(4.0 / 15.0 * TWO_PI * abs(c[16]) ** 10 - whole), rel=1e-12)
+            assert got == pytest.approx(list(r2_truncation_curve_masked(c, cfg.grid, [0, 4, 16], cfg.flow.sigma)), rel=1e-11)
+            assert got[2] == 0.0
 
     def test_linear_invariance_matches_the_per_member_loop(self, tmp_path):
         # one member past the first row chunk of observables_rows

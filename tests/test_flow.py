@@ -97,8 +97,8 @@ class TestRhs:
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_rows_and_blocks_match_the_convolution_oracle(self, grid8, sigma):
         # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row; a block
-        # under one cutoff's _cut, as energy.projected_rates passes it, gives
-        # each row's values bit for bit
+        # under one cutoff's _cut, as oracles.projected_rates_masked passes
+        # it, gives each row's values bit for bit
         cutoffs = [FULL, 5, 2, grid8.modes]
         fields = [random_field(grid8, seed=40 + i, amp=0.5, decay=0.2) for i in range(len(cutoffs))]
         coeffs = np.stack([u.coeffs for u in fields])

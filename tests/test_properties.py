@@ -28,7 +28,9 @@ from oracles import (
     n1_rows,
     padded,
     project,
+    projected_rates_masked,
     quintic_rows_numpy,
+    r2_truncation_curve_masked,
     sobolev_norm_sq,
     synthesize_numpy,
     values,
@@ -249,12 +251,50 @@ def test_evolve_block_rows_are_evolve_runs(block, data, sigma):
         assert ref_blowup_time == blowup_time
 
 
+def band(c: np.ndarray, grid: GridSpec, cutoff: int) -> tuple[np.ndarray, GridSpec]:
+    """The coefficients |n| <= m of c on `grid`, m = min(cutoff, modes), and GridSpec(m)."""
+    m = min(cutoff, grid.modes)
+    return c[..., grid.modes - m : grid.modes + m + 1], GridSpec(m)
+
+
+@PROPERTY
+@given(block=blocks(1, 30, modes=st.sampled_from([8, 24, 64])), data=st.data(), sigma=st.sampled_from([1, -1]))
+def test_projected_rates_are_the_full_rates_of_the_band(block, data, sigma):
+    # a cutoff's rates are those of the band's rows under FULL on GridSpec(M)
+    # bit for bit, and the masked evaluation on the grid's pads to rounding
+    grid, c = block
+    cutoff = data.draw(st.sampled_from([0, 1, grid.modes // 3, grid.modes - 1, grid.modes]))
+    w, rate, raw = projected_rates(c, grid, FlowParams(sigma=sigma, cutoff=cutoff))
+    assert w.tobytes() == np.array([project(FourierField(grid, row), cutoff).coeffs for row in c]).tobytes()
+    rows, band_grid = band(c, grid, cutoff)
+    _, band_rate, band_raw = projected_rates(rows, band_grid, FlowParams(sigma=sigma))
+    assert [rate.tobytes(), *(v.tobytes() for v in raw.values())] == [
+        band_rate.tobytes(), *(v.tobytes() for v in band_raw.values())
+    ]
+    masked_w, masked_rate, masked_raw = projected_rates_masked(c, grid, FlowParams(sigma=sigma, cutoff=cutoff))
+    assert w.tobytes() == masked_w.tobytes()
+    got, want = np.stack([rate, *raw.values()]), np.stack([masked_rate, *masked_raw.values()])
+    if cutoff == 0:
+        # P_0 u is a constant, whose flow turns its phase: every rate is 0 but
+        # for rounding, of order |u_0|^6 to |u_0|^14
+        scale = 1e-13 * (1.0 + np.abs(c[:, grid.modes]) ** 2) ** 7
+        assert np.all(np.abs(got) <= scale) and np.all(np.abs(want) <= scale)
+    else:
+        # a term may vanish where its summands do not (one mode left in the
+        # band zeroes N_x), so the rounding is taken against the largest value
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-11 * np.max(np.abs(want)))
+
+
 @PROPERTY
 @given(block=blocks(1, 1, modes=st.integers(1, 24)), data=st.data(), sigma=st.sampled_from([1, -1]))
 def test_r2_truncation_curve_is_the_per_cutoff_loop(block, data, sigma):
+    # each R_2(P_M u) on its own band's grid; the masked rows on the grid's
+    # pads give the same curve to rounding
     grid, c = block
     m_list = sorted(data.draw(st.sets(st.integers(0, grid.modes + 2), min_size=1, max_size=5)))
-    u = FourierField(grid, c[0])
-    ref = r2_rows(c[0], grid, sigma)[0]
-    want = [abs(r2_rows(project(u, M).coeffs, grid, sigma)[0] - ref) for M in m_list]
-    assert r2_truncation_curve(c[0], grid, m_list, sigma).tobytes() == np.array(want).tobytes()
+    whole, terms = r2_rows(c[0], grid, sigma)
+    want = [abs(r2_rows(*band(c[0], grid, M), sigma)[0] - whole) for M in m_list]
+    curve = r2_truncation_curve(c[0], grid, m_list, sigma)
+    assert curve.tobytes() == np.array(want).tobytes()
+    scale = sum(abs(v) for v in terms.values())
+    assert np.allclose(curve, r2_truncation_curve_masked(c[0], grid, m_list, sigma), rtol=1e-11, atol=1e-11 * scale)

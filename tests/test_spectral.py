@@ -28,7 +28,16 @@ class TestGridSpec:
 
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError, match="modes"):
-            GridSpec(modes=0)
+            GridSpec(modes=-1)
+
+    def test_zero_modes_is_the_constants(self):
+        # the band of P_0, on which energy evaluates a cutoff-0 projection
+        g = GridSpec(modes=0)
+        assert g.n.tolist() == [0]
+        assert g.phys_size == g.quintic_pad() == g.pad_for_degree(10) == 1
+        c = np.array([3.0 - 4.0j])
+        assert synthesize(c, 0, 1).tolist() == [3.0 - 4.0j]
+        assert quintic_rows(c, g).tolist() == [625.0 * (3.0 - 4.0j)]
 
 
 class TestFourierField:
