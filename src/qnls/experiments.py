@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import FIT_FRACTION, ExperimentConfig, serialize_config
+from .config import FIT_FRACTION, KS_ALPHA, ExperimentConfig, serialize_config
 from .densities import residual_rows, scale_rows
 from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
 from .flow import FULL, BlowUpError, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows, step
@@ -237,9 +237,6 @@ def run_continuity(cfg: ExperimentConfig, out: Path):
         Verdict("continuity_laws", max(laws.values()) < CONTINUITY_TOL, laws),
     ]
     return {"residuals.csv": out / "residuals.csv"}, verdicts
-
-
-KS_ALPHA = 0.05  # significance level of each two-sample KS test
 
 
 def run_linear_invariance(cfg: ExperimentConfig, out: Path):

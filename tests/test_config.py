@@ -8,12 +8,11 @@ import pytest
 from qnls import FlowParams, GridSpec, MeasureSpec
 from qnls.cli import main
 from qnls.config import (
-    EXPERIMENT_DEFAULTS,
+    _SECTIONS,
     EXPERIMENTS,
-    PARAMS_SCHEMA,
     ConfigError,
+    Experiment,
     RunSettings,
-    _schemas,
     apply_overrides,
     default_config,
     parse_config,
@@ -251,10 +250,14 @@ class TestParse:
             # a NaN initial row: the guard trips at t = 0 and the drifts are NaN
             ("conservation", "width = 0.0", "width > 0"),
             ("growth", "width = 0.0", "width > 0"),
+            # a zero field never drifts: C_fit is the floor 1e-12 and the bound holds
+            ("growth", "amplitude = 0.0", "amplitude != 0"),
             # errors all NaN at decay 0, all 0.0 at a zero field or a negative decay
             ("truncation_convergence", "flow_decay = 0.0", "flow_decay > 0"),
             ("truncation_convergence", "flow_amplitude = 0.0", "flow_amplitude != 0"),
             ("linear_invariance", "times = 0.0, 1.0", "nonzero times"),  # KS 0.0: the ensemble against itself
+            # c(alpha) sqrt(2 / 3) = 1.109 at 3 members, above any KS statistic; 0.960 at 4
+            ("linear_invariance", "ensemble_size = 3", "KS critical value is below 1"),
             ("conservation", "observer_stride = 0", "observer_stride"),
             ("growth", "observer_stride = 0", "observer_stride"),
             ("growth", "observer_stride = 20001", "fit window"),  # first state at t = 20.001 > 0.1 * 200
@@ -301,13 +304,14 @@ class TestParse:
             parse_config(f"[experiment]\nname = {name}\n\n[{section}]\n{line}\n")
 
     def test_rk4_limit_is_2_sqrt_2(self):
-        # RK4 amplifies i*z for |z| > 2*sqrt(2) = 2.828...; smoothing_sweep and
-        # continuity never step, so their [flow] dt is not checked
+        # RK4 amplifies i*z for |z| > 2*sqrt(2) = 2.828...; smoothing_sweep,
+        # continuity and linear_invariance never step, so their [flow] dt is
+        # not checked
         text = "[experiment]\nname = {}\n\n[flow]\ndt = {!r}\n"
         assert parse_config(text.format("conservation", 2.82 / 32**2)).flow.dt == 2.82 / 32**2
         with pytest.raises(ConfigError, match="RK4's stability limit"):
             parse_config(text.format("conservation", 2.83 / 32**2))
-        for name in ("smoothing_sweep", "continuity"):
+        for name in ("smoothing_sweep", "continuity", "linear_invariance"):
             text = re.sub(r"^dt = .*$", "dt = 0.01", serialize_config(default_config(name)), count=1, flags=re.M)
             assert parse_config(text).flow.dt == 0.01
 
@@ -320,9 +324,9 @@ class TestParse:
 
 
 def test_one_experiment_registry():
-    # the experiments are the [params] schemas; each has a runner and defaults
-    assert EXPERIMENTS == tuple(PARAMS_SCHEMA)
-    assert set(_RUNNERS) == set(EXPERIMENT_DEFAULTS) == set(EXPERIMENTS)
+    # each experiment is one record (schema, needs, defaults) and has a runner
+    assert all(isinstance(record, Experiment) for record in EXPERIMENTS.values())
+    assert set(_RUNNERS) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
@@ -330,7 +334,7 @@ def test_name_line_alone_is_the_default_config(name):
     # one default per key: the experiment's defaults over the generic ones
     cfg = parse_config(f"[experiment]\nname = {name}\n")
     assert cfg == default_config(name)
-    for section, overlay in EXPERIMENT_DEFAULTS[name].items():
+    for section, overlay in EXPERIMENTS[name].defaults.items():
         for key, value in overlay.items():
             assert getattr(getattr(cfg, section), key) == value, (section, key)
 
@@ -339,8 +343,8 @@ def test_name_line_alone_is_the_default_config(name):
 def test_defaults_take_the_type_of_their_generic_default(name):
     # a key's type is its generic default's: None is a cutoff (full or an
     # int), a tuple lists its first entry's type, so none may be empty
-    schemas = _schemas(name)
-    for section, overlay in EXPERIMENT_DEFAULTS[name].items():
+    schemas = {**_SECTIONS, "params": EXPERIMENTS[name].params}
+    for section, overlay in EXPERIMENTS[name].defaults.items():
         for key, value in overlay.items():
             generic = schemas[section][key]
             assert type(value) is (int if generic is None else type(generic)), (section, key)
