@@ -90,9 +90,10 @@ def _stable_rate(what: str, rate: float) -> dict:
     return {f"{what} <= 2*sqrt(2), RK4's stability limit": rate <= RK4_IMAGINARY_LIMIT}
 
 
-# sample_mu draws modes |n| <= M onto the grid
+# sample_mu draws modes |n| <= M onto the grid; at M = 0 every member is a
+# constant, which every flow only turns in phase, so nothing is checked
 def _draws_mu(cfg: ExperimentConfig) -> dict:
-    return {"[measure] M <= [grid] modes": cfg.measure.M <= cfg.grid.modes}
+    return {"1 <= [measure] M <= [grid] modes": 1 <= cfg.measure.M <= cfg.grid.modes}
 
 
 def _conservation_needs(cfg: ExperimentConfig) -> dict:
@@ -111,7 +112,8 @@ def _conservation_needs(cfg: ExperimentConfig) -> dict:
 
 def _plane_wave_order_needs(cfg: ExperimentConfig) -> dict:
     # the run takes round(t_end / dt) steps and compares at t_end; a
-    # repeated dt makes the order 0 / 0
+    # repeated dt makes the order 0 / 0, and so does a zero amplitude, whose
+    # error is 0.0 at every dt
     dts = cfg.params["dt_list"]
     steps = [cfg.run.t_end / dt for dt in dts if dt > 0]
     return {
@@ -119,6 +121,7 @@ def _plane_wave_order_needs(cfg: ExperimentConfig) -> dict:
         "dt_list entries that divide t_end into whole steps": len(steps) == len(dts)
         and all(abs(n - round(n)) <= 1e-9 * n for n in steps),
         "|mode| <= [grid] modes": abs(cfg.params["mode"]) <= cfg.grid.modes,
+        "amplitude != 0": cfg.params["amplitude"] != 0,
         **_stable_rate("modes^2 * max(dt_list)", cfg.grid.modes**2 * max(dts, default=0.0)),
     }
 
@@ -338,6 +341,8 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
     output_dir = cp.get("experiment", "output_dir", fallback=f"runs/{name}").strip()
+    if not output_dir:  # an empty path is the working directory
+        raise ConfigError("[experiment] output_dir must not be empty")
 
     experiment = EXPERIMENTS[name]
     schemas = {**_SECTIONS, "params": experiment.params}

@@ -188,14 +188,16 @@ def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
     return float(smoothing_bound_rows(u.coeffs[np.newaxis], u.grid, m0)[0])
 
 
+@pad_chunked
 def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma: int = 1) -> np.ndarray:
-    """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, of the
-    coefficient row c on `grid`, R_2(P_M u) taken on P_M's band (_band)."""
+    """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, of a
+    coefficient vector or one row of them per row of a (B, 2M+1) block c on
+    `grid`, R_2(P_M u) taken on P_M's band (_band)."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly increasing")
     whole = r2_rows(c, grid, sigma)[0]
     bands = (_band(grid, M) for M in m_list)
-    return np.array([abs(r2_rows(c[..., band], g, sigma)[0] - whole) for band, g in bands])
+    return np.abs(np.stack([r2_rows(c[..., band], g, sigma)[0] - whole for band, g in bands], axis=-1))
 
 
 @pad_chunked

@@ -21,7 +21,7 @@ from . import __version__
 from .config import FIT_FRACTION, KS_ALPHA, ExperimentConfig, serialize_config
 from .densities import residual_rows, scale_rows
 from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
-from .flow import FULL, BlowUpError, evolve, evolve_block, hamiltonian_rows, linear_flow_rows, momentum_rows, step
+from .flow import FULL, BlowUpError, evolve, hamiltonian_rows, linear_flow_rows, momentum_rows, step
 from .measure import (
     derive_seed,
     ks_critical_value,
@@ -148,8 +148,8 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
     u0 = smooth_random_field(
         cfg.grid, pm["seed"], pm["amplitude"], pm["width"], pm["bias"], pm["bias_mode"]
     )
-    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=pm["observer_stride"])
-    columns = _write_trajectory(out / "trajectory.csv", times, states, cfg)
+    times, states, live, trip_times = evolve(u0[np.newaxis], cfg.grid, cfg.flow, cfg.run.t_end, pm["observer_stride"])
+    columns = _write_trajectory(out / "trajectory.csv", times, states[:, 0], cfg)
     _write_breakdowns(out / "breakdowns.jsonl", columns)
 
     drifts = {}
@@ -157,9 +157,9 @@ def run_conservation(cfg: ExperimentConfig, out: Path):
         first, last = columns[k][[0, -1]].tolist()
         drifts[k] = abs(last - first) / abs(first)
     stats = {"tolerance": DRIFT_TOL, **{f"drift_{k}": v for k, v in drifts.items()}}
-    if blowup_time is not None:  # the drifts cover only [0, blowup_time]
-        stats["blowup_time"] = blowup_time
-    ok = blowup_time is None and all(v < DRIFT_TOL for v in drifts.values())
+    if not live[0]:  # the drifts cover only [0, blowup_time]
+        stats["blowup_time"] = float(trip_times[0])
+    ok = bool(live[0]) and all(v < DRIFT_TOL for v in drifts.values())
     verdicts = [Verdict("conserved_quantities_drift", ok, stats)]
     return {"trajectory.csv": out / "trajectory.csv", "breakdowns.jsonl": out / "breakdowns.jsonl"}, verdicts
 
@@ -339,11 +339,11 @@ GROWTH_SLACK = 2.0  # the E_2 drift may reach this multiple of C_fit * t
 def run_growth(cfg: ExperimentConfig, out: Path):
     pm = cfg.params
     u0 = smooth_random_field(cfg.grid, pm["seed"], pm["amplitude"], pm["width"])
-    times, states, blowup_time = evolve(u0, cfg.grid, cfg.flow, cfg.run.t_end, stride=pm["observer_stride"])
-    columns = _write_trajectory(out / "growth.csv", times, states, cfg)
-    if blowup_time is not None:  # the fits need the whole horizon
+    times, states, live, trip_times = evolve(u0[np.newaxis], cfg.grid, cfg.flow, cfg.run.t_end, pm["observer_stride"])
+    columns = _write_trajectory(out / "growth.csv", times, states[:, 0], cfg)
+    if not live[0]:  # the fits need the whole horizon
         return {"growth.csv": out / "growth.csv"}, [
-            Verdict("e2_linear_bound", False, {"blowup_time": blowup_time})
+            Verdict("e2_linear_bound", False, {"blowup_time": float(trip_times[0])})
         ]
 
     e2s, h2s = columns["e2"], columns["h2_sq"]
@@ -381,7 +381,8 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     after = {}
     t_prev = 0.0
     for k, t in enumerate(times):
-        c, live, _ = evolve_block(c, live, cfg.grid, cfg.flow, t - t_prev)
+        _, states, live, _ = evolve(c, cfg.grid, cfg.flow, t - t_prev, live=live)
+        c = states[-1]
         after[t] = {}
         # of the live rows only: a tripped member's frozen row can overflow
         for name, v in observables_rows(c[live], cfg.grid, sigma).items():
@@ -434,14 +435,11 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
     verdicts = []
 
     m_list = list(pm["m_list"])
-    rows = []
-    mono_all, final_all = True, True
-    for idx, c in enumerate(sample_mu(cfg.measure, range(cfg.run.ensemble_size), cfg.grid)):
-        curve = r2_truncation_curve(c, cfg.grid, m_list, cfg.flow.sigma)
-        for M, d in zip(m_list, curve):
-            rows.append([idx, M, d])
-        mono_all = mono_all and bool(np.all(np.diff(curve) <= 0.0))
-        final_all = final_all and bool(curve[-1] < FINAL_FRACTION * curve[0])
+    c = sample_mu(cfg.measure, range(cfg.run.ensemble_size), cfg.grid)
+    curves = r2_truncation_curve(c, cfg.grid, m_list, cfg.flow.sigma)
+    rows = [[idx, M, d] for idx, curve in enumerate(curves) for M, d in zip(m_list, curve)]
+    mono_all = bool(np.all(np.diff(curves, axis=-1) <= 0.0))
+    final_all = bool(np.all(curves[:, -1] < FINAL_FRACTION * curves[:, 0]))
     _write_csv(out / "r2_curve.csv", ("sample", "M", "delta_r2"), rows)
     files["r2_curve.csv"] = out / "r2_curve.csv"
     verdicts.append(
@@ -462,14 +460,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, out: Path):
         t_end = cfg.run.t_end
         # row 0 is the full flow, the reference of the Galerkin rows after it
         cutoffs = [FULL] + [int(M) for M in pm["flow_m_list"]]
-        flows, _, _ = evolve_block(
-            np.tile(c, (len(cutoffs), 1)),
-            np.ones(len(cutoffs), dtype=bool),
-            grid,
-            cfg.flow,
-            t_end,
-            cutoffs,
-        )
+        flows = evolve(np.tile(c, (len(cutoffs), 1)), grid, cfg.flow, t_end, cutoffs=cutoffs)[1][-1]
         # Python float square roots: numpy's array ** rounds some differently
         errs = [e**0.5 for e in sobolev_sq_rows(flows[1:] - flows[0], grid, 1.75).tolist()]
         _write_csv(
@@ -492,7 +483,7 @@ def run_focusing_local(cfg: ExperimentConfig, out: Path):
     amps = list(pm["amplitudes"]) + [pm["trip_amplitude"]]
     c0 = np.stack([field_from_modes(cfg.grid, {1: amp, -1: amp}) for amp in amps])
     t_end = cfg.run.t_end
-    _, live, trip_times = evolve_block(c0, np.ones(len(amps), dtype=bool), cfg.grid, cfg.flow, t_end)
+    _, _, live, trip_times = evolve(c0, cfg.grid, cfg.flow, t_end)
     rows = []
     for amp, r, ok, T in zip(amps, sobolev_sq_rows(c0, cfg.grid, 1.75).tolist(), live, trip_times):
         rows.append([amp, r**0.5, t_end if ok else float(T), not ok])

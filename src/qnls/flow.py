@@ -19,7 +19,7 @@ below that limit it is stable but not accurate.  Per step it multiplies the
 energy of mode n by 1 - z^6/72 + z^8/576 with z = n^2 dt, which is 0.986 at
 n = 32 and dt = 1e-3.
 
-Independent fields on one grid are advanced together: evolve_block takes a
+Independent fields on one grid are advanced together: evolve takes a
 (B, 2M+1) coefficient block, with a Galerkin cutoff per row (the spectral
 transforms act on the last axis).  Each step goes chunk by chunk,
 chunk_rows(quintic_pad) rows at a time (spectral's one row-chunk rule), so
@@ -40,9 +40,11 @@ The H^1 guard (norm below blowup_threshold, which NaN fails) and the
 finiteness check apply per row: a row that fails either is frozen at its
 last good state and leaves the live mask at the step where step() would
 raise, and its trip time (the time of that state) is returned, while the
-other rows run on.  evolve is a one-row block that returns (times, states,
-blowup_time): there is one schedule loop and one guard.  step advances one
-field: the tests hold the rows to it, and plane_wave_order steps with it.
+other rows run on.  There is one schedule loop, one guard and one record
+loop: evolve returns (times, states, live, trip_times), a run of one field
+being a one-row block, and a trip is a False in live with its time in
+trip_times.  step advances one field: the tests hold the rows to it, and
+plane_wave_order steps with it.
 
 A row may overflow inside a step (|u|^4 u past the float range).  The
 np.errstate that keeps this quiet is held once per step: by step around
@@ -329,60 +331,40 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         yield k, t
 
 
-def evolve_block(
-    c: np.ndarray,
-    live: np.ndarray,
-    grid: GridSpec,
-    p: FlowParams,
-    t_end: float,
-    cutoffs=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance the live rows of a (B, 2M+1) coefficient block by t_end.
+def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = None, cutoffs=None, live=None) -> tuple:
+    """Advance the `live` rows (None: all) of a (B, 2M+1) coefficient block c
+    by t_end, each along step()'s arithmetic with its own Galerkin cutoff
+    from `cutoffs` (FULL or an int per row; None: p.cutoff for every row).
 
-    Each row follows step()'s arithmetic along evolve()'s schedule, with its
-    own Galerkin cutoff from `cutoffs` (FULL or an int per row; None means
-    p.cutoff for every row).  A row whose H^1 norm reaches the guard before
-    a step, or that is no longer finite after one, is frozen at its last good
-    state and leaves `live`, at the step where step() would raise.
-
-    Returns new arrays (c, live, trip_times): trip_times[i] is the time of
-    row i's last good state if it left `live` in this call, else NaN.
+    A row whose H^1 norm reaches the guard before a step, or that is no
+    longer finite after one, is frozen at its last good state and leaves
+    live at the step where step() would raise.  Returns (times, states, live,
+    trip_times): states[k] is the block at times[k], recorded at t = 0, after
+    every `stride`-th step (none if None) and at the last state, once each;
+    trip_times[i] is the time of row i's last good state if it left live in
+    this call, else NaN.
     """
     # C order: _march steps these rows in place, and their row sums must
     # round as step()'s do
     c = np.array(c, dtype=np.complex128, order="C")
-    live = np.array(live, dtype=bool)
+    if c.ndim != 2:
+        raise ValueError(f"evolve takes a (B, 2M+1) block, got shape {c.shape}")
+    if stride is not None and stride < 1:
+        raise ValueError("stride must be >= 1")
+    live = np.ones(len(c), dtype=bool) if live is None else np.array(live, dtype=bool)
     trip_times = np.full(len(c), np.nan)
     if cutoffs is None:
         cutoffs = [p.cutoff] * len(c)
-    for _ in _march(c, live, trip_times, grid, p, t_end, cutoffs):
-        pass
-    return c, live, trip_times
-
-
-def evolve(c0: np.ndarray, grid: GridSpec, p: FlowParams, t_end: float, stride: int = 1) -> tuple:
-    """One-row evolve_block from the coefficient row c0 on `grid`, recording
-    the state at t = 0, after every `stride`-th step and at the last state,
-    once each.
-
-    Returns (times, states, blowup_time): states[k] is the row at times[k].
-    A guard trip stops the run; blowup_time is then the time of the last good
-    state, else None.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    c = np.array(c0, dtype=np.complex128)[np.newaxis]
-    live = np.ones(1, dtype=bool)
-    trip_times = np.full(1, np.nan)
-    records = [(0.0, c[0].copy())]
+    times, states = [0.0], [c.copy()]
     t = 0.0
-    for k, t in _march(c, live, trip_times, grid, p, t_end, [p.cutoff]):
-        if k % stride == 0:
-            records.append((t, c[0].copy()))
-    if records[-1][0] != t:
-        records.append((t, c[0].copy()))
-    times, states = zip(*records)
-    return np.asarray(times), np.array(states), None if live[0] else float(trip_times[0])
+    for k, t in _march(c, live, trip_times, grid, p, t_end, cutoffs):
+        if stride is not None and k % stride == 0:
+            times.append(t)
+            states.append(c.copy())
+    if times[-1] != t:
+        times.append(t)
+        states.append(c)
+    return np.asarray(times), np.array(states), live, trip_times
 
 
 def momentum_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -25,12 +25,13 @@ def grid16():
 
 
 def step_loop(u0, p, t_end: float, stride: int = 1):
-    """Reference for evolve and evolve_block: a plain step() loop.
+    """Reference for each row of evolve: a plain step() loop.
 
     Full steps of p.dt, then a partial step landing on t_end (none if under
-    1e-12).  Returns (final field, blow-up time or None, record times): a
-    record at t = 0, after every `stride`-th full step, and at the last good
-    state, once each.
+    1e-12).  Returns (final field, blow-up time or None, record times): the
+    blow-up time is the row's trip_times entry in evolve, None a row that
+    stays live; a record at t = 0, after every `stride`-th full step, and at
+    the last good state, once each.
     """
     n_steps = int(np.floor(t_end / p.dt + 1e-12))
     remainder = t_end - n_steps * p.dt

@@ -156,7 +156,7 @@ def test_criterion_3_energy_correctness():
             c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), [3], g)[0]
             dt = 2e-4
             p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-            states = [FourierField(g, c) for c in evolve(c0, g, p, 6 * dt)[1]]
+            states = [FourierField(g, c) for c in evolve(c0[np.newaxis], g, p, 6 * dt, stride=1)[1][:, 0]]
             proj = [project(s, cutoff) if cutoff else s for s in states]
             energies = [e2(s, sigma)["e2"] for s in proj]
             for k in (2, 3):

@@ -224,6 +224,7 @@ class TestParse:
             ("plane_wave_order", "dt_list = 0.003, 0.0015, 0.00075", "whole steps"),  # t_end = 0.5
             ("plane_wave_order", "dt_list = 0.004, 0.0", "whole steps"),
             ("plane_wave_order", "dt_list = 0.004, 0.004", "distinct dt_list"),  # order 0 / 0
+            ("plane_wave_order", "amplitude = 0.0", "amplitude != 0"),  # error 0.0 at every dt: order 0 / 0
             ("truncation_convergence", "ensemble_size = 0", "ensemble_size"),  # no curve to check
             ("truncation_convergence", "m_list = 16, 64, 32", "m_list"),
             ("truncation_convergence", "m_list = 16, 512", r"m_list in \[0, \[grid\] modes\]"),  # delta 0.0 at 512
@@ -275,6 +276,12 @@ class TestParse:
             ("smoothing_sweep", "M = 256", r"\[measure\] M <= \[grid\] modes"),  # modes = 128
             ("transport_mc", "M = 64", r"\[measure\] M <= \[grid\] modes"),  # modes = 32
             ("truncation_convergence", "M = 512", r"\[measure\] M <= \[grid\] modes"),  # modes = 256
+            # at M = 0 every member is a constant, which the flow only turns in
+            # phase: every KS statistic is 0.0 and every tail ratio 1.0
+            ("linear_invariance", "M = 0", r"1 <= \[measure\] M"),
+            ("transport_mc", "M = 0", r"1 <= \[measure\] M"),
+            # an empty path is the working directory, which the run would fill
+            ("conservation", "output_dir =", "output_dir must not be empty"),
         ],
     )
     def test_rejects_what_a_run_fails_on_or_checks_nothing_with(self, name, setting, match):
@@ -437,6 +444,13 @@ class TestOverrides:
         assert main([*argv.split(), "--output-dir", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cli_rejects_an_empty_output_dir(self, tmp_path, capsys, monkeypatch):
+        # the override sets the same config line as the file's
+        monkeypatch.chdir(tmp_path)
+        assert main(["conservation", "--output-dir", ""]) == 2
+        assert "output_dir must not be empty" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_run_overrides_are_checked_as_file_lines(self, tmp_path, capsys):
         path = tmp_path / "conservation.ini"

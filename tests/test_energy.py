@@ -17,6 +17,7 @@ from qnls import (
     smoothing_bound,
 )
 from qnls.energy import R2_TERMS, full_breakdown, h2_directional, r2_rows
+from qnls.spectral import chunk_rows
 
 from conftest import random_field
 from oracles import derivative, f2, lp_norm, mode_field, project, r2_lipschitz_probe, sample_field, sobolev_norm_sq, zero_field
@@ -148,7 +149,7 @@ class TestF2:
         c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), [3], g)[0]
         dt = 2e-4
         p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-        states = [FourierField(g, c) for c in evolve(c0, g, p, 6 * dt)[1]]
+        states = [FourierField(g, c) for c in evolve(c0[np.newaxis], g, p, 6 * dt, stride=1)[1][:, 0]]
         w = [project(s, cutoff) if cutoff else s for s in states]
         energies = [e2(s, sigma)["e2"] for s in w]
         for k in (2, 3):
@@ -236,6 +237,16 @@ class TestTruncationCurve:
     def test_requires_increasing(self, grid8):
         with pytest.raises(ValueError, match="increasing"):
             r2_truncation_curve(zero_field(grid8).coeffs, grid8, [4, 4])
+
+    def test_block_rows_are_their_one_row_curves(self):
+        # two rows past one pad chunk, each bit for bit its one-row curve
+        grid = GridSpec(modes=32)
+        n = chunk_rows(grid.pad_for_degree(10)) + 2
+        c = sample_mu(MeasureSpec(s=2.0, M=32, base_seed=17), range(n), grid)
+        curves = r2_truncation_curve(c, grid, [4, 8, 16, 32], -1)
+        assert curves.shape == (n, 4)
+        for row, curve in zip(c, curves):
+            assert curve.tobytes() == r2_truncation_curve(row, grid, [4, 8, 16, 32], -1).tobytes()
 
     def test_mu2_sample_decreases(self):
         grid = GridSpec(modes=64)

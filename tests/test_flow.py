@@ -12,7 +12,6 @@ from qnls import (
     FourierField,
     GridSpec,
     evolve,
-    evolve_block,
     field_from_modes,
     sample_mu,
     step,
@@ -182,32 +181,32 @@ class TestEvolve:
         u0 = smooth_field(g)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
         ref = np.array(invariants(u0))
-        got = np.array(invariants(FourierField(g, evolve(u0.coeffs, g, p, 1.0, stride=1000)[1][-1])))
+        got = np.array(invariants(FourierField(g, evolve(u0.coeffs[np.newaxis], g, p, 1.0, stride=1000)[1][-1, 0])))
         assert np.all(np.abs((got - ref) / ref) < 1e-8), (got - ref) / ref
 
     def test_lands_on_t_end(self, grid8):
         p = FlowParams(dt=0.3)
-        times, states, _ = evolve(field_from_modes(grid8, {1: 0.5}), grid8, p, 1.0)
+        times, states, _, _ = evolve(field_from_modes(grid8, {1: 0.5})[np.newaxis], grid8, p, 1.0)
         assert times[-1] == pytest.approx(1.0, abs=1e-15)
         # 3 full steps + remainder 0.1; coarse dt, so only O(dt^4) phase accuracy
         exact = 0.5 * np.exp(-1j * (1 + 0.5**4) * 1.0)
-        assert abs(states[-1][grid8.modes + 1] - exact) < 1e-3
+        assert abs(states[-1, 0, grid8.modes + 1] - exact) < 1e-3
 
     def test_observer_stride(self, grid8):
         c0 = field_from_modes(grid8, {1: 0.1})
         p = FlowParams(dt=0.1)
-        times, states, _ = evolve(c0, grid8, p, 1.0, stride=3)
+        times, states, _, _ = evolve(c0[np.newaxis], grid8, p, 1.0, stride=3)
         assert list(times) == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
-        assert states.shape == (5, 2 * grid8.modes + 1)
+        assert states.shape == (5, 1, 2 * grid8.modes + 1)
         assert states[0].tobytes() == c0.tobytes()
         assert states[-1].tobytes() == step_loop(FourierField(grid8, c0), p, 1.0)[0].coeffs.tobytes()
 
     def test_gauge_covariance(self, grid16):
         u0 = random_field(grid16, seed=5, amp=0.2, decay=0.3)
         p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
-        a = evolve(u0.coeffs, grid16, p, 0.05)[1][-1]
+        a = evolve(u0.coeffs[np.newaxis], grid16, p, 0.05)[1][-1, 0]
         theta = 0.713
-        b = evolve(u0.coeffs * np.exp(1j * theta), grid16, p, 0.05)[1][-1]
+        b = evolve(u0.coeffs[np.newaxis] * np.exp(1j * theta), grid16, p, 0.05)[1][-1, 0]
         assert np.max(np.abs(b - a * np.exp(1j * theta))) < 1e-10
 
     def test_high_mode_stays_linear(self, grid8):
@@ -215,7 +214,7 @@ class TestEvolve:
         # rotates by e^{-i n^2 t} up to integrator error
         c0 = field_from_modes(grid8, {1: 0.4, -1: 0.2j, 2: 0.3})
         p = FlowParams(sigma=1, cutoff=1, dt=1e-3)
-        got = evolve(c0, grid8, p, 0.1)[1][-1][grid8.modes + 2]
+        got = evolve(c0[np.newaxis], grid8, p, 0.1)[1][-1, 0, grid8.modes + 2]
         assert abs(got - 0.3 * np.exp(-4j * 0.1)) < 1e-10
 
     def test_split_mass_conservation(self, grid8):
@@ -225,7 +224,7 @@ class TestEvolve:
         p = FlowParams(sigma=1, cutoff=M, dt=5e-4)
         low0 = mass(project(u0, M))
         tot0 = mass(u0)
-        u1 = FourierField(grid8, evolve(u0.coeffs, grid8, p, 0.2)[1][-1])
+        u1 = FourierField(grid8, evolve(u0.coeffs[np.newaxis], grid8, p, 0.2)[1][-1, 0])
         low1 = mass(project(u1, M))
         tot1 = mass(u1)
         assert abs(low1 - low0) / low0 < 1e-9
@@ -238,8 +237,8 @@ class TestEvolve:
         g = GridSpec(modes=32)
         c0 = field_from_modes(g, {1: 3.0, -1: 3.0})
         p = FlowParams(sigma=-1, cutoff=FULL, dt=5e-4, blowup_threshold=1e3)
-        blowup_time = evolve(c0, g, p, 1.0)[2]
-        assert blowup_time == pytest.approx(0.0065)
+        _, _, live, trip_times = evolve(c0[np.newaxis], g, p, 1.0)
+        assert not live[0] and trip_times[0] == pytest.approx(0.0065)
 
     def test_momentum_plane_wave(self, grid8):
         u = mode_field(grid8, {3: 1.0})
@@ -250,7 +249,7 @@ class TestEvolve:
 
 
 class TestEvolveBlock:
-    """evolve_block and evolve against a plain step() loop, bit for bit."""
+    """evolve's rows and records against a plain step() loop, bit for bit."""
 
     @pytest.mark.parametrize("cutoffs", ["full", "half", "mixed"])
     @pytest.mark.parametrize("sigma", [1, -1])
@@ -271,7 +270,7 @@ class TestEvolveBlock:
         cutoffs = {"full": [FULL] * 5, "half": [modes // 2] * 5, "mixed": [FULL, 0, 1, modes - 1, modes]}[cutoffs]
         p = FlowParams(sigma=sigma, dt=1e-4)
         t_end = 12.5 * p.dt
-        c, live, trip_times = evolve_block(block, np.ones(5, dtype=bool), grid, p, t_end, cutoffs)
+        _, (_, c), live, trip_times = evolve(block, grid, p, t_end, cutoffs=cutoffs)
         assert live.all() and np.isnan(trip_times).all()
         for i, (row, c0, m) in enumerate(zip(c, block, cutoffs)):
             ref, blowup_time, _ = step_loop(FourierField(grid, c0), replace(p, cutoff=m), t_end)
@@ -286,7 +285,7 @@ class TestEvolveBlock:
         p = FlowParams(sigma=1, dt=1e-3)
         t_end = 0.0125
         block = np.tile(u0.coeffs, (len(cutoffs), 1))
-        c, live, _ = evolve_block(block, np.ones(4, dtype=bool), grid16, p, t_end, cutoffs)
+        _, (_, c), live, _ = evolve(block, grid16, p, t_end, cutoffs=cutoffs)
         assert live.all()
         for row, m in zip(c, cutoffs):
             ref, _, _ = step_loop(u0, replace(p, cutoff=m), t_end)
@@ -301,8 +300,8 @@ class TestEvolveBlock:
         spec = replace(cfg.measure, base_seed=cfg.measure.base_seed + 25)
         members = [sample_field(spec, i, cfg.grid) for i in (46, 47, 48, 49)]
         live = np.array([True, True, True, False])
-        c, live, trip_times = evolve_block(
-            np.stack([u.coeffs for u in members]), live, cfg.grid, cfg.flow, 0.05
+        _, (_, c), live, trip_times = evolve(
+            np.stack([u.coeffs for u in members]), cfg.grid, cfg.flow, 0.05, live=live
         )
         assert live.tolist() == [True, True, False, False]
         assert c[3].tobytes() == members[3].coeffs.tobytes()
@@ -329,8 +328,8 @@ class TestEvolveBlock:
         cutoffs[per_chunk + 2] = cfg.flow.cutoff
         members = [sample_field(spec, i, grid) for i in indices]
         t_end = 0.0125
-        c, live, trip_times = evolve_block(
-            np.stack([u.coeffs for u in members]), np.ones(n, dtype=bool), grid, cfg.flow, t_end, cutoffs
+        _, (_, c), live, trip_times = evolve(
+            np.stack([u.coeffs for u in members]), grid, cfg.flow, t_end, cutoffs=cutoffs
         )
         refs = [step_loop(u, replace(cfg.flow, cutoff=m), t_end) for u, m in zip(members, cutoffs)]
         assert refs[per_chunk + 2][1] == pytest.approx(0.002)
@@ -356,12 +355,12 @@ class TestEvolveBlock:
         with pytest.raises(BlowUpError, match=why):
             step(bad, p)
         block = np.stack([tame.coeffs, bad.coeffs])
-        c, live, trip_times = evolve_block(block, np.ones(2, dtype=bool), grid8, p, 0.01)
+        _, (_, c), live, trip_times = evolve(block, grid8, p, 0.01)
         assert live.tolist() == [True, False]
         assert c[0].tobytes() == step_loop(tame, p, 0.01)[0].coeffs.tobytes()
         assert c[1].tobytes() == bad.coeffs.tobytes()
         assert np.isnan(trip_times[0]) and trip_times[1] == 0.0
-        assert evolve(bad.coeffs, grid8, p, 0.01)[2] == step_loop(bad, p, 0.01)[1] == 0.0
+        assert evolve(bad.coeffs[np.newaxis], grid8, p, 0.01)[3][0] == step_loop(bad, p, 0.01)[1] == 0.0
 
     def test_overflowing_row_leaves_live_without_a_warning(self, grid8):
         # |u|^4 u of the 1e78 row overflows in the first stage; the step holds
@@ -371,7 +370,7 @@ class TestEvolveBlock:
         p = FlowParams(dt=1e-3, blowup_threshold=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            c, live, trip_times = evolve_block(block, np.ones(3, dtype=bool), grid8, p, 0.005)
+            _, (_, c), live, trip_times = evolve(block, grid8, p, 0.005)
         assert live.tolist() == [True, False, True]
         assert c[1].tobytes() == block[1].tobytes() and trip_times[1] == 0.0
 
@@ -397,11 +396,11 @@ class TestEvolveBlock:
         p = replace(p, blowup_threshold=(h1[-2] + h1[-1]) / 2)
         ref, blowup_time, _ = step_loop(u0, p, t_end)
         assert blowup_time == n_steps * p.dt
-        c, live, trip_times = evolve_block(u0.coeffs[None], np.ones(1, dtype=bool), grid8, p, t_end)
+        _, (_, c), live, trip_times = evolve(u0.coeffs[None], grid8, p, t_end)
         assert not live[0] and trip_times[0] == blowup_time
         assert c[0].tobytes() == ref.coeffs.tobytes()
-        times, _, got_blowup = evolve(u0.coeffs, grid8, p, t_end, stride=7)
-        assert got_blowup == blowup_time
+        times, _, live, trip_times = evolve(u0.coeffs[None], grid8, p, t_end, stride=7)
+        assert not live[0] and trip_times[0] == blowup_time
         assert list(times) == step_loop(u0, p, t_end, stride=7)[2]
 
     def test_last_step_non_finite_leaves_and_over_guard_stays_live(self, grid8):
@@ -418,8 +417,8 @@ class TestEvolveBlock:
         with pytest.raises(BlowUpError, match="representable"):
             step(refs[0][0], p)
         assert sobolev_norm_sq(refs[1][0], 1.0) ** 0.5 >= p.blowup_threshold
-        c, live, trip_times = evolve_block(
-            np.stack([u.coeffs for u in members]), np.ones(3, dtype=bool), grid8, p, t_end, cutoffs
+        _, (_, c), live, trip_times = evolve(
+            np.stack([u.coeffs for u in members]), grid8, p, t_end, cutoffs=cutoffs
         )
         assert live.tolist() == [False, True, True]
         assert trip_times[0] == refs[0][1] and np.isnan(trip_times[1:]).all()
@@ -434,13 +433,16 @@ class TestEvolveBlock:
         g = GridSpec(modes=32)
         u0 = mode_field(g, {1: 2.2, -1: 2.2})
         p = FlowParams(sigma=-1, dt=5e-4)
-        got_times, states, got_blowup = evolve(u0.coeffs, g, p, t_end, stride=stride)
+        got_times, states, live, trip_times = evolve(u0.coeffs[np.newaxis], g, p, t_end, stride=stride)
         ref, blowup_time, times = step_loop(u0, p, t_end, stride=stride)
         assert list(got_times) == times
-        assert states.shape == (len(times), 2 * g.modes + 1)
-        assert got_blowup == blowup_time
+        assert states.shape == (len(times), 1, 2 * g.modes + 1)
         assert (blowup_time is not None) == (t_end == 0.6)
-        assert states[-1].tobytes() == ref.coeffs.tobytes()
+        if blowup_time is None:
+            assert live[0] and np.isnan(trip_times[0])
+        else:
+            assert not live[0] and trip_times[0] == blowup_time
+        assert states[-1, 0].tobytes() == ref.coeffs.tobytes()
 
 
 class TestParams:
@@ -468,12 +470,18 @@ class TestParams:
     def test_an_infinite_guard_is_no_guard(self):
         assert FlowParams(blowup_threshold=float("inf")).blowup_threshold == float("inf")
 
+    def test_a_row_is_rejected_with_its_shape(self, grid8):
+        # evolve steps (B, 2M+1) blocks; a one-field run is a one-row block
+        c = mode_field(grid8, {1: 0.5}).coeffs
+        with pytest.raises(ValueError, match=r"\(17,\)"):
+            evolve(c, grid8, FlowParams(), 0.01)
+
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_t_end_is_rejected(self, grid8, t_end):
         # NaN has no whole step count and inf overflows one: both must fail
         # with the field's name, before any step
         c = mode_field(grid8, {1: 0.5}).coeffs
         with pytest.raises(ValueError, match="t_end"):
-            evolve(c, grid8, FlowParams(), t_end)
+            evolve(c[np.newaxis], grid8, FlowParams(), t_end)
         with pytest.raises(ValueError, match="t_end"):
-            evolve_block(c[np.newaxis], np.ones(1, dtype=bool), grid8, FlowParams(), t_end)
+            evolve(c[np.newaxis], grid8, FlowParams(), t_end, stride=1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve, evolve_block
+from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
 from qnls.energy import breakdown_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
@@ -232,7 +232,7 @@ def test_e2_directional_is_linear_in_v(block, a, b, sigma):
 
 @PROPERTY
 @given(block=blocks(1, 5, modes=st.integers(2, 8)), data=st.data(), sigma=st.sampled_from([1, -1]))
-def test_evolve_block_rows_are_evolve_runs(block, data, sigma):
+def test_block_rows_are_one_row_evolve_runs(block, data, sigma):
     # mixed per-row cutoffs; a guard threshold drawn near the rows' H^1 norms
     # trips some of them
     grid, c = block
@@ -240,15 +240,16 @@ def test_evolve_block_rows_are_evolve_runs(block, data, sigma):
     cutoffs = data.draw(st.lists(choices, min_size=len(c), max_size=len(c)))
     p = FlowParams(sigma=sigma, dt=1e-3, blowup_threshold=data.draw(st.floats(3.0, 12.0)))
     t_end = 0.0105  # ten full steps and a partial one
-    out, live, trip_times = evolve_block(c, np.ones(len(c), dtype=bool), grid, p, t_end, cutoffs)
-    for row, c0, cutoff, ok, trip_time in zip(out, c, cutoffs, live, trip_times):
-        _, states, blowup_time = evolve(c0, grid, replace(p, cutoff=cutoff), t_end)
-        assert row.tobytes() == states[-1].tobytes()
-        assert blowup_time == (None if ok else trip_time)
+    _, states, live, trip_times = evolve(c, grid, p, t_end, cutoffs=cutoffs)
+    for row, c0, cutoff, ok, trip_time in zip(states[-1], c, cutoffs, live, trip_times):
+        _, one, one_live, one_trip = evolve(c0[np.newaxis], grid, replace(p, cutoff=cutoff), t_end)
+        assert row.tobytes() == one[-1, 0].tobytes()
+        assert one_live[0] == ok
+        assert np.array_equal(one_trip, [trip_time], equal_nan=True)
         # both march in the bin layout; step, in storage order, is the reference
-        ref, ref_blowup_time, _ = step_loop(FourierField(grid, c0), replace(p, cutoff=cutoff), t_end)
+        ref, blowup_time, _ = step_loop(FourierField(grid, c0), replace(p, cutoff=cutoff), t_end)
         assert row.tobytes() == ref.coeffs.tobytes()
-        assert ref_blowup_time == blowup_time
+        assert blowup_time == (None if ok else trip_time)
 
 
 def band(c: np.ndarray, grid: GridSpec, cutoff: int) -> tuple[np.ndarray, GridSpec]:
