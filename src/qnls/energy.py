@@ -12,7 +12,7 @@ d/dt ||u||_{H^2}^2 along the flow to first-derivative integrands, so that
 F_2 := d/dt E_2 contains no second derivatives and obeys the one-derivative
 smoothing bound
 
-    |F_2(u)| <= C (1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4)
+    |F_2(u)| <= C (1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4),  m0 = DEFAULT_M0,
 
 uniformly in the Galerkin cutoff.  The sigma placement (on the first three
 terms, none on int N^5) is validated by the cutoff-uniformity sweep: flipping
@@ -168,9 +168,10 @@ def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
     return (w, *_band_rates(w[..., band], band_grid, p))
 
 
-def smoothing_bound_rows(c: np.ndarray, grid: GridSpec, m0: int = DEFAULT_M0) -> np.ndarray:
-    """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4) of each row of a (B, 2M+1)
-    block c on `grid`, the L^4 norm taken over the physical grid.
+def smoothing_bound_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4), m0 = DEFAULT_M0, of each
+    row of a (B, 2M+1) block c on `grid`, the L^4 norm taken over the
+    physical grid.
 
     The norms' sums are row sums; their powers are Python float powers, as
     numpy's array ** rounds some of them differently.  The constant C of the
@@ -180,12 +181,12 @@ def smoothing_bound_rows(c: np.ndarray, grid: GridSpec, m0: int = DEFAULT_M0) ->
     h1_sq = sobolev_sq_rows(c, grid, 1.0).tolist()
     ux = synthesize(c * (1j * grid.n), grid.modes, grid.phys_size)
     l4_pow4 = (TWO_PI / grid.phys_size * np.sum(np.abs(ux) ** 4, axis=-1)).tolist()
-    return np.array([(1.0 + (a**0.5) ** m0) * (1.0 + (b**0.25) ** 4) for a, b in zip(h1_sq, l4_pow4)])
+    return np.array([(1.0 + (a**0.5) ** DEFAULT_M0) * (1.0 + (b**0.25) ** 4) for a, b in zip(h1_sq, l4_pow4)])
 
 
-def smoothing_bound(u: FourierField, m0: int = DEFAULT_M0) -> float:
+def smoothing_bound(u: FourierField) -> float:
     """smoothing_bound_rows of one field."""
-    return float(smoothing_bound_rows(u.coeffs[np.newaxis], u.grid, m0)[0])
+    return float(smoothing_bound_rows(u.coeffs[np.newaxis], u.grid)[0])
 
 
 @pad_chunked
@@ -201,7 +202,7 @@ def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma:
 
 
 @pad_chunked
-def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams, m0: int = DEFAULT_M0):
+def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams):
     """E_2 of each row's projected state with its parts, F_2 and the bound,
     as name -> (B,) array for a (B, 2M+1) coefficient block c on `grid`: the
     keys are h2_sq, r2, e2, f2, bound and then the R_2 term names."""
@@ -213,11 +214,11 @@ def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams, m0: int = DEFAU
         "r2": total,
         "e2": h2 + total,
         "f2": corrected_rate(rate, raw, p.sigma),
-        "bound": smoothing_bound_rows(w, grid, m0),
+        "bound": smoothing_bound_rows(w, grid),
         **terms,
     }
 
 
-def full_breakdown(u: FourierField, p: FlowParams, m0: int = DEFAULT_M0) -> dict[str, float]:
+def full_breakdown(u: FourierField, p: FlowParams) -> dict[str, float]:
     """breakdown_rows of one field, as floats."""
-    return {name: float(v[0]) for name, v in breakdown_rows(u.coeffs[np.newaxis], u.grid, p, m0).items()}
+    return {name: float(v[0]) for name, v in breakdown_rows(u.coeffs[np.newaxis], u.grid, p).items()}

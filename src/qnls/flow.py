@@ -21,11 +21,11 @@ n = 32 and dt = 1e-3.
 
 Independent fields on one grid are advanced together: evolve takes a
 (B, 2M+1) coefficient block, with a Galerkin cutoff per row (the spectral
-transforms act on the last axis).  Each step goes chunk by chunk,
-chunk_rows(quintic_pad) rows at a time (spectral's one row-chunk rule), so
-that the step's pad-sized temporaries stay small enough to be reused from
-the heap; a chunk's new rows overwrite its old ones in the block, so no
-block-sized array is made per step.
+transforms act on the last axis).  Each step goes chunk by chunk over the
+live rows, chunk_rows(quintic_pad) rows at a time (spectral's one row-chunk
+rule), so that the step's pad-sized temporaries stay small enough to be
+reused from the heap; a chunk's new rows overwrite its old ones in the
+block, so no block-sized array is made per step.
 
 One _rk4 steps both layouts, with P_M from one _cut.  The march
 (_rk4_bins) steps each chunk in the quintic pad's FFT-bin layout: the rows
@@ -36,15 +36,15 @@ stage, for the benchmark's tracer test, which counts those calls in one
 step.  Each mode's bin rounds as its coefficient does, so each row of the
 march is bit-for-bit a loop of step() calls on that row.
 
-The H^1 guard (norm below blowup_threshold, which NaN fails) and the
-finiteness check apply per row: a row that fails either is frozen at its
-last good state and leaves the live mask at the step where step() would
-raise, and its trip time (the time of that state) is returned, while the
-other rows run on.  There is one schedule loop, one guard and one record
-loop: evolve returns (times, states, live, trip_times), a run of one field
-being a one-row block, and a trip is a False in live with its time in
-trip_times.  step advances one field: the tests hold the rows to it, and
-plane_wave_order steps with it.
+The H^1 guard (the root of sobolev_sq_rows' h1_sq below blowup_threshold,
+which NaN fails) and the finiteness check apply per row: a row that fails
+either is frozen at its last good state and leaves the live mask at the
+step where step() would raise, and its trip time (the time of that state)
+is returned, while the other rows run on.  There is one schedule loop, one
+guard and one record loop: evolve returns (times, states, live,
+trip_times), a run of one field being a one-row block, and a trip is a
+False in live with its time in trip_times.  step advances one field: the
+tests hold the rows to it, and plane_wave_order steps with it.
 
 A row may overflow inside a step (|u|^4 u past the float range).  The
 np.errstate that keeps this quiet is held once per step: by step around
@@ -66,7 +66,6 @@ from .spectral import (
     TWO_PI,
     FourierField,
     GridSpec,
-    _sobolev_weights,
     chunk_rows,
     from_bins,
     quintic_bins,
@@ -151,19 +150,17 @@ def _linear_symbol(modes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndarray]:
     """-i sigma and _linear_symbol(modes) in the bins of the modes of a
-    size-`size` transform, 0 in the other bins, and the guard's H^1 weights
-    of sobolev_sq_rows in storage order, each as chunk_rows(size) equal
-    rows: numpy multiplies a (rows, size) block by a (rows, size) operand
-    about twice as fast as by one row broadcast over the block (read-only,
-    shared)."""
+    size-`size` transform, 0 in the other bins, each as chunk_rows(size)
+    equal rows: numpy multiplies a (rows, size) block by a (rows, size)
+    operand about twice as fast as by one row broadcast over the block
+    (read-only, shared)."""
     rows = (chunk_rows(size), 1)
     factor = np.tile(to_bins(np.full(2 * modes + 1, -1j * sigma), modes, size), rows)
     lin = np.tile(to_bins(_linear_symbol(modes), modes, size), rows)
-    h1 = np.tile(_sobolev_weights(modes, 1.0), rows)
-    factor.flags.writeable = lin.flags.writeable = h1.flags.writeable = False
-    return factor, lin, h1
+    factor.flags.writeable = lin.flags.writeable = False
+    return factor, lin
 
 
 def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, cut: np.ndarray | None) -> np.ndarray:
@@ -204,7 +201,7 @@ def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.n
     them 0 in every stage input.
     """
     u = to_bins(c, grid.modes, grid.quintic_pad())
-    factor, lin, _ = (a[: len(c)] for a in _bin_symbols(grid.modes, u.shape[-1], p.sigma))
+    factor, lin = (a[: len(c)] for a in _bin_symbols(grid.modes, u.shape[-1], p.sigma))
 
     def rhs(x):
         v = x + 0.0  # a -0.0 part enters the transform as +0.0, as synthesize pads it
@@ -220,12 +217,6 @@ def _rk4_bins(c: np.ndarray, grid: GridSpec, p: FlowParams, dt: float, cut: np.n
     return from_bins(_rk4(u, rhs, dt), grid.modes)
 
 
-def _h1_norms(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """np.sqrt(sobolev_sq_rows(c, grid, 1.0)) bit for bit, of each row of a
-    chunk c of the march, from _bin_symbols' tiled H^1 weights."""
-    return np.sqrt(TWO_PI * np.sum(weights[: len(c)] * np.abs(c) ** 2, axis=-1))
-
-
 def _finite_rows(c: np.ndarray) -> np.ndarray:
     return np.isfinite(c.view(np.float64)).all(axis=-1)
 
@@ -239,8 +230,8 @@ def _schedule(t_end: float, dt: float) -> tuple[int, float]:
     return n_steps, remainder if remainder > 1e-12 else 0.0
 
 
-def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierField:
-    """One RK4 step of size dt (default p.dt).
+def step(u: FourierField, p: FlowParams) -> FourierField:
+    """One RK4 step of size p.dt.
 
     Raises BlowUpError when ||u||_{H^1} reaches the guard before the step or
     the state is no longer finite after it.
@@ -252,7 +243,7 @@ def step(u: FourierField, p: FlowParams, dt: float | None = None) -> FourierFiel
     cut = _cut(u.grid.modes, p.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
         # _rhs_coeffs looked up per call, so that a tracer patched into flow counts it
-        c = _rk4(u.coeffs, lambda x: _rhs_coeffs(x, u.grid, p, cut), p.dt if dt is None else dt)
+        c = _rk4(u.coeffs, lambda x: _rhs_coeffs(x, u.grid, p, cut), p.dt)
     if not _finite_rows(c):
         raise BlowUpError("state left the representable range during a step")
     return FourierField(u.grid, c)
@@ -263,15 +254,15 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
 
     Row i takes the Galerkin cutoff cutoffs[i].  Each step runs
     chunk_rows(grid.quintic_pad()) rows at a time through _rk4_bins, and a
-    chunk's new rows overwrite its old ones as soon as they are computed (the
-    rows are independent); whether their H^1 norms are below the guard is kept
-    for the next step.  Yields (k, t) after step k, t being the time of the
-    new state: k * dt, or t_end after the partial step.  Before each step a
+    chunk's new rows overwrite its old ones once computed (the rows are
+    independent); whether their H^1 norms (sobolev_sq_rows) are below the guard
+    is kept for the next step.  Yields (k, t) after step k, t being the time of
+    the new state: k * dt, or t_end after the partial step.  Before each step a
     row whose H^1 norm is not below the guard (NaN and inf are not), and after
-    it a row that is no longer finite, keeps its last good state, leaves
-    `live` and gets that state's time in trip_times.  Finiteness is checked
-    only in a chunk where some new norm fails the guard; a finite row over the
-    guard after the last step stays live.  Stops once no row is live.
+    it a row that is no longer finite, keeps its last good state, leaves `live`
+    and gets that state's time in trip_times.  Finiteness is checked only in a
+    chunk where some new norm fails the guard; a finite row over the guard
+    after the last step stays live.  Stops once no row is live.
     """
     for m in set(cutoffs):
         replace(p, cutoff=m).check_grid(grid)
@@ -284,24 +275,19 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     # the live rows; c[rows] is kept equal to it (c itself while every row is live)
     block = c if rows.size == len(c) else c[rows]
     per_chunk = chunk_rows(size)
-    h1 = _bin_symbols(grid.modes, size, p.sigma)[2]
     t = 0.0
 
-    def chunks():
-        return [slice(i, i + per_chunk) for i in range(0, rows.size, per_chunk)]
+    def below_guard(x):
+        return np.sqrt(sobolev_sq_rows(x, grid, 1.0)) < p.blowup_threshold
 
     def leave(good):
-        nonlocal rows, block, under, cut, parts
+        nonlocal rows, block, under, cut
         live[rows[~good]] = False
         trip_times[rows[~good]] = t
         rows, block, under = rows[good], block[good], under[good]
         cut = cut if cut is None else cut[good]
-        parts = chunks()
 
-    parts = chunks()
-    under = np.empty(rows.size, dtype=bool)  # H^1 norm below the guard, per row
-    for part in parts:
-        under[part] = _h1_norms(block[part], h1) < p.blowup_threshold
+    under = below_guard(block)  # H^1 norm below the guard, per row
     for k in range(1, n_steps + 1 + (remainder > 0)):
         if not under.all():
             leave(under)
@@ -311,9 +297,10 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
             # one np.errstate per step: RK4 overflows quietly, and so does |c|^2
             # of a finite row past the float range's square root
             with np.errstate(over="ignore", invalid="ignore"):
-                for part in parts:
+                for i in range(0, rows.size, per_chunk):
+                    part = slice(i, i + per_chunk)
                     new = _rk4_bins(block[part], grid, p, dt, cut if cut is None else cut[part])
-                    under[part] = ok = _h1_norms(new, h1) < p.blowup_threshold
+                    under[part] = ok = below_guard(new)
                     if ok.all():
                         block[part] = new
                     else:
@@ -342,7 +329,8 @@ def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = 
     trip_times): states[k] is the block at times[k], recorded at t = 0, after
     every `stride`-th step (none if None) and at the last state, once each;
     trip_times[i] is the time of row i's last good state if it left live in
-    this call, else NaN.
+    this call, else NaN.  A live or cutoffs whose length is not the block's
+    row count is a ValueError.
     """
     # C order: _march steps these rows in place, and their row sums must
     # round as step()'s do
@@ -352,9 +340,11 @@ def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = 
     if stride is not None and stride < 1:
         raise ValueError("stride must be >= 1")
     live = np.ones(len(c), dtype=bool) if live is None else np.array(live, dtype=bool)
+    cutoffs = [p.cutoff] * len(c) if cutoffs is None else cutoffs
+    for name, given in (("live", live), ("cutoffs", cutoffs)):
+        if len(given) != len(c):
+            raise ValueError(f"{name} has {len(given)} entries for a block of {len(c)} rows")
     trip_times = np.full(len(c), np.nan)
-    if cutoffs is None:
-        cutoffs = [p.cutoff] * len(c)
     times, states = [0.0], [c.copy()]
     t = 0.0
     for k, t in _march(c, live, trip_times, grid, p, t_end, cutoffs):

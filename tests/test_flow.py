@@ -476,6 +476,18 @@ class TestParams:
         with pytest.raises(ValueError, match=r"\(17,\)"):
             evolve(c, grid8, FlowParams(), 0.01)
 
+    @pytest.mark.parametrize(
+        "given, what",
+        [({"live": [True, True]}, "live has 2"), ({"cutoffs": [FULL]}, "cutoffs has 1"), ({"cutoffs": [FULL] * 4}, "cutoffs has 4")],
+        ids=["short_live", "short_cutoffs", "long_cutoffs"],
+    )
+    def test_live_and_cutoffs_of_another_length_are_rejected(self, given, what):
+        # one live flag and one cutoff per row: a short live left rows unstepped
+        # and a long cutoffs list passed, so both name the block's row count
+        c = random_field(GridSpec(modes=4), seed=0).coeffs[np.newaxis].repeat(3, axis=0)
+        with pytest.raises(ValueError, match=f"{what} entries for a block of 3 rows"):
+            evolve(c, GridSpec(modes=4), FlowParams(), 0.01, **given)
+
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_t_end_is_rejected(self, grid8, t_end):
         # NaN has no whole step count and inf overflows one: both must fail
