@@ -25,9 +25,11 @@ acceptance criterion 4c catches a 10% drift in any of the three coefficients
 that cancel second derivatives.
 
 Every integrand here has total degree <= 10 in (u, conj u, v, conj v), so a
-padded transform of size >= 10*modes + 1 makes all integrals exact.  P_M u
-is band-limited to M, so projected_rates and r2_truncation_curve take its
-2M+1 coefficients on GridSpec(M)'s pads: the same integrals, to rounding.
+padded transform of size >= 10*modes + 1 makes all integrals exact, and the
+bound's |u_x|^4 is integrated on the degree-4 pad.  P_M u is band-limited
+to M, so it is held in one form only, its 2M+1 coefficients on GridSpec(M)
+(band): breakdown_rows, band_rates and r2_truncation_curve evaluate it on
+GridSpec(M)'s pads, the same integrals as on the grid's, to rounding.
 
 Results on a block of coefficient rows are name -> (B,) arrays
 (breakdown_rows); e2 and full_breakdown give one field's as floats.
@@ -137,41 +139,29 @@ def e2_directional(u: FourierField, v: FourierField, sigma: int = 1) -> float:
     return float(corrected_rate(*directional_terms(u.coeffs, v.coeffs, u.grid), sigma))
 
 
-def _band(grid: GridSpec, cutoff: int | None) -> tuple[slice, GridSpec]:
-    """Where P_M's band sits in a row on `grid`, the modes |n| <= m with
-    m = min(cutoff, grid.modes) (grid.modes for FULL), and GridSpec(m)."""
+def band(c: np.ndarray, grid: GridSpec, cutoff: int | None) -> tuple[np.ndarray, GridSpec]:
+    """P_M c held on its band: the coefficients |n| <= m of c, a vector or a
+    (B, 2M+1) block on `grid`, with m = min(cutoff, grid.modes)
+    (grid.modes for FULL), and GridSpec(m)."""
     m = grid.modes if cutoff is FULL else min(cutoff, grid.modes)
-    return slice(grid.modes - m, grid.modes + m + 1), GridSpec(m)
+    return c[..., grid.modes - m : grid.modes + m + 1], GridSpec(m)
 
 
 @pad_chunked
-def _band_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
-    """directional_terms of each row of c, a block on P_M's band `grid`,
-    along the equation's right-hand side there, where P_M is the identity."""
+def band_rates(b: np.ndarray, g: GridSpec, p: FlowParams):
+    """(d/dt ||P_M u||_{H^2}^2, raw R_2 variations) along the truncated flow,
+    per row of a block b on P_M's band g (band), where P_M is the identity:
+    directional_terms at the projected state along the projected equation
+    right-hand side.  corrected_rate turns them into F_2."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _rhs_coeffs(c, grid, p, None)
-    return directional_terms(c, v, grid)
-
-
-def projected_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
-    """(P_M c, d/dt ||P_M u||_{H^2}^2, raw R_2 variations) along the truncated
-    flow, per row of a (B, 2M+1) coefficient block c on `grid`.
-
-    The variations are taken at the projected state along the projected
-    equation right-hand side, on P_M's band (_band) and chunked by its
-    degree-10 pad; corrected_rate turns them into F_2.
-    """
-    p.check_grid(grid)
-    band, band_grid = _band(grid, p.cutoff)
-    w = np.zeros_like(c)
-    w[..., band] = c[..., band]
-    return (w, *_band_rates(w[..., band], band_grid, p))
+        v = _rhs_coeffs(b, g, p, None)
+    return directional_terms(b, v, g)
 
 
 def smoothing_bound_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     """(1 + ||u||_{H^1}^{m0}) (1 + ||u_x||_{L^4}^4), m0 = DEFAULT_M0, of each
-    row of a (B, 2M+1) block c on `grid`, the L^4 norm taken over the
-    physical grid.
+    row of a (B, 2M+1) block c on `grid`, |u_x|^4 integrated exactly on the
+    degree-4 pad.
 
     The norms' sums are row sums; their powers are Python float powers, as
     numpy's array ** rounds some of them differently.  The constant C of the
@@ -179,8 +169,9 @@ def smoothing_bound_rows(c: np.ndarray, grid: GridSpec) -> np.ndarray:
     |f2|/bound, not a value.
     """
     h1_sq = sobolev_sq_rows(c, grid, 1.0).tolist()
-    ux = synthesize(c * (1j * grid.n), grid.modes, grid.phys_size)
-    l4_pow4 = (TWO_PI / grid.phys_size * np.sum(np.abs(ux) ** 4, axis=-1)).tolist()
+    size = grid.pad_for_degree(4)
+    ux = synthesize(c * (1j * grid.n), grid.modes, size)
+    l4_pow4 = (TWO_PI / size * np.sum(np.abs(ux) ** 4, axis=-1)).tolist()
     return np.array([(1.0 + (a**0.5) ** DEFAULT_M0) * (1.0 + (b**0.25) ** 4) for a, b in zip(h1_sq, l4_pow4)])
 
 
@@ -193,28 +184,29 @@ def smoothing_bound(u: FourierField) -> float:
 def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma: int = 1) -> np.ndarray:
     """|R_2(P_M u) - R_2(u)| for each M in the increasing m_list, of a
     coefficient vector or one row of them per row of a (B, 2M+1) block c on
-    `grid`, R_2(P_M u) taken on P_M's band (_band)."""
+    `grid`, R_2(P_M u) taken on P_M's band (band)."""
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be strictly increasing")
     whole = r2_rows(c, grid, sigma)[0]
-    bands = (_band(grid, M) for M in m_list)
-    return np.abs(np.stack([r2_rows(c[..., band], g, sigma)[0] - whole for band, g in bands], axis=-1))
+    return np.abs(np.stack([r2_rows(*band(c, grid, M), sigma)[0] - whole for M in m_list], axis=-1))
 
 
 @pad_chunked
 def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams):
     """E_2 of each row's projected state with its parts, F_2 and the bound,
-    as name -> (B,) array for a (B, 2M+1) coefficient block c on `grid`: the
-    keys are h2_sq, r2, e2, f2, bound and then the R_2 term names."""
-    w, rate, raw = projected_rates(c, grid, p)
-    h2 = sobolev_sq_rows(w, grid, 2.0)
-    total, terms = r2_rows(w, grid, p.sigma)
+    as name -> (B,) array for a (B, 2M+1) coefficient block c on `grid`, all
+    taken on P_M's band (band): the keys are h2_sq, r2, e2, f2, bound and
+    then the R_2 term names."""
+    p.check_grid(grid)
+    b, g = band(c, grid, p.cutoff)
+    h2 = sobolev_sq_rows(b, g, 2.0)
+    total, terms = r2_rows(b, g, p.sigma)
     return {
         "h2_sq": h2,
         "r2": total,
         "e2": h2 + total,
-        "f2": corrected_rate(rate, raw, p.sigma),
-        "bound": smoothing_bound_rows(w, grid),
+        "f2": corrected_rate(*band_rates(b, g, p), p.sigma),
+        "bound": smoothing_bound_rows(b, g),
         **terms,
     }
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import FIT_FRACTION, KS_ALPHA, ExperimentConfig, serialize_config
 from .densities import residual_rows, scale_rows
-from .energy import R2_TERMS, breakdown_rows, corrected_rate, projected_rates, r2_truncation_curve, smoothing_bound_rows
+from .energy import R2_TERMS, band, band_rates, breakdown_rows, corrected_rate, r2_truncation_curve, smoothing_bound_rows
 from .flow import FULL, BlowUpError, evolve, hamiltonian_rows, linear_flow_rows, momentum_rows, step
 from .measure import (
     derive_seed,
@@ -286,8 +286,9 @@ def run_smoothing_sweep(cfg: ExperimentConfig, out: Path):
     max_ratio = {k: [] for k in scale_sets}
     unc = []
     for M in sweep:
-        w, rate, raw = projected_rates(c, grid, replace(cfg.flow, cutoff=M))
-        b = smoothing_bound_rows(w, grid)
+        rows, g = band(c, grid, M)
+        rate, raw = band_rates(rows, g, cfg.flow)
+        b = smoothing_bound_rows(rows, g)
         unc.append(float(np.max(np.abs(rate) / b)))
         for key, overrides in scale_sets.items():
             r = np.abs(corrected_rate(rate, raw, cfg.flow.sigma, overrides)) / b
@@ -381,8 +382,9 @@ def run_transport_mc(cfg: ExperimentConfig, out: Path):
     after = {}
     t_prev = 0.0
     for k, t in enumerate(times):
-        _, states, live, _ = evolve(c, cfg.grid, cfg.flow, t - t_prev, live=live)
-        c = states[-1]
+        _, states, ok, _ = evolve(c[live], cfg.grid, cfg.flow, t - t_prev)
+        c[live] = states[-1]
+        live[live] = ok
         after[t] = {}
         # of the live rows only: a tripped member's frozen row can overflow
         for name, v in observables_rows(c[live], cfg.grid, sigma).items():

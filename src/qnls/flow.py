@@ -49,7 +49,7 @@ tests hold the rows to it, and plane_wave_order steps with it.
 A row may overflow inside a step (|u|^4 u past the float range).  The
 np.errstate that keeps this quiet is held once per step: by step around
 its _rk4, by _march around a step's chunks and the H^1 norms of their new
-rows, and once around the right-hand side that energy.projected_rates
+rows, and once around the right-hand side that energy.band_rates
 evaluates; spectral.quintic_rows and quintic_bins hold none, so a caller
 outside these warns.
 """
@@ -250,7 +250,8 @@ def step(u: FourierField, p: FlowParams) -> FourierField:
 
 
 def _march(c, live, trip_times, grid, p, t_end, cutoffs):
-    """Advance the live rows of c in place along evolve's schedule.
+    """Advance the rows of c in place along evolve's schedule, each while it
+    is live.
 
     Row i takes the Galerkin cutoff cutoffs[i].  Each step runs
     chunk_rows(grid.quintic_pad()) rows at a time through _rk4_bins, and a
@@ -268,12 +269,12 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         replace(p, cutoff=m).check_grid(grid)
     n_steps, remainder = _schedule(t_end, p.dt)
     size = grid.quintic_pad()
-    rows = np.flatnonzero(live)
-    cut = [_cut(grid.modes, cutoffs[i], size) for i in rows]  # one per live row
+    cut = [_cut(grid.modes, m, size) for m in cutoffs]  # one per row
     none = np.zeros(size, dtype=bool)  # the mask of a row without projector
     cut = None if all(x is None for x in cut) else np.stack([none if x is None else x for x in cut])
-    # the live rows; c[rows] is kept equal to it (c itself while every row is live)
-    block = c if rows.size == len(c) else c[rows]
+    # the live rows and their block; c[rows] is kept equal to it (c itself
+    # until a row leaves)
+    rows, block = np.arange(len(c)), c
     per_chunk = chunk_rows(size)
     t = 0.0
 
@@ -318,19 +319,19 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
         yield k, t
 
 
-def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = None, cutoffs=None, live=None) -> tuple:
-    """Advance the `live` rows (None: all) of a (B, 2M+1) coefficient block c
-    by t_end, each along step()'s arithmetic with its own Galerkin cutoff
-    from `cutoffs` (FULL or an int per row; None: p.cutoff for every row).
+def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = None, cutoffs=None) -> tuple:
+    """Advance each row of a (B, 2M+1) coefficient block c by t_end along
+    step()'s arithmetic, with its own Galerkin cutoff from `cutoffs` (FULL
+    or an int per row; None: p.cutoff for every row).
 
     A row whose H^1 norm reaches the guard before a step, or that is no
     longer finite after one, is frozen at its last good state and leaves
     live at the step where step() would raise.  Returns (times, states, live,
     trip_times): states[k] is the block at times[k], recorded at t = 0, after
     every `stride`-th step (none if None) and at the last state, once each;
-    trip_times[i] is the time of row i's last good state if it left live in
-    this call, else NaN.  A live or cutoffs whose length is not the block's
-    row count is a ValueError.
+    trip_times[i] is the time of row i's last good state if it left live,
+    else NaN.  A cutoffs that is not one entry per row is a ValueError that
+    names the block's row count.
     """
     # C order: _march steps these rows in place, and their row sums must
     # round as step()'s do
@@ -339,11 +340,10 @@ def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = 
         raise ValueError(f"evolve takes a (B, 2M+1) block, got shape {c.shape}")
     if stride is not None and stride < 1:
         raise ValueError("stride must be >= 1")
-    live = np.ones(len(c), dtype=bool) if live is None else np.array(live, dtype=bool)
     cutoffs = [p.cutoff] * len(c) if cutoffs is None else cutoffs
-    for name, given in (("live", live), ("cutoffs", cutoffs)):
-        if len(given) != len(c):
-            raise ValueError(f"{name} has {len(given)} entries for a block of {len(c)} rows")
+    if np.shape(cutoffs) != (len(c),):
+        raise ValueError(f"cutoffs of shape {np.shape(cutoffs)} for a block of {len(c)} rows: one entry per row")
+    live = np.ones(len(c), dtype=bool)
     trip_times = np.full(len(c), np.nan)
     times, states = [0.0], [c.copy()]
     t = 0.0

@@ -13,8 +13,10 @@ exact integrals need a transform size of at least d*M + 1 and exact
 coefficient extraction up to mode M needs (d+1)*M + 1; pad_for_degree(d)
 returns the smallest FFT-friendly size >= d*M + 1.  The quintic |u|^4 u is
 extracted on pad_for_degree(6), the degree-10 energy integrands are
-integrated on pad_for_degree(10).  M is the band of the field, not of the
-grid it sits on: energy evaluates a projection P_m u on GridSpec(m)'s pads.
+integrated on pad_for_degree(10) and the smoothing bound's |u_x|^4 on
+pad_for_degree(4).  M is the band of the field, not of the grid it sits
+on: energy holds a projection P_m u as its band's coefficients on
+GridSpec(m) and evaluates it on GridSpec(m)'s pads.
 Transforms are scipy's pocketfft, called through its c2c binding, so that a
 one-row transform skips scipy.fft's dispatch, in the norm="forward"
 convention: synthesize is the unnormalised sum, and analyze carries the
@@ -71,12 +73,6 @@ class GridSpec:
     def __post_init__(self):
         if self.modes < 0:
             raise ValueError(f"modes must be >= 0, got {self.modes}")
-
-    @property
-    def phys_size(self) -> int:
-        """Physical quadrature points x_j = 2*pi*j/phys_size: the smallest
-        FFT-friendly size >= 2*modes + 1, so the field is representable."""
-        return _fast_len(2 * self.modes + 1)
 
     @property
     def n(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from scipy.special import ndtri
 
 from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sobolev_sq_rows
 from qnls.config import ExperimentConfig
-from qnls.energy import DEFAULT_M0, corrected_rate, directional_terms, projected_rates, r2_rows
+from qnls.energy import DEFAULT_M0, band, band_rates, corrected_rate, directional_terms, r2_rows
 from qnls.flow import _cut, _project, _rhs_coeffs
 from qnls.measure import derive_seed
 from qnls.spectral import TWO_PI, jet, synthesize
@@ -83,14 +83,16 @@ def f2(u: FourierField, p: FlowParams, overrides: dict[str, float] | None = None
     Evaluated as the first variation of E_2 at the projected state along the
     projected equation right-hand side.
     """
-    _, rate, raw = projected_rates(u.coeffs[np.newaxis], u.grid, p)
+    p.check_grid(u.grid)
+    rate, raw = band_rates(*band(u.coeffs[np.newaxis], u.grid, p.cutoff), p)
     return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
 
 
-def projected_rates_masked(c: np.ndarray, grid: GridSpec, p: FlowParams):
-    """energy.projected_rates on the pads of `grid` itself: P_M applied as a
-    mask on the full row, before and after the quintic, and every transform
-    at the grid's sizes.  The same values to rounding."""
+def masked_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
+    """(P_M c, rates) with the rates of energy.band_rates taken on the pads
+    of `grid` itself: P_M applied as a mask on the full row, before and after
+    the quintic, and every transform at the grid's sizes.  The same values
+    to rounding."""
     p.check_grid(grid)
     cut = _cut(grid.modes, p.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -108,17 +110,19 @@ def r2_truncation_curve_masked(c: np.ndarray, grid: GridSpec, m_list: list[int],
 
 
 def values(u: FourierField, size: int | None = None) -> np.ndarray:
-    """Field values at `size` equispaced points (default: the physical grid)."""
-    return synthesize(u.coeffs, u.grid.modes, size or u.grid.phys_size)
+    """Field values at `size` equispaced points (default: the degree-2 pad,
+    where int |u|^2 is exact)."""
+    return synthesize(u.coeffs, u.grid.modes, size or u.grid.pad_for_degree(2))
 
 
 def lp_norm(u: FourierField, p: float) -> float:
-    """L^p norm over the physical grid; p = inf gives max_j |u(x_j)|."""
-    vals = np.abs(values(u))
+    """L^p norm, for an even integer p integrated on the degree-p pad, where
+    it is exact; p = inf gives max_j |u(x_j)| over the degree-2 pad."""
     if np.isinf(p):
+        vals = np.abs(values(u))
         return float(np.max(vals)) if vals.size else 0.0
-    w = TWO_PI / u.grid.phys_size
-    return float((w * np.sum(vals**p)) ** (1.0 / p))
+    size = u.grid.pad_for_degree(int(p))
+    return float((TWO_PI / size * np.sum(np.abs(values(u, size)) ** p)) ** (1.0 / p))
 
 
 def inner(a: FourierField, b: FourierField) -> complex:
@@ -167,7 +171,7 @@ def quintic_rows_numpy(c: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 class DensityTriple(NamedTuple):
-    """N, J, T sampled on the physical grid points."""
+    """N, J, T sampled on the points of the degree-2 pad."""
 
     N: np.ndarray
     J: np.ndarray
@@ -175,9 +179,9 @@ class DensityTriple(NamedTuple):
 
 
 def densities(u: FourierField, sigma: int = 1) -> DensityTriple:
-    """Density triple at the physical grid points, with
+    """Density triple at the points of the degree-2 pad, with
     T = 4|u_x|^2 - N_xx + sigma (4/3) N^3."""
-    (uu, ux, uxx), N, _, J = jet(u.coeffs, u.grid, u.grid.phys_size, 2)
+    (uu, ux, uxx), N, _, J = jet(u.coeffs, u.grid, u.grid.pad_for_degree(2), 2)
     # N_xx = 2|u_x|^2 + 2 Re(conj(u) u_xx), pointwise from exact samples
     Nxx = 2.0 * np.abs(ux) ** 2 + 2.0 * np.real(np.conj(uu) * uxx)
     T = 4.0 * np.abs(ux) ** 2 - Nxx + sigma * (4.0 / 3.0) * N**3

@@ -3,6 +3,7 @@
     python tests/replay_plan.py dump <checkout> <out.json>
     python tests/replay_plan.py diff <a.json> <b.json>
     python tests/replay_plan.py verdicts <a.json> <b.json>
+    python tests/replay_plan.py files <a.json> <b.json>
 
 `dump` imports qnls and the benchmark's workloads from <checkout> (its src/
 and perfbench/) and runs, each in a temporary directory:
@@ -17,7 +18,9 @@ error, as JSON.
 if any do. Two checkouts that should give the same data give an empty diff.
 `verdicts` does the same on each run's verdict names and pass flags and its
 error alone: a change that moves rounding on purpose moves data files and
-stats, and must still pass and fail the same verdicts.
+stats, and must still pass and fail the same verdicts. `files` lists, per
+experiment, each data file whose sha256 differs in some run with the number
+of such runs, and exits 1 if any does: what such a change moved.
 
 Pytest does not collect this file. A dump takes about 40 s on one core when
 nothing else runs on it.
@@ -29,6 +32,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,14 +101,30 @@ def diff(a_json: Path, b_json: Path, view=lambda record: record) -> int:
     return 1 if differ else 0
 
 
+def files(a_json: Path, b_json: Path) -> int:
+    a, b = (json.loads(p.read_text()) for p in (a_json, b_json))
+    # moved[experiment][file]: the runs in which that file's sha256 differs
+    moved = defaultdict(Counter)
+    for key in a.keys() | b.keys():
+        fa, fb = ((r.get(key) or {}).get("files", {}) for r in (a, b))
+        moved[key.split("/")[-1]].update(name for name in fa.keys() | fb.keys() if fa.get(name) != fb.get(name))
+    moved = {experiment: counts for experiment, counts in moved.items() if counts}
+    for experiment in sorted(moved):
+        print(f"{experiment}: " + ", ".join(f"{name} in {n} runs" for name, n in sorted(moved[experiment].items())))
+    print(f"{sum(map(len, moved.values()))} data files of {len(moved)} experiments differ")
+    return 1 if moved else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 3 or argv[0] not in ("dump", "diff", "verdicts"):
+    if len(argv) != 3 or argv[0] not in ("dump", "diff", "verdicts", "files"):
         print(__doc__, file=sys.stderr)
         return 2
     if argv[0] == "dump":
         dump(Path(argv[1]), Path(argv[2]))
         return 0
     a_json, b_json = Path(argv[1]), Path(argv[2])
+    if argv[0] == "files":
+        return files(a_json, b_json)
     return diff(a_json, b_json, outcome) if argv[0] == "verdicts" else diff(a_json, b_json)
 
 

@@ -33,7 +33,7 @@ from qnls import (
     sample_mu,
 )
 from qnls.config import default_config
-from qnls.energy import R2_TERMS, corrected_rate, projected_rates
+from qnls.energy import R2_TERMS, band, band_rates, corrected_rate
 from qnls.experiments import run
 
 from conftest import random_field
@@ -74,9 +74,9 @@ def shell_flux():
     X = the uncorrected rate ("uncorrected"), F_2 with the shipped R_2
     ("shipped"), F_2 with one coefficient scaled by 1 + perturbation (the
     term's name), and that F_2 minus the shipped one for H1_BOUNDED_TERM
-    ("defect").  Each M takes one projected_rates call on the members'
-    coefficient block; the five F_2 variants are scalings of its raw R_2
-    variations.
+    ("defect").  Each M takes one band_rates call on the band of the
+    members' coefficient block; the five F_2 variants are scalings of its
+    raw R_2 variations.
     """
     cfg = default_config("smoothing_sweep")
     sweep = list(cfg.params["m_sweep"])
@@ -87,7 +87,7 @@ def shell_flux():
     c = sample_mu(cfg.measure, range(cfg.run.ensemble_size), cfg.grid)
     rates = {key: [] for key in ("uncorrected", *scalings)}
     for M in sweep:
-        _, rate, raw = projected_rates(c, cfg.grid, FlowParams(sigma=cfg.flow.sigma, cutoff=M))
+        rate, raw = band_rates(*band(c, cfg.grid, M), FlowParams(sigma=cfg.flow.sigma))
         rates["uncorrected"].append(rate)
         for key, overrides in scalings.items():
             rates[key].append(corrected_rate(rate, raw, cfg.flow.sigma, overrides))

@@ -11,10 +11,11 @@ is left out of the pins: it echoes the temporary output_dir.
 The pins were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64, from the
 code whose transforms follow numpy's norm="forward" convention (synthesize
 unscaled, analyze scaling by 1/size inside pocketfft) and whose quintic
-forms |u|^4 by two squarings, and which evaluates each P_M-projected field
-of energy.projected_rates and r2_truncation_curve on GridSpec(M)'s pads. A
-change that alters rounding on purpose (an integrating-factor RK4, say)
-re-pins the values and says so in CHANGES.md.
+forms |u|^4 by two squarings, which holds each P_M-projected field as its
+band's coefficients and evaluates it on GridSpec(M)'s pads (energy.band),
+and which takes the smoothing bound's |u_x|^4 on the degree-4 pad. A change
+that alters rounding on purpose (an integrating-factor RK4, say) re-pins the
+values and says so in CHANGES.md.
 
 The tracer (perfbench/tracing.py) patches the qnls functions it names in
 LAYER_TARGETS, looked up with no default; every one of them must exist.
@@ -47,13 +48,13 @@ PINNED = {
     "trajectory": {
         "conservation": {
             "breakdowns.jsonl": "02bddf1c47198e6332a31577840a69166b1b64d991d8f70f1e705d3809dffbc7",
-            "trajectory.csv": "0063494d0f7e807d9ed520c7ad6527380f94968101b045f88b3d213e5b5ed044",
+            "trajectory.csv": "d39295737c2d182eeeeae358af0629b3b3aaf5b105f23db2afe9071a1ed59fc3",
         },
         "focusing_local": {
             "focusing.csv": "3f2b90203761e44063914fcaedf0f4c3ac92ac893708fc87c6d6c8775677edc3",
         },
         "growth": {
-            "growth.csv": "199b7b030ac2e98b0f38a6ad3a5815113f1ddc10318ec142a20be11a4a15b9e6",
+            "growth.csv": "41eb416f022e4b83e1eeb3cd0bf4147456c24550581cf10085a9f882a9fc1151",
         },
         "plane_wave_order": {
             "orders.csv": "efd82254dcd085e69db4194ac7ca6b4b694204a7cb6715f11d23d8ebdacaeab9",
@@ -79,8 +80,8 @@ PINNED = {
             "ks.csv": "ceeb2f5594867c0ff809b46473c8f71fd35f43a6b7bff0d46b13afd7dd7f1a8d",
         },
         "smoothing_sweep": {
-            "perturb.csv": "8a083f4e68545b31f779c0e8838ef3c813677623fcf31daf8a992f8d0592c22d",
-            "sweep.csv": "920cab1d99d6a9277fdf7942260e6e4d16406657c3bcb180b637d166b05661dc",
+            "perturb.csv": "7de5c9a34af985575d88b8922dacedecd4d777b1c45edb6f354302bad6d1422e",
+            "sweep.csv": "b807639411733063f961765a079b63853a12b3692f2a9970043260be57a708a0",
         },
     },
 }

@@ -16,8 +16,9 @@ from qnls import (
     sample_mu,
     smoothing_bound,
 )
-from qnls.energy import DEFAULT_M0, R2_TERMS, full_breakdown, h2_directional, r2_rows
-from qnls.spectral import chunk_rows
+from qnls.config import default_config
+from qnls.energy import DEFAULT_M0, R2_TERMS, full_breakdown, h2_directional, r2_rows, smoothing_bound_rows
+from qnls.spectral import TWO_PI, chunk_rows, sobolev_sq_rows, synthesize
 
 from conftest import random_field
 from oracles import derivative, f2, lp_norm, mode_field, project, r2_lipschitz_probe, sample_field, sobolev_norm_sq, zero_field
@@ -85,7 +86,7 @@ class TestE2:
     def test_translation_invariance(self, grid16):
         # u(x - a) has coefficients e^{-ina} u_n; grid-commensurate a
         u = random_field(grid16, seed=4, amp=0.4)
-        a = 2 * np.pi * 3 / grid16.phys_size
+        a = 2 * np.pi * 3 / grid16.pad_for_degree(2)
         shifted = FourierField(grid16, u.coeffs * np.exp(-1j * grid16.n * a))
         assert e2(shifted, 1)["e2"] == pytest.approx(e2(u, 1)["e2"], rel=1e-10)
 
@@ -184,6 +185,20 @@ class TestBounds:
             h1 = sobolev_norm_sq(u, 1.0) ** 0.5
             l4 = lp_norm(derivative(u, 1), 4)
             assert smoothing_bound(u) == (1.0 + h1**DEFAULT_M0) * (1.0 + l4**4), idx
+
+    def test_bound_is_exact_on_the_sweep_ensemble(self):
+        # |u_x|^4 has degree 4, so its sum on the degree-4 pad is the integral:
+        # a quadrature on twice that pad agrees to rounding on smoothing_sweep's
+        # mu_2 members at M = 128, where a sum on 2M+1 points aliases by ~1e-3
+        cfg = default_config("smoothing_sweep")
+        grid = cfg.grid
+        assert grid.modes == max(cfg.params["m_sweep"]) == 128
+        c = sample_mu(cfg.measure, range(cfg.run.ensemble_size), grid)
+        size = 2 * grid.pad_for_degree(4)
+        ux = synthesize(c * (1j * grid.n), grid.modes, size)
+        l4_pow4 = TWO_PI / size * np.sum(np.abs(ux) ** 4, axis=-1)
+        want = (1.0 + sobolev_sq_rows(c, grid, 1.0) ** (DEFAULT_M0 / 2)) * (1.0 + l4_pow4)
+        assert np.max(np.abs(smoothing_bound_rows(c, grid) / want - 1.0)) < 1e-13
 
     def test_plane_wave_ratio_zero(self, grid8):
         b = full_breakdown(mode_field(grid8, {1: 1.0}), FlowParams())

@@ -96,7 +96,7 @@ class TestRhs:
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_rows_and_blocks_match_the_convolution_oracle(self, grid8, sigma):
         # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row; a block
-        # under one cutoff's _cut, as oracles.projected_rates_masked passes
+        # under one cutoff's _cut, as oracles.masked_rates passes
         # it, gives each row's values bit for bit
         cutoffs = [FULL, 5, 2, grid8.modes]
         fields = [random_field(grid8, seed=40 + i, amp=0.5, decay=0.2) for i in range(len(cutoffs))]
@@ -298,20 +298,16 @@ class TestEvolveBlock:
         # guard at t = 0.002; its neighbours run to t_end
         cfg = default_config("transport_mc")
         spec = replace(cfg.measure, base_seed=cfg.measure.base_seed + 25)
-        members = [sample_field(spec, i, cfg.grid) for i in (46, 47, 48, 49)]
-        live = np.array([True, True, True, False])
-        _, (_, c), live, trip_times = evolve(
-            np.stack([u.coeffs for u in members]), cfg.grid, cfg.flow, 0.05, live=live
-        )
-        assert live.tolist() == [True, True, False, False]
-        assert c[3].tobytes() == members[3].coeffs.tobytes()
-        refs = [step_loop(u, cfg.flow, 0.05) for u in members[:3]]
-        for row, (ref, _, _) in zip(c[:3], refs):
+        members = [sample_field(spec, i, cfg.grid) for i in (46, 47, 48)]
+        _, (_, c), live, trip_times = evolve(np.stack([u.coeffs for u in members]), cfg.grid, cfg.flow, 0.05)
+        assert live.tolist() == [True, True, False]
+        refs = [step_loop(u, cfg.flow, 0.05) for u in members]
+        for row, (ref, _, _) in zip(c, refs):
             assert row.tobytes() == ref.coeffs.tobytes()
         assert [ref[1] for ref in refs] == [None, None, pytest.approx(0.002)]
         # the trip time is the step loop's, bit for bit; NaN for the rest
         assert trip_times[2] == refs[2][1]
-        assert np.isnan(trip_times[[0, 1, 3]]).all()
+        assert np.isnan(trip_times[[0, 1]]).all()
 
     def test_rows_past_one_chunk_are_their_step_loops(self):
         # the block runs five rows past the step's first row chunk, with mixed
@@ -477,16 +473,17 @@ class TestParams:
             evolve(c, grid8, FlowParams(), 0.01)
 
     @pytest.mark.parametrize(
-        "given, what",
-        [({"live": [True, True]}, "live has 2"), ({"cutoffs": [FULL]}, "cutoffs has 1"), ({"cutoffs": [FULL] * 4}, "cutoffs has 4")],
-        ids=["short_live", "short_cutoffs", "long_cutoffs"],
+        "cutoffs, shape",
+        [([FULL], r"\(1,\)"), ([FULL] * 4, r"\(4,\)"), (5, r"\(\)")],
+        ids=["short_cutoffs", "long_cutoffs", "scalar_cutoffs"],
     )
-    def test_live_and_cutoffs_of_another_length_are_rejected(self, given, what):
-        # one live flag and one cutoff per row: a short live left rows unstepped
-        # and a long cutoffs list passed, so both name the block's row count
+    def test_cutoffs_of_another_length_are_rejected(self, cutoffs, shape):
+        # one cutoff per row: a list of another length, or a scalar, which
+        # len() rejects with a bare TypeError, is a ValueError that names the
+        # block's row count
         c = random_field(GridSpec(modes=4), seed=0).coeffs[np.newaxis].repeat(3, axis=0)
-        with pytest.raises(ValueError, match=f"{what} entries for a block of 3 rows"):
-            evolve(c, GridSpec(modes=4), FlowParams(), 0.01, **given)
+        with pytest.raises(ValueError, match=f"cutoffs of shape {shape} for a block of 3 rows"):
+            evolve(c, GridSpec(modes=4), FlowParams(), 0.01, cutoffs=cutoffs)
 
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_t_end_is_rejected(self, grid8, t_end):

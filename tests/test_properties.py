@@ -16,7 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from qnls import FULL, FlowParams, FourierField, GridSpec, e2_directional, evolve
 from qnls.densities import continuity_residuals, eleele_residual, j0_diag, residual_rows
-from qnls.energy import breakdown_rows, full_breakdown, projected_rates, r2_rows, r2_truncation_curve
+from qnls.energy import band, band_rates, breakdown_rows, full_breakdown, r2_rows, r2_truncation_curve
 from qnls.measure import OBSERVABLE_NAMES, observables, observables_rows
 from qnls.spectral import TWO_PI, analyze, chunk_rows, from_bins, jet, quintic_bins, quintic_rows, synthesize, to_bins
 
@@ -25,10 +25,10 @@ from oracles import (
     analyze_numpy,
     derivative,
     inner,
+    masked_rates,
     n1_rows,
     padded,
     project,
-    projected_rates_masked,
     quintic_rows_numpy,
     r2_truncation_curve_masked,
     sobolev_norm_sq,
@@ -86,7 +86,7 @@ def kernel_inputs(draw):
 @given(kernel=kernel_inputs())
 def test_kernels_are_their_numpy_formulas_bit_for_bit(kernel):
     grid, c = kernel
-    for size in (2 * grid.modes + 1, grid.phys_size, grid.quintic_pad()):  # 2M+1: the least synthesize takes
+    for size in (2 * grid.modes + 1, grid.pad_for_degree(2), grid.quintic_pad()):  # 2M+1: the least synthesize takes
         v = synthesize(c, grid.modes, size)
         assert v.tobytes() == synthesize_numpy(c, grid.modes, size).tobytes(), size
         assert analyze(v, grid.modes).tobytes() == analyze_numpy(v, grid.modes).tobytes(), size
@@ -118,7 +118,7 @@ def test_transforms_are_scipy_fft_bit_for_bit(kernel):
     # synthesize and analyze call pocketfft's c2c binding, not scipy.fft: a
     # scipy release that changes what c2c's arguments mean shows up here
     grid, c = kernel
-    for size in (2 * grid.modes + 1, grid.phys_size, grid.quintic_pad()):
+    for size in (2 * grid.modes + 1, grid.pad_for_degree(2), grid.quintic_pad()):
         v = synthesize(c, grid.modes, size)
         assert v.tobytes() == scipy.fft.ifft(padded(c, grid.modes, size), axis=-1, norm="forward").tobytes(), size
         bins = np.arange(-grid.modes, grid.modes + 1) % size
@@ -185,18 +185,18 @@ def test_observables_rows_are_the_one_row_calls(block, sigma):
 
 @PROPERTY
 @given(block=chunk_spanning_blocks(), sigma=st.sampled_from([1, -1]), cutoff=st.sampled_from([FULL, 10]))
-def test_breakdown_and_projected_rates_rows_are_the_one_row_calls(block, sigma, cutoff):
+def test_breakdown_and_band_rates_rows_are_the_one_row_calls(block, sigma, cutoff):
     grid, c = block
     p = FlowParams(sigma=sigma, cutoff=cutoff)
     whole = breakdown_rows(c, grid, p)
-    w, rate, raw = projected_rates(c, grid, p)
+    b, g = band(c, grid, cutoff)
+    rate, raw = band_rates(b, g, p)
     for i, row in enumerate(c):
         got = {name: float(v[i]) for name, v in whole.items()}
         want = full_breakdown(FourierField(grid, row), p)
         assert list(got) == list(want)
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes(), i
-        ow, orate, oraw = projected_rates(row[np.newaxis], grid, p)
-        assert w[i].tobytes() == ow[0].tobytes()
+        orate, oraw = band_rates(b[i][np.newaxis], g, p)
         assert rate[i].tobytes() == orate[0].tobytes()
         assert [v[i].tobytes() for v in raw.values()] == [v[0].tobytes() for v in oraw.values()]
 
@@ -252,28 +252,22 @@ def test_block_rows_are_one_row_evolve_runs(block, data, sigma):
         assert blowup_time == (None if ok else trip_time)
 
 
-def band(c: np.ndarray, grid: GridSpec, cutoff: int) -> tuple[np.ndarray, GridSpec]:
-    """The coefficients |n| <= m of c on `grid`, m = min(cutoff, modes), and GridSpec(m)."""
-    m = min(cutoff, grid.modes)
-    return c[..., grid.modes - m : grid.modes + m + 1], GridSpec(m)
-
-
 @PROPERTY
 @given(block=blocks(1, 30, modes=st.sampled_from([8, 24, 64])), data=st.data(), sigma=st.sampled_from([1, -1]))
-def test_projected_rates_are_the_full_rates_of_the_band(block, data, sigma):
-    # a cutoff's rates are those of the band's rows under FULL on GridSpec(M)
-    # bit for bit, and the masked evaluation on the grid's pads to rounding
+def test_band_rates_are_the_masked_rates(block, data, sigma):
+    # P_M c held on its band is the projected row with its zeros dropped, and
+    # its rates on GridSpec(M)'s pads are the masked evaluation's on the
+    # grid's pads to rounding
     grid, c = block
     cutoff = data.draw(st.sampled_from([0, 1, grid.modes // 3, grid.modes - 1, grid.modes]))
-    w, rate, raw = projected_rates(c, grid, FlowParams(sigma=sigma, cutoff=cutoff))
+    p = FlowParams(sigma=sigma, cutoff=cutoff)
+    b, g = band(c, grid, cutoff)
+    rate, raw = band_rates(b, g, p)
+    w, masked_rate, masked_raw = masked_rates(c, grid, p)
     assert w.tobytes() == np.array([project(FourierField(grid, row), cutoff).coeffs for row in c]).tobytes()
-    rows, band_grid = band(c, grid, cutoff)
-    _, band_rate, band_raw = projected_rates(rows, band_grid, FlowParams(sigma=sigma))
-    assert [rate.tobytes(), *(v.tobytes() for v in raw.values())] == [
-        band_rate.tobytes(), *(v.tobytes() for v in band_raw.values())
-    ]
-    masked_w, masked_rate, masked_raw = projected_rates_masked(c, grid, FlowParams(sigma=sigma, cutoff=cutoff))
-    assert w.tobytes() == masked_w.tobytes()
+    filled = np.zeros_like(c)
+    filled[:, grid.modes - g.modes : grid.modes + g.modes + 1] = b
+    assert filled.tobytes() == w.tobytes()
     got, want = np.stack([rate, *raw.values()]), np.stack([masked_rate, *masked_raw.values()])
     if cutoff == 0:
         # P_0 u is a constant, whose flow turns its phase: every rate is 0 but

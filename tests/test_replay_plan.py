@@ -32,3 +32,20 @@ def test_verdicts_compares_outcomes_only(tmp_path, capsys, passed, code):
     out = capsys.readouterr().out
     assert out.endswith(f"{code} of 2 runs differ\n")
     assert ("default/growth:" in out) == (code == 1)
+
+
+def test_files_counts_the_runs_each_moved_file_differs_in(tmp_path, capsys):
+    # growth.csv moves in both growth runs; other.csv, the continuity run and
+    # a stat move nothing
+    def dump(name, digest, stat):
+        growth = {"files": {"growth.csv": digest, "other.csv": "11"}, "verdicts": [["e2_grows", True, {"ratio": stat}]]}
+        records = {key: {**growth, "error": None} for key in ("default/growth", "trajectory/3/growth")}
+        records["fields/0/continuity"] = {"files": {"residuals.csv": "22"}, "verdicts": [], "error": None}
+        (tmp_path / name).write_text(json.dumps(records))
+        return str(tmp_path / name)
+
+    a, b = dump("a.json", "00", 1.5), dump("b.json", "ff", 2.5)
+    assert replay_plan.main(["files", a, b]) == 1
+    assert capsys.readouterr().out == "growth: growth.csv in 2 runs\n1 data files of 1 experiments differ\n"
+    assert replay_plan.main(["files", a, a]) == 0
+    assert capsys.readouterr().out == "0 data files of 0 experiments differ\n"

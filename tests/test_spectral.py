@@ -23,7 +23,7 @@ from oracles import (
 class TestGridSpec:
     def test_defaults(self):
         g = GridSpec(modes=8)
-        assert g.phys_size >= 17
+        assert g.pad_for_degree(2) >= 17
         assert g.quintic_pad() >= 6 * 8 + 1
 
     def test_rejects_bad_modes(self):
@@ -34,7 +34,7 @@ class TestGridSpec:
         # the band of P_0, on which energy evaluates a cutoff-0 projection
         g = GridSpec(modes=0)
         assert g.n.tolist() == [0]
-        assert g.phys_size == g.quintic_pad() == g.pad_for_degree(10) == 1
+        assert g.pad_for_degree(2) == g.quintic_pad() == g.pad_for_degree(10) == 1
         c = np.array([3.0 - 4.0j])
         assert synthesize(c, 0, 1).tolist() == [3.0 - 4.0j]
         assert quintic_rows(c, g).tolist() == [625.0 * (3.0 - 4.0j)]
@@ -64,7 +64,7 @@ class TestFourierField:
         # a (B, 2M+1) block goes through both transforms row by row, bit for
         # bit, also at the least size synthesize takes, 2M+1
         block = np.stack([u.coeffs, random_field(grid16, seed=2).coeffs])
-        for size in (grid16.phys_size, 2 * grid16.modes + 1):
+        for size in (grid16.pad_for_degree(2), 2 * grid16.modes + 1):
             back = analyze(synthesize(block, grid16.modes, size), grid16.modes)
             rows = [analyze(synthesize(c, grid16.modes, size), grid16.modes) for c in block]
             assert back.tobytes() == np.stack(rows).tobytes()
@@ -129,7 +129,7 @@ class TestNorms:
 
     def test_parseval_random(self, grid16):
         u = random_field(grid16, seed=8)
-        quad = TWO_PI / grid16.phys_size * np.sum(np.abs(values(u)) ** 2)
+        quad = TWO_PI / grid16.pad_for_degree(2) * np.sum(np.abs(values(u)) ** 2)
         assert quad == pytest.approx(sobolev_norm_sq(u, 0), rel=1e-10)
 
     def test_lp_plane_wave(self, grid8):
@@ -262,7 +262,7 @@ def test_synthesize_matches_direct_evaluation():
     # turns a -0.0 coefficient into +0.0
     block[0, 3] = complex(-0.0, -0.0)
     block[1, g.modes + 2] = complex(-0.0, 1.0)
-    for size in (2 * g.modes + 1, g.phys_size, g.quintic_pad()):
+    for size in (2 * g.modes + 1, g.pad_for_degree(2), g.quintic_pad()):
         a = np.zeros((2, size), dtype=complex)
         np.add.at(a, (..., np.arange(-g.modes, g.modes + 1) % size), block)
         ref = np.fft.ifft(a, axis=-1, norm="forward")
@@ -290,7 +290,7 @@ def test_kernels_leave_their_arguments_unchanged(rows):
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert c.flags.c_contiguous and c.flags.writeable
     before = c.tobytes()
-    for size in (2 * g.modes + 1, g.phys_size, g.quintic_pad()):  # 2M+1: the least synthesize takes
+    for size in (2 * g.modes + 1, g.pad_for_degree(2), g.quintic_pad()):  # 2M+1: the least synthesize takes
         values = synthesize(c, g.modes, size)
         assert values.flags.c_contiguous and values.flags.writeable
         kept = values.tobytes()
