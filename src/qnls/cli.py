@@ -87,10 +87,10 @@ def main(argv=None) -> int:
             sys.stdout.write(serialize_config(default_config(args.experiment)))
             return 0
         if args.command == "run":
-            cfg = parse_config(Path(args.config).read_text(), **_overrides(args))
+            cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), **_overrides(args))
         else:
             cfg = default_config(args.command, **_overrides(args))
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:  # or a file that is not UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     manifest = run(cfg)

@@ -7,7 +7,7 @@ Grammar (INI-style, parsed strictly):
     output_dir = runs/conservation
 
     [grid]                        ; modes, the GridSpec's one field
-    [flow]                        ; FlowParams fields (cutoff = full or an int)
+    [flow]                        ; FlowParams fields (no cutoff: evolve's, per row)
     [measure]                     ; MeasureSpec fields (used where relevant)
     [run]                         ; horizon and ensemble size
     [params]                      ; experiment-specific knobs (verdict
@@ -19,10 +19,10 @@ its defaults and its needs.  Each key's generic default fixes its type: [grid]
 Unset keys take the record's defaults over the generic ones.  Unknown sections
 or keys are rejected (config drift guard), and so are settings the record's
 needs reject: a run would fail partway through or pass having checked nothing.
-Values: integers, finite floats (repr round-trip), booleans (true/false),
-cutoffs, and comma-separated lists.  An override is the config line it sets
-(_OVERRIDES), and it is checked as one.  serialize() emits a canonical form,
-so parse(serialize(c)) == c and replayed configs diff cleanly.
+Values: integers, finite floats (repr round-trip), booleans (true/false) and
+comma-separated lists.  An override is the config line it sets (_OVERRIDES),
+and it is checked as one.  serialize() emits a canonical form, so
+parse(serialize(c)) == c and replayed configs diff cleanly.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class ExperimentConfig:
 
 
 # a schema maps key -> generic default, whose type is the key's: bool, int,
-# float, None (a cutoff: full or an int), or a tuple (a list of its first
-# entry's type)
+# float, or a tuple (a list of its first entry's type)
 def _schema(cls, **defaults) -> dict:
     """{field: default} of a dataclass, in field order."""
     return {f.name: defaults.get(f.name, f.default) for f in fields(cls)}
@@ -235,7 +234,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "transport_mc": Experiment(
         {"times": (0.25, 0.5), "quantile": 0.9},
         _transport_mc_needs,
-        {"flow": {"cutoff": 32}, "run": {"ensemble_size": 256, "t_end": 0.5}},
+        {"run": {"ensemble_size": 256, "t_end": 0.5}},
     ),
     "truncation_convergence": Experiment(
         {
@@ -279,8 +278,6 @@ def _parse_value(default, raw: str):
         if raw.lower() in ("false", "no", "0"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if default is None:
-        return None if raw.lower() == "full" else int(raw)
     if isinstance(default, int):
         return int(raw)
     value = float(raw)
@@ -295,8 +292,6 @@ def _format_value(default, value) -> str:
         return ", ".join(_format_value(default[0], v) for v in value)
     if isinstance(default, bool):
         return "true" if value else "false"
-    if default is None:
-        return "full" if value is None else str(value)
     if isinstance(default, float):
         return repr(float(value))
     return str(value)
@@ -356,7 +351,6 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         if grid.modes < 1:  # GridSpec(0), the constants, is a band, not a grid to run on
             raise ConfigError(f"[grid] needs modes >= 1, got {grid.modes}")
         flow = FlowParams(**kw["flow"])
-        flow.check_grid(grid)
         measure = MeasureSpec(**kw["measure"])
         run = RunSettings(**kw["run"])
     except ValueError as exc:

@@ -14,11 +14,13 @@ The sigma factor on N^3 extends the stress tensor to the focusing sign; the
 momentum residual below is the arbiter of that choice, not trust.
 
 All quantities are evaluated pointwise from exactly synthesized derivative
-fields on a padded grid (the same anti-aliasing depth as the quintic term),
-so the residuals measure algebra, not discretization.  The residuals act on
-(B, 2M+1) coefficient blocks from one 3-jet (residual_rows, both signs at
-once); the one-field functions are its one-row calls.  Residual tolerances
-scale with explicit norm factors (scale_rows) to stay amplitude-independent.
+fields on a padded grid (the same anti-aliasing depth as the quintic term), so
+the residuals measure algebra, not discretization.  du/dt is always the
+untruncated equation's: no function here takes a Galerkin cutoff.  The
+residuals act on (B, 2M+1) coefficient blocks from one 3-jet (residual_rows,
+both signs at once); the one-field functions are its one-row calls.  Residual
+tolerances scale with explicit norm factors (scale_rows) to stay
+amplitude-independent.
 """
 
 from __future__ import annotations
@@ -62,11 +64,8 @@ def residual_rows(c: np.ndarray, grid: GridSpec) -> dict[str, np.ndarray]:
     return out
 
 
-def _one_row(u: FourierField, p: FlowParams | None = None) -> dict[str, float]:
-    """residual_rows of one field; p, if given, must be the FULL flow (its sigma
-    picks the continuity residuals; j0 is taken at sigma = +1)."""
-    if p is not None and p.cutoff is not None:
-        raise ValueError("continuity laws and diagnostics hold only for the FULL flow (cutoff=None)")
+def _one_row(u: FourierField) -> dict[str, float]:
+    """residual_rows of one field."""
     return {name: float(v[0]) for name, v in residual_rows(u.coeffs[np.newaxis], u.grid).items()}
 
 
@@ -76,20 +75,19 @@ def eleele_residual(u: FourierField) -> float:
 
 
 def continuity_residuals(u: FourierField, p: FlowParams) -> tuple[float, float]:
-    """Sup-norms of dN/dt + dJ/dx and dJ/dt + dT/dx with du/dt from the equation.
-
-    Requires cutoff = FULL: the Galerkin projector breaks the local laws by a
-    commutator with (1 - P_M), so only the untruncated substitution is an
-    algebraic identity.
+    """Sup-norms of dN/dt + dJ/dx and dJ/dt + dT/dx with du/dt from the
+    full equation at p.sigma: the Galerkin projector breaks the local laws
+    by a commutator with (1 - P_M), so only the untruncated substitution is
+    an algebraic identity.
     """
-    r = _one_row(u, p)
+    r = _one_row(u)
     tag = "p" if p.sigma == 1 else "m"
     return r["mass_" + tag], r["mom_" + tag]
 
 
-def j0_diag(u: FourierField, p: FlowParams) -> float:
+def j0_diag(u: FourierField) -> float:
     """int dN/dt J^2 dx; vanishes identically (= -(1/3) int d/dx(J^3) = 0)."""
-    return _one_row(u, p)["j0"]
+    return _one_row(u)["j0"]
 
 
 def scale_rows(c: np.ndarray, grid: GridSpec) -> tuple[list[float], list[float]]:

@@ -28,8 +28,8 @@ Every integrand here has total degree <= 10 in (u, conj u, v, conj v), so a
 padded transform of size >= 10*modes + 1 makes all integrals exact, and the
 bound's |u_x|^4 is integrated on the degree-4 pad.  P_M u is band-limited
 to M, so it is held in one form only, its 2M+1 coefficients on GridSpec(M)
-(band): breakdown_rows, band_rates and r2_truncation_curve evaluate it on
-GridSpec(M)'s pads, the same integrals as on the grid's, to rounding.
+(band): band_rates and r2_truncation_curve evaluate it on GridSpec(M)'s
+pads, the same integrals as on the grid's, to rounding.
 
 Results on a block of coefficient rows are name -> (B,) arrays
 (breakdown_rows); e2 and full_breakdown give one field's as floats.
@@ -154,7 +154,7 @@ def band_rates(b: np.ndarray, g: GridSpec, p: FlowParams):
     directional_terms at the projected state along the projected equation
     right-hand side.  corrected_rate turns them into F_2."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _rhs_coeffs(b, g, p, None)
+        v = _rhs_coeffs(b, g, p)
     return directional_terms(b, v, g)
 
 
@@ -193,20 +193,18 @@ def r2_truncation_curve(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma:
 
 @pad_chunked
 def breakdown_rows(c: np.ndarray, grid: GridSpec, p: FlowParams):
-    """E_2 of each row's projected state with its parts, F_2 and the bound,
-    as name -> (B,) array for a (B, 2M+1) coefficient block c on `grid`, all
-    taken on P_M's band (band): the keys are h2_sq, r2, e2, f2, bound and
-    then the R_2 term names."""
-    p.check_grid(grid)
-    b, g = band(c, grid, p.cutoff)
-    h2 = sobolev_sq_rows(b, g, 2.0)
-    total, terms = r2_rows(b, g, p.sigma)
+    """E_2 of each row with its parts, F_2 along the full flow and the
+    bound, as name -> (B,) array for a (B, 2M+1) coefficient block c on
+    `grid` (a P_M-truncated state is passed as its band): the keys are
+    h2_sq, r2, e2, f2, bound and then the R_2 term names."""
+    h2 = sobolev_sq_rows(c, grid, 2.0)
+    total, terms = r2_rows(c, grid, p.sigma)
     return {
         "h2_sq": h2,
         "r2": total,
         "e2": h2 + total,
-        "f2": corrected_rate(*band_rates(b, g, p), p.sigma),
-        "bound": smoothing_bound_rows(b, g),
+        "f2": corrected_rate(*band_rates(c, grid, p), p.sigma),
+        "bound": smoothing_bound_rows(c, grid),
         **terms,
     }
 

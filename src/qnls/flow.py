@@ -2,8 +2,8 @@
 
 The equation is (i d/dt + d^2/dx^2) u = sigma * P_M(|P_M u|^4 P_M u) with
 sigma = +1 (defocusing) or -1 (focusing) and P_M the Dirichlet projector;
-cutoff = None drops both projectors (P_inf = Id on the grid band).  In
-coefficient form:
+a row's cutoff FULL (None) drops both projectors (P_inf = Id on the grid
+band).  In coefficient form:
 
     du_n/dt = -i n^2 u_n - i sigma * (P_M |P_M u|^4 P_M u)_n.
 
@@ -27,14 +27,15 @@ rule), so that the step's pad-sized temporaries stay small enough to be
 reused from the heap; a chunk's new rows overwrite its old ones in the
 block, so no block-sized array is made per step.
 
-One _rk4 steps both layouts, with P_M from one _cut.  The march
-(_rk4_bins) steps each chunk in the quintic pad's FFT-bin layout: the rows
-are padded once per step, the stage inputs u + h k and their combination
-are formed on the pad, and the 2M+1 bins are taken back once.  step keeps
-its storage-order _rhs_coeffs, through synthesize and analyze at each
-stage, for the benchmark's tracer test, which counts those calls in one
-step.  Each mode's bin rounds as its coefficient does, so each row of the
-march is bit-for-bit a loop of step() calls on that row.
+One _rk4 steps both layouts.  The march (_rk4_bins) steps each chunk in the
+quintic pad's FFT-bin layout: the rows are padded once per step, the stage
+inputs u + h k and their combination are formed on the pad, and the 2M+1
+bins are taken back once; P_M is each row's _cut bin mask.  step, the full
+flow of one field, keeps its storage-order _rhs_coeffs, through synthesize
+and analyze at each stage, for the benchmark's tracer test, which counts
+those calls in one step.  Each mode's bin rounds as its coefficient does,
+so each FULL row of the march is bit-for-bit a loop of step() calls on that
+row.
 
 The H^1 guard (the root of sobolev_sq_rows' h1_sq below blowup_threshold,
 which NaN fails) and the finiteness check apply per row: a row that fails
@@ -43,8 +44,9 @@ step where step() would raise, and its trip time (the time of that state)
 is returned, while the other rows run on.  There is one schedule loop, one
 guard and one record loop: evolve returns (times, states, live,
 trip_times), a run of one field being a one-row block, and a trip is a
-False in live with its time in trip_times.  step advances one field: the
-tests hold the rows to it, and plane_wave_order steps with it.
+False in live with its time in trip_times.  step advances one field of the
+full flow: the tests hold the FULL rows to it, and plane_wave_order steps
+with it.
 
 A row may overflow inside a step (|u|^4 u past the float range).  The
 np.errstate that keeps this quiet is held once per step: by step around
@@ -57,7 +59,7 @@ outside these warns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -87,14 +89,13 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Nonlinearity sign, Galerkin cutoff and RK4 step size.
+    """Nonlinearity sign and RK4 step size.
 
-    cutoff None means the full (untruncated-on-grid) flow.
     blowup_threshold caps ||u||_{H^1}; focusing runs are only local in time.
+    A Galerkin cutoff is evolve's, one per row.
     """
 
     sigma: int = 1
-    cutoff: int | None = FULL
     dt: float = 1e-3
     blowup_threshold: float = 1e3
 
@@ -105,14 +106,6 @@ class FlowParams:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not self.blowup_threshold > 0:  # NaN would trip every row before its first step
             raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
-        if self.cutoff is not None and self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0 or None")
-
-    def check_grid(self, grid: GridSpec) -> None:
-        if self.cutoff is not None and self.cutoff > grid.modes:
-            raise ValueError(
-                f"cutoff {self.cutoff} exceeds grid modes {grid.modes}"
-            )
 
 
 def linear_flow_rows(c: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
@@ -122,22 +115,18 @@ def linear_flow_rows(c: np.ndarray, grid: GridSpec, t: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _cut(modes: int, cutoff: int | None, size: int | None = None) -> np.ndarray | None:
-    """The mask of the modes P_M drops, cutoff < |n| <= modes, in storage
-    order or in the bins of a size-`size` transform (read-only, shared);
-    None where P_M is the identity (FULL or cutoff >= modes)."""
-    if cutoff is None or cutoff >= modes:
+def _cut(modes: int, cutoff: int | None, size: int) -> np.ndarray | None:
+    """The mask of the modes P_M drops, cutoff < |n| <= modes, in the bins
+    of a size-`size` transform (read-only, shared); None where P_M is the
+    identity (FULL or cutoff = modes).  A cutoff outside [0, modes] is a
+    ValueError."""
+    if cutoff is FULL or cutoff == modes:
         return None
-    cut = np.abs(np.arange(-modes, modes + 1)) > cutoff
-    if size is not None:
-        cut = to_bins(cut, modes, size)
+    if not 0 <= cutoff < modes:
+        raise ValueError(f"cutoff {cutoff} is outside [0, {modes}], the grid's modes")
+    cut = to_bins(np.abs(np.arange(-modes, modes + 1)) > cutoff, modes, size)
     cut.flags.writeable = False
     return cut
-
-
-def _project(c: np.ndarray, cut: np.ndarray | None) -> np.ndarray:
-    """P_M c for the _cut mask `cut`: c itself, or a copy with those modes 0."""
-    return c if cut is None else np.where(cut, 0.0, c)
 
 
 @lru_cache(maxsize=256)
@@ -163,9 +152,9 @@ def _bin_symbols(modes: int, size: int, sigma: int) -> tuple[np.ndarray, np.ndar
     return factor, lin
 
 
-def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams, cut: np.ndarray | None) -> np.ndarray:
-    """du/dt of a coefficient vector or block, under one _cut mask for all rows."""
-    q = _project(quintic_rows(_project(c, cut), grid), cut)
+def _rhs_coeffs(c: np.ndarray, grid: GridSpec, p: FlowParams) -> np.ndarray:
+    """du/dt of the full flow, of a coefficient vector or block."""
+    q = quintic_rows(c, grid)
     q *= -1j * p.sigma
     q += _linear_symbol(grid.modes) * c
     return q
@@ -231,19 +220,17 @@ def _schedule(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def step(u: FourierField, p: FlowParams) -> FourierField:
-    """One RK4 step of size p.dt.
+    """One RK4 step of size p.dt of the full flow.
 
     Raises BlowUpError when ||u||_{H^1} reaches the guard before the step or
     the state is no longer finite after it.
     """
-    p.check_grid(u.grid)
     h1 = float(np.sqrt(sobolev_sq_rows(u.coeffs, u.grid, 1.0)))
     if not h1 < p.blowup_threshold:
         raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
-    cut = _cut(u.grid.modes, p.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
         # _rhs_coeffs looked up per call, so that a tracer patched into flow counts it
-        c = _rk4(u.coeffs, lambda x: _rhs_coeffs(x, u.grid, p, cut), p.dt)
+        c = _rk4(u.coeffs, lambda x: _rhs_coeffs(x, u.grid, p), p.dt)
     if not _finite_rows(c):
         raise BlowUpError("state left the representable range during a step")
     return FourierField(u.grid, c)
@@ -253,23 +240,22 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
     """Advance the rows of c in place along evolve's schedule, each while it
     is live.
 
-    Row i takes the Galerkin cutoff cutoffs[i].  Each step runs
-    chunk_rows(grid.quintic_pad()) rows at a time through _rk4_bins, and a
-    chunk's new rows overwrite its old ones once computed (the rows are
-    independent); whether their H^1 norms (sobolev_sq_rows) are below the guard
-    is kept for the next step.  Yields (k, t) after step k, t being the time of
-    the new state: k * dt, or t_end after the partial step.  Before each step a
-    row whose H^1 norm is not below the guard (NaN and inf are not), and after
-    it a row that is no longer finite, keeps its last good state, leaves `live`
-    and gets that state's time in trip_times.  Finiteness is checked only in a
-    chunk where some new norm fails the guard; a finite row over the guard
-    after the last step stays live.  Stops once no row is live.
+    Row i takes the Galerkin cutoff cutoffs[i], its _cut looked up before
+    the first step.  Each step runs chunk_rows(grid.quintic_pad()) rows at a
+    time through _rk4_bins, and a chunk's new rows overwrite its old ones
+    once computed (the rows are independent); whether their H^1 norms
+    (sobolev_sq_rows) are below the guard is kept for the next step.  Yields
+    (k, t) after step k, t being the time of the new state: k * dt, or t_end
+    after the partial step.  Before each step a row whose H^1 norm is not
+    below the guard (NaN and inf are not), and after it a row that is no
+    longer finite, keeps its last good state, leaves `live` and gets that
+    state's time in trip_times.  Finiteness is checked only in a chunk where
+    some new norm fails the guard; a finite row over the guard after the last
+    step stays live.  Stops once no row is live.
     """
-    for m in set(cutoffs):
-        replace(p, cutoff=m).check_grid(grid)
-    n_steps, remainder = _schedule(t_end, p.dt)
     size = grid.quintic_pad()
     cut = [_cut(grid.modes, m, size) for m in cutoffs]  # one per row
+    n_steps, remainder = _schedule(t_end, p.dt)
     none = np.zeros(size, dtype=bool)  # the mask of a row without projector
     cut = None if all(x is None for x in cut) else np.stack([none if x is None else x for x in cut])
     # the live rows and their block; c[rows] is kept equal to it (c itself
@@ -322,7 +308,7 @@ def _march(c, live, trip_times, grid, p, t_end, cutoffs):
 def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = None, cutoffs=None) -> tuple:
     """Advance each row of a (B, 2M+1) coefficient block c by t_end along
     step()'s arithmetic, with its own Galerkin cutoff from `cutoffs` (FULL
-    or an int per row; None: p.cutoff for every row).
+    or an int in [0, grid.modes] per row; None: FULL for every row).
 
     A row whose H^1 norm reaches the guard before a step, or that is no
     longer finite after one, is frozen at its last good state and leaves
@@ -331,7 +317,8 @@ def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = 
     every `stride`-th step (none if None) and at the last state, once each;
     trip_times[i] is the time of row i's last good state if it left live,
     else NaN.  A cutoffs that is not one entry per row is a ValueError that
-    names the block's row count.
+    names the block's row count, and a cutoff outside [0, grid.modes] one
+    that names the cutoff, before any step.
     """
     # C order: _march steps these rows in place, and their row sums must
     # round as step()'s do
@@ -340,7 +327,7 @@ def evolve(c, grid: GridSpec, p: FlowParams, t_end: float, stride: int | None = 
         raise ValueError(f"evolve takes a (B, 2M+1) block, got shape {c.shape}")
     if stride is not None and stride < 1:
         raise ValueError("stride must be >= 1")
-    cutoffs = [p.cutoff] * len(c) if cutoffs is None else cutoffs
+    cutoffs = [FULL] * len(c) if cutoffs is None else cutoffs
     if np.shape(cutoffs) != (len(c),):
         raise ValueError(f"cutoffs of shape {np.shape(cutoffs)} for a block of {len(c)} rows: one entry per row")
     live = np.ones(len(c), dtype=bool)

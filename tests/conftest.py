@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qnls import BlowUpError, FourierField, GridSpec, step
+from qnls import FULL, BlowUpError, FourierField, GridSpec, step
+from oracles import galerkin_step
 
 
 def random_field(grid: GridSpec, seed: int, amp: float = 1.0, decay: float = 0.0) -> FourierField:
@@ -26,8 +27,9 @@ def grid16():
     return GridSpec(modes=16)
 
 
-def step_loop(u0, p, t_end: float, stride: int = 1):
-    """Reference for each row of evolve: a plain step() loop.
+def step_loop(u0, p, t_end: float, stride: int = 1, cutoff=FULL):
+    """Reference for each row of evolve at `cutoff`: a plain loop of step()
+    at FULL, of oracles.galerkin_step at any other cutoff.
 
     Full steps of p.dt, then a partial step landing on t_end (none if under
     1e-12).  Returns (final field, blow-up time or None, record times): the
@@ -38,10 +40,11 @@ def step_loop(u0, p, t_end: float, stride: int = 1):
     n_steps = int(np.floor(t_end / p.dt + 1e-12))
     remainder = t_end - n_steps * p.dt
     steps = [p.dt] * n_steps + ([remainder] if remainder > 1e-12 else [])
+    one = step if cutoff is FULL else lambda u, p: galerkin_step(u, p, cutoff)
     u, t, times = u0, 0.0, [0.0]
     for k, dt in enumerate(steps, 1):
         try:
-            u = step(u, replace(p, dt=dt))
+            u = one(u, replace(p, dt=dt))
         except BlowUpError:
             if times[-1] != t:
                 times.append(t)

@@ -10,12 +10,21 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from qnls import FlowParams, FourierField, GridSpec, MeasureSpec, field_from_modes, sobolev_sq_rows
+from qnls import (
+    FULL,
+    BlowUpError,
+    FlowParams,
+    FourierField,
+    GridSpec,
+    MeasureSpec,
+    field_from_modes,
+    sobolev_sq_rows,
+)
 from qnls.config import ExperimentConfig
 from qnls.energy import DEFAULT_M0, band, band_rates, corrected_rate, directional_terms, r2_rows
-from qnls.flow import _cut, _project, _rhs_coeffs
+from qnls.flow import _linear_symbol, _rk4
 from qnls.measure import derive_seed
-from qnls.spectral import TWO_PI, jet, synthesize
+from qnls.spectral import TWO_PI, jet, quintic_rows, synthesize
 
 
 def zero_field(grid: GridSpec) -> FourierField:
@@ -77,34 +86,68 @@ def sobolev_norm_sq(u: FourierField, s: float) -> float:
     return float(sobolev_sq_rows(u.coeffs, u.grid, s))
 
 
-def f2(u: FourierField, p: FlowParams, overrides: dict[str, float] | None = None) -> float:
-    """F_2^(M)(P_M u): the time derivative of t -> E_2(P_M Phi_M(t) u0).
+def f2(
+    u: FourierField, p: FlowParams, cutoff: int | None = FULL, overrides: dict[str, float] | None = None
+) -> float:
+    """F_2^(M)(P_M u): the time derivative of t -> E_2(P_M Phi_M(t) u0),
+    with M = `cutoff`.
 
     Evaluated as the first variation of E_2 at the projected state along the
     projected equation right-hand side.
     """
-    p.check_grid(u.grid)
-    rate, raw = band_rates(*band(u.coeffs[np.newaxis], u.grid, p.cutoff), p)
+    rate, raw = band_rates(*band(u.coeffs[np.newaxis], u.grid, cutoff), p)
     return float(corrected_rate(rate, raw, p.sigma, overrides)[0])
 
 
-def masked_rates(c: np.ndarray, grid: GridSpec, p: FlowParams):
+def mask(c: np.ndarray, modes: int, cutoff: int | None) -> np.ndarray:
+    """P_M c in storage order, M = `cutoff`: c itself at FULL, else a copy
+    of the vector or block c with the modes |n| > cutoff set to 0."""
+    if cutoff is FULL:
+        return c
+    return np.where(np.abs(np.arange(-modes, modes + 1)) > cutoff, 0.0, c)
+
+
+def galerkin_rhs(c: np.ndarray, grid: GridSpec, sigma: int, cutoff: int | None) -> np.ndarray:
+    """du/dt of the flow truncated at `cutoff`, of a coefficient vector or
+    block in storage order: P_M masks the input of quintic_rows and its
+    output, and the linear part -i n^2 c acts on every mode.  The caller
+    holds the np.errstate that keeps overflow quiet."""
+    q = mask(quintic_rows(mask(c, grid.modes, cutoff), grid), grid.modes, cutoff)
+    q *= -1j * sigma
+    q += _linear_symbol(grid.modes) * c
+    return q
+
+
+def galerkin_step(u: FourierField, p: FlowParams, cutoff: int | None) -> FourierField:
+    """flow.step of the flow truncated at `cutoff`: the same H^1 guard and
+    finiteness check around one flow._rk4 step of galerkin_rhs in storage
+    order.  evolve's rows at that cutoff are held to it bit for bit: each
+    mode's bin in the march rounds as its coefficient does here."""
+    h1 = float(np.sqrt(sobolev_sq_rows(u.coeffs, u.grid, 1.0)))
+    if not h1 < p.blowup_threshold:
+        raise BlowUpError(f"H^1 guard tripped: ||u||_H1 = {h1:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _rk4(u.coeffs, lambda x: galerkin_rhs(x, u.grid, p.sigma, cutoff), p.dt)
+    if not np.isfinite(c.view(np.float64)).all():
+        raise BlowUpError("state left the representable range during a step")
+    return FourierField(u.grid, c)
+
+
+def masked_rates(c: np.ndarray, grid: GridSpec, p: FlowParams, cutoff: int | None):
     """(P_M c, rates) with the rates of energy.band_rates taken on the pads
     of `grid` itself: P_M applied as a mask on the full row, before and after
     the quintic, and every transform at the grid's sizes.  The same values
     to rounding."""
-    p.check_grid(grid)
-    cut = _cut(grid.modes, p.cutoff)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _rhs_coeffs(c, grid, p, cut)
-    c, v = _project(c, cut), _project(v, cut)
+        v = galerkin_rhs(c, grid, p.sigma, cutoff)
+    c, v = mask(c, grid.modes, cutoff), mask(v, grid.modes, cutoff)
     return (c, *directional_terms(c, v, grid))
 
 
 def r2_truncation_curve_masked(c: np.ndarray, grid: GridSpec, m_list: list[int], sigma: int = 1) -> np.ndarray:
     """energy.r2_truncation_curve on the pads of `grid` itself: one r2_rows
     call on the block [c, P_{M_1} c, P_{M_2} c, ...] of masked rows."""
-    block = np.stack([c] + [_project(c, _cut(grid.modes, M)) for M in m_list])
+    block = np.stack([c] + [mask(c, grid.modes, M) for M in m_list])
     total, _ = r2_rows(block, grid, sigma)
     return np.abs(total[1:] - total[0])
 

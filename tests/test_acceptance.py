@@ -155,8 +155,9 @@ def test_criterion_3_energy_correctness():
         for cutoff in (None, 8):
             c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), [3], g)[0]
             dt = 2e-4
-            p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-            states = [FourierField(g, c) for c in evolve(c0[np.newaxis], g, p, 6 * dt, stride=1)[1][:, 0]]
+            p = FlowParams(sigma=sigma, dt=dt)
+            flow = evolve(c0[np.newaxis], g, p, 6 * dt, stride=1, cutoffs=[cutoff])
+            states = [FourierField(g, c) for c in flow[1][:, 0]]
             proj = [project(s, cutoff) if cutoff else s for s in states]
             energies = [e2(s, sigma)["e2"] for s in proj]
             for k in (2, 3):
@@ -164,7 +165,7 @@ def test_criterion_3_energy_correctness():
                     -energies[k + 2] + 8 * energies[k + 1]
                     - 8 * energies[k - 1] + energies[k - 2]
                 ) / (12 * dt)
-                an = f2(states[k], p)
+                an = f2(states[k], p, cutoff)
                 worst_traj = max(worst_traj, abs(an - fd) / max(abs(an), abs(fd)))
     # (b) directional derivative against Richardson-extrapolated differences
     g12 = GridSpec(modes=12)

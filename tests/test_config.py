@@ -35,7 +35,8 @@ class TestParse:
         assert cfg.experiment == "conservation"
         assert cfg.output_dir == "runs/conservation"
         assert cfg.grid.modes == 32
-        assert cfg.flow.cutoff is None
+        # a flow carries no Galerkin cutoff: evolve takes one per row
+        assert list(vars(cfg.flow)) == ["sigma", "dt", "blowup_threshold"]
 
     def test_section_defaults_are_the_dataclass_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -56,7 +57,6 @@ class TestParse:
 
             [flow]
             sigma = -1
-            cutoff = 8
             dt = 0.002
 
             [measure]
@@ -72,7 +72,7 @@ class TestParse:
             quantile = 0.85
             """
         )
-        assert cfg.flow.cutoff == 8
+        assert (cfg.flow.sigma, cfg.flow.dt) == (-1, 0.002)
         assert cfg.measure.base_seed == 7
         assert cfg.params["times"] == (0.1, 0.2)
 
@@ -113,6 +113,16 @@ class TestParse:
         path.write_text(text)
         assert main(["run", str(path)]) == 2
         assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_a_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # a Latin-1 byte in a comment: exit 2 with the decode error, not a
+        # traceback and exit 1, which would read as a failed verdict
+        out = tmp_path / "out"
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(f"[experiment]\nname = conservation\noutput_dir = {out}\n; caf".encode() + b"\xe9\n")
+        assert main(["run", str(path)]) == 2
+        assert "config error: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_moved_keys_are_not_keys_where_they_were(self, tmp_path, capsys):
         # config.ini echoes written before each setting had one key, in the
@@ -180,16 +190,6 @@ class TestParse:
         with pytest.raises(ConfigError, match="sigma"):
             parse_config(MINIMAL + "[flow]\nsigma = 2\n")
 
-    def test_cutoff_full_keyword(self):
-        cfg = parse_config(MINIMAL + "[flow]\ncutoff = full\n")
-        assert cfg.flow.cutoff is None
-
-    def test_cutoff_full_keyword_over_an_int_default(self):
-        # transport_mc's default cutoff is 32; the key stays a cutoff
-        cfg = parse_config("[experiment]\nname = transport_mc\n\n[flow]\ncutoff = full\n")
-        assert default_config("transport_mc").flow.cutoff == 32
-        assert cfg.flow.cutoff is None
-
     def test_float_key_given_an_int_is_a_float(self):
         cfg = parse_config(MINIMAL + "[run]\nt_end = 1\n\n[params]\namplitude = 1\n")
         assert type(cfg.run.t_end) is type(cfg.params["amplitude"]) is float
@@ -199,9 +199,18 @@ class TestParse:
         times = parse_config("[experiment]\nname = linear_invariance\n\n[params]\ntimes = 1, 2\n").params["times"]
         assert [type(t) for t in times] == [float, float] and times == (1.0, 2.0)
 
-    def test_cutoff_vs_grid(self):
-        with pytest.raises(ConfigError, match="cutoff"):
-            parse_config(MINIMAL + "[grid]\nmodes = 8\n\n[flow]\ncutoff = 16\n")
+    @pytest.mark.parametrize("line", ["cutoff = 8", "cutoff = 16", "cutoff = full"])
+    def test_cutoff_vs_grid(self, tmp_path, capsys, line):
+        # config.ini echoes written when [flow] carried a Galerkin cutoff,
+        # within the grid's 8 modes or past them: a cutoff is evolve's, per
+        # row, and the line goes
+        text = MINIMAL + f"[grid]\nmodes = 8\n\n[flow]\n{line}\n"
+        with pytest.raises(ConfigError, match="unknown key 'cutoff'"):
+            parse_config(text)
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        assert "[flow] unknown key 'cutoff'" in capsys.readouterr().err
 
     def test_transport_needs_enough_members_for_tail_ratio(self):
         text = "[experiment]\nname = transport_mc\n\n[run]\nensemble_size = {}\n"
@@ -348,16 +357,15 @@ def test_name_line_alone_is_the_default_config(name):
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_defaults_take_the_type_of_their_generic_default(name):
-    # a key's type is its generic default's: None is a cutoff (full or an
-    # int), a tuple lists its first entry's type, so none may be empty
+    # a key's type is its generic default's: a tuple lists its first
+    # entry's type, so none may be empty
     schemas = {**_SECTIONS, "params": EXPERIMENTS[name].params}
     for section, overlay in EXPERIMENTS[name].defaults.items():
         for key, value in overlay.items():
-            generic = schemas[section][key]
-            assert type(value) is (int if generic is None else type(generic)), (section, key)
+            assert type(value) is type(schemas[section][key]), (section, key)
     for schema in schemas.values():
         for key, default in schema.items():
-            assert default is None or type(default) in (bool, int, float, tuple), key
+            assert type(default) in (bool, int, float, tuple), key
             if isinstance(default, tuple):
                 assert default and len({type(v) for v in default}) == 1, key
 

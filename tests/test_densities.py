@@ -92,36 +92,26 @@ class TestContinuity:
             assert r_mass < 1e-8 * scale
             assert r_mom < 1e-8 * scale
 
-    def test_rejects_finite_cutoff(self, grid8):
-        with pytest.raises(ValueError, match="FULL"):
-            continuity_residuals(zero_field(grid8), FlowParams(cutoff=4))
-
 
 class TestDiagnostics:
     def test_plane_wave(self, grid8):
         u = mode_field(grid8, {2: 1.0})
-        p = FlowParams()
-        assert abs(j0_diag(u, p)) < 1e-12
+        assert abs(j0_diag(u)) < 1e-12
         assert abs(n1_rows(u.coeffs, grid8)) < 1e-12
 
     def test_j0_vanishes_randomly(self):
         # J0 = -int dJ/dx J^2 = -(1/3) int d/dx (J^3) = 0 for every field
         g = GridSpec(modes=16)
-        p = FlowParams()
         for seed in range(10):
             u = random_field(g, seed=300 + seed)
             _, (scale,) = scale_rows(u.coeffs[np.newaxis], g)
-            assert abs(j0_diag(u, p)) < 1e-9 * (1.0 + scale)
+            assert abs(j0_diag(u)) < 1e-9 * (1.0 + scale)
 
     def test_j0_real_field(self, grid8):
         # J vanishes identically for real fields
         u = mode_field(grid8, {1: 0.7, -1: 0.7})
-        assert j0_diag(u, FlowParams()) == pytest.approx(0.0, abs=1e-14)
+        assert j0_diag(u) == pytest.approx(0.0, abs=1e-14)
 
     def test_n1_generically_nonzero(self, grid16):
         u = random_field(grid16, seed=4)
         assert abs(n1_rows(u.coeffs, grid16)) > 1e-6
-
-    def test_rejects_finite_cutoff(self, grid8):
-        with pytest.raises(ValueError, match="FULL"):
-            j0_diag(zero_field(grid8), FlowParams(cutoff=2))

@@ -149,8 +149,9 @@ class TestF2:
         g = GridSpec(modes=16)
         c0 = sample_mu(MeasureSpec(s=2.0, M=16, base_seed=11), [3], g)[0]
         dt = 2e-4
-        p = FlowParams(sigma=sigma, cutoff=cutoff, dt=dt)
-        states = [FourierField(g, c) for c in evolve(c0[np.newaxis], g, p, 6 * dt, stride=1)[1][:, 0]]
+        p = FlowParams(sigma=sigma, dt=dt)
+        flow = evolve(c0[np.newaxis], g, p, 6 * dt, stride=1, cutoffs=[cutoff])
+        states = [FourierField(g, c) for c in flow[1][:, 0]]
         w = [project(s, cutoff) if cutoff else s for s in states]
         energies = [e2(s, sigma)["e2"] for s in w]
         for k in (2, 3):
@@ -160,7 +161,7 @@ class TestF2:
                 - 8 * energies[k - 1]
                 + energies[k - 2]
             ) / (12 * dt)
-            an = f2(states[k], p)
+            an = f2(states[k], p, cutoff)
             assert abs(an - fd) <= 1e-5 * max(abs(an), abs(fd)), (sigma, cutoff, an, fd)
 
     def test_full_breakdown_fields(self, grid16):
@@ -281,14 +282,14 @@ class TestCutoffFlatness:
         flipped = {"grad_density": -1.0, "current_sq": -1.0}
         ratios = {"shipped": {}, "flipped": {}}
         for M in (16, 256):
-            p = FlowParams(sigma=-1, cutoff=M)
+            p = FlowParams(sigma=-1)
             good, bad = 0.0, 0.0
             for idx in range(8):
                 u = sample_field(spec, idx, grid)
                 w = project(u, M)
                 b = smoothing_bound(w)
-                good = max(good, abs(f2(u, p)) / b)
-                bad = max(bad, abs(f2(u, p, overrides=flipped)) / b)
+                good = max(good, abs(f2(u, p, M)) / b)
+                bad = max(bad, abs(f2(u, p, M, overrides=flipped)) / b)
             ratios["shipped"][M] = good
             ratios["flipped"][M] = bad
         assert ratios["shipped"][256] < 2.0 * ratios["shipped"][16]

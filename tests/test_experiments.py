@@ -161,7 +161,7 @@ class TestRun:
             c = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)) / (1.0 + (n / 8.0) ** 2)
             u = FourierField(grid, c)
             e_scale, c_scale = 1.0 + sobolev_norm_sq(u, 1.0) ** 2, 1.0 + sobolev_norm_sq(u, 3.0) ** 3
-            vals = [eleele_residual(u) / e_scale, abs(j0_diag(u, FlowParams(sigma=1))) / (1.0 + c_scale)]
+            vals = [eleele_residual(u) / e_scale, abs(j0_diag(u)) / (1.0 + c_scale)]
             vals += [r / c_scale for sigma in (1, -1) for r in continuity_residuals(u, FlowParams(sigma=sigma))]
             lines.append(",".join([str(i), str(modes)] + [repr(v) for v in vals]))
             modes_seen.add(modes)

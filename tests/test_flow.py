@@ -18,11 +18,12 @@ from qnls import (
 )
 from qnls.config import default_config
 from qnls.experiments import smooth_random_field
+from qnls import flow
 from qnls.flow import FULL, _cut, _rhs_coeffs, hamiltonian_rows, linear_flow_rows, momentum_rows
 from qnls.spectral import chunk_rows, from_bins, quintic_rows, to_bins
 
 from conftest import random_field, step_loop
-from oracles import mode_field, project, quintic_convolution, sample_field, sobolev_norm_sq, zero_field
+from oracles import galerkin_rhs, mode_field, project, quintic_convolution, sample_field, sobolev_norm_sq, zero_field
 
 
 def mass(u):
@@ -75,65 +76,71 @@ class TestLinearFlow:
 
 class TestRhs:
     def test_zero(self, grid8):
-        p = FlowParams(sigma=1, cutoff=FULL)
-        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, p, None) == 0)
+        assert np.all(_rhs_coeffs(zero_field(grid8).coeffs, grid8, FlowParams(sigma=1)) == 0)
 
     def test_plane_wave(self, grid8):
         # |u|^4 u = u for e^{inx}, so du/dt = -i(n^2 + sigma) u
-        p = FlowParams(sigma=1, cutoff=FULL)
+        p = FlowParams(sigma=1)
         for n in (1, 3):
-            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p, None)
+            v = _rhs_coeffs(field_from_modes(grid8, {n: 1.0}), grid8, p)
             assert v[grid8.modes + n] == pytest.approx(-1j * (n * n + 1), rel=1e-13)
 
     def test_projector_annihilates(self, grid8):
-        # pi_1 e^{i2x} = 0 kills the nonlinearity entirely
-        p = FlowParams(sigma=1, cutoff=1)
-        v = _rhs_coeffs(field_from_modes(grid8, {2: 1.0}), grid8, p, _cut(grid8.modes, 1))
+        # pi_1 e^{i2x} = 0 kills the nonlinearity entirely, in the storage-order
+        # reference that evolve's Galerkin rows are held to
+        v = galerkin_rhs(field_from_modes(grid8, {2: 1.0}), grid8, 1, 1)
         assert v[grid8.modes + 2] == pytest.approx(-4j, rel=1e-14)
         others = np.delete(v, grid8.modes + 2)
         assert np.max(np.abs(others)) < 1e-15
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_rows_and_blocks_match_the_convolution_oracle(self, grid8, sigma):
-        # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row; a block
-        # under one cutoff's _cut, as oracles.masked_rates passes
-        # it, gives each row's values bit for bit
+        # -i n^2 c - i sigma P_M(quintic_convolution(P_M u)) per row, from the
+        # storage-order Galerkin reference; a block under one cutoff gives each
+        # row's values bit for bit, and at FULL flow._rhs_coeffs gives them too
         cutoffs = [FULL, 5, 2, grid8.modes]
         fields = [random_field(grid8, seed=40 + i, amp=0.5, decay=0.2) for i in range(len(cutoffs))]
         coeffs = np.stack([u.coeffs for u in fields])
-        p = FlowParams(sigma=sigma)
+        full = [_rhs_coeffs(c, grid8, FlowParams(sigma=sigma)) for c in coeffs]
         for m in cutoffs:
-            cut = _cut(grid8.modes, m)
-            rows = [_rhs_coeffs(c, grid8, replace(p, cutoff=m), cut) for c in coeffs]
-            block = _rhs_coeffs(coeffs, grid8, p, cut)
+            rows = [galerkin_rhs(c, grid8, sigma, m) for c in coeffs]
+            block = galerkin_rhs(coeffs, grid8, sigma, m)
+            if m is FULL:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, full))
             m = grid8.modes if m is FULL else m
             for i, u in enumerate(fields):
                 want = -1j * grid8.n**2 * u.coeffs - 1j * sigma * project(quintic_convolution(project(u, m)), m).coeffs
                 assert np.max(np.abs(rows[i] - want)) <= 1e-12 * np.max(np.abs(want)), (m, i)
                 assert block[i].tobytes() == rows[i].tobytes(), (m, i)
 
-    def test_cutoff_exceeds_grid(self, grid8):
-        with pytest.raises(ValueError, match="cutoff"):
-            step(zero_field(grid8), FlowParams(cutoff=9))
+    @pytest.mark.parametrize("cutoff", [9, -1])
+    def test_cutoff_exceeds_grid(self, grid8, cutoff, monkeypatch):
+        # a cutoff outside [0, modes] is named before any step is taken
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(flow, "_rk4_bins", no_step)
+        c = np.stack([mode_field(grid8, {1: 0.5}).coeffs] * 2)
+        with pytest.raises(ValueError, match=rf"cutoff {cutoff} is outside \[0, 8\]"):
+            evolve(c, grid8, FlowParams(), 0.01, cutoffs=[FULL, cutoff])
 
     @pytest.mark.parametrize(
         "modes, cutoff", [(m, c) for m in (1, 8, 32) for c in dict.fromkeys((FULL, 0, 1, m - 1, m))]
     )
-    def test_cut_is_one_projector_in_both_layouts(self, modes, cutoff):
-        # the modes P_M drops, in storage order and in the bin layout of the
-        # least size to_bins takes and of the quintic pad the march steps on;
-        # None exactly where P_M is the identity
+    def test_cut_is_one_bin_mask_per_pad(self, modes, cutoff):
+        # the modes P_M drops, in the bin layout of the least size to_bins
+        # takes and of the quintic pad the march steps on; None exactly where
+        # P_M is the identity
         grid = GridSpec(modes=modes)
         sizes = (2 * modes + 1, grid.quintic_pad())
-        cut = _cut(modes, cutoff)
-        if cutoff is FULL or cutoff >= modes:
-            assert cut is None and all(_cut(modes, cutoff, size) is None for size in sizes)
+        if cutoff is FULL or cutoff == modes:
+            assert all(_cut(modes, cutoff, size) is None for size in sizes)
             return
-        assert np.array_equal(cut, np.abs(grid.n) > cutoff) and not cut.flags.writeable
+        drop = np.abs(grid.n) > cutoff
         for size in sizes:
             bins = _cut(modes, cutoff, size)
-            assert np.array_equal(bins, to_bins(cut, modes, size)) and not bins.flags.writeable
-            assert np.array_equal(from_bins(bins, modes), cut)
+            assert np.array_equal(bins, to_bins(drop, modes, size)) and not bins.flags.writeable
+            assert np.array_equal(from_bins(bins, modes), drop)
 
 
 class TestStep:
@@ -150,7 +157,7 @@ class TestStep:
         errs = []
         dts = [4e-3, 2e-3, 1e-3, 5e-4]
         for dt in dts:
-            p = FlowParams(sigma=1, cutoff=FULL, dt=dt)
+            p = FlowParams(sigma=1, dt=dt)
             u = u0
             for _ in range(int(round(t_end / dt))):
                 u = step(u, p)
@@ -162,7 +169,7 @@ class TestStep:
     def test_single_step_mass_drift(self):
         g = GridSpec(modes=32)
         u = smooth_field(g)
-        p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
+        p = FlowParams(sigma=1, dt=1e-3)
         m0 = mass(u)
         m1 = mass(step(u, p))
         assert abs(m1 - m0) / m0 < 1e-10
@@ -179,7 +186,7 @@ class TestEvolve:
         # mass, momentum, Hamiltonian drift < 1e-8 (rk4, dt=1e-3, M_g=32, FULL)
         g = GridSpec(modes=32)
         u0 = smooth_field(g)
-        p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
+        p = FlowParams(sigma=1, dt=1e-3)
         ref = np.array(invariants(u0))
         got = np.array(invariants(FourierField(g, evolve(u0.coeffs[np.newaxis], g, p, 1.0, stride=1000)[1][-1, 0])))
         assert np.all(np.abs((got - ref) / ref) < 1e-8), (got - ref) / ref
@@ -203,7 +210,7 @@ class TestEvolve:
 
     def test_gauge_covariance(self, grid16):
         u0 = random_field(grid16, seed=5, amp=0.2, decay=0.3)
-        p = FlowParams(sigma=1, cutoff=FULL, dt=1e-3)
+        p = FlowParams(sigma=1, dt=1e-3)
         a = evolve(u0.coeffs[np.newaxis], grid16, p, 0.05)[1][-1, 0]
         theta = 0.713
         b = evolve(u0.coeffs[np.newaxis] * np.exp(1j * theta), grid16, p, 0.05)[1][-1, 0]
@@ -213,18 +220,18 @@ class TestEvolve:
         # cutoff M=1: the nonlinearity sees only pi_1 u, so the n=2 coefficient
         # rotates by e^{-i n^2 t} up to integrator error
         c0 = field_from_modes(grid8, {1: 0.4, -1: 0.2j, 2: 0.3})
-        p = FlowParams(sigma=1, cutoff=1, dt=1e-3)
-        got = evolve(c0[np.newaxis], grid8, p, 0.1)[1][-1, 0, grid8.modes + 2]
+        p = FlowParams(sigma=1, dt=1e-3)
+        got = evolve(c0[np.newaxis], grid8, p, 0.1, cutoffs=[1])[1][-1, 0, grid8.modes + 2]
         assert abs(got - 0.3 * np.exp(-4j * 0.1)) < 1e-10
 
     def test_split_mass_conservation(self, grid8):
         # mass of pi_M u and of (1 - pi_M) u are separately conserved
         u0 = random_field(grid8, seed=6, amp=0.3, decay=0.2)
         M = 3
-        p = FlowParams(sigma=1, cutoff=M, dt=5e-4)
+        p = FlowParams(sigma=1, dt=5e-4)
         low0 = mass(project(u0, M))
         tot0 = mass(u0)
-        u1 = FourierField(grid8, evolve(u0.coeffs[np.newaxis], grid8, p, 0.2)[1][-1, 0])
+        u1 = FourierField(grid8, evolve(u0.coeffs[np.newaxis], grid8, p, 0.2, cutoffs=[M])[1][-1, 0])
         low1 = mass(project(u1, M))
         tot1 = mass(u1)
         assert abs(low1 - low0) / low0 < 1e-9
@@ -236,7 +243,7 @@ class TestEvolve:
         # of the transforms
         g = GridSpec(modes=32)
         c0 = field_from_modes(g, {1: 3.0, -1: 3.0})
-        p = FlowParams(sigma=-1, cutoff=FULL, dt=5e-4, blowup_threshold=1e3)
+        p = FlowParams(sigma=-1, dt=5e-4, blowup_threshold=1e3)
         _, _, live, trip_times = evolve(c0[np.newaxis], g, p, 1.0)
         assert not live[0] and trip_times[0] == pytest.approx(0.0065)
 
@@ -249,13 +256,15 @@ class TestEvolve:
 
 
 class TestEvolveBlock:
-    """evolve's rows and records against a plain step() loop, bit for bit."""
+    """evolve's rows and records against conftest.step_loop, bit for bit: a
+    loop of step() on FULL rows, of oracles.galerkin_step on truncated ones."""
 
     @pytest.mark.parametrize("cutoffs", ["full", "half", "mixed"])
     @pytest.mark.parametrize("sigma", [1, -1])
     @pytest.mark.parametrize("modes", [8, 32, 128], ids=["pad49", "pad196", "pad770"])
     def test_rows_are_single_member_runs(self, modes, sigma, cutoffs):
-        # _march steps in the quintic pad's bin layout, step in storage order:
+        # _march steps in the quintic pad's bin layout, the step loop in
+        # storage order:
         # rows with -0.0 parts, a one-mode row and a zero row, at each cutoff
         # pattern (mixed: FULL, 0, 1, M-1, M), to a partial last step
         grid = GridSpec(modes=modes)
@@ -273,13 +282,13 @@ class TestEvolveBlock:
         _, (_, c), live, trip_times = evolve(block, grid, p, t_end, cutoffs=cutoffs)
         assert live.all() and np.isnan(trip_times).all()
         for i, (row, c0, m) in enumerate(zip(c, block, cutoffs)):
-            ref, blowup_time, _ = step_loop(FourierField(grid, c0), replace(p, cutoff=m), t_end)
+            ref, blowup_time, _ = step_loop(FourierField(grid, c0), p, t_end, cutoff=m)
             assert blowup_time is None
             assert row.tobytes() == ref.coeffs.tobytes(), i
 
     def test_rows_take_their_own_cutoffs(self, grid16):
         # FULL, cutoff = modes (the identity projector) and two finite cutoffs
-        # in one block, each row against a step() loop at its own cutoff
+        # in one block, each row against a step_loop at its own cutoff
         cutoffs = [FULL, grid16.modes, 3, 10]
         u0 = random_field(grid16, seed=7, amp=0.4, decay=0.2)
         p = FlowParams(sigma=1, dt=1e-3)
@@ -288,7 +297,7 @@ class TestEvolveBlock:
         _, (_, c), live, _ = evolve(block, grid16, p, t_end, cutoffs=cutoffs)
         assert live.all()
         for row, m in zip(c, cutoffs):
-            ref, _, _ = step_loop(u0, replace(p, cutoff=m), t_end)
+            ref, _, _ = step_loop(u0, p, t_end, cutoff=m)
             assert row.tobytes() == ref.coeffs.tobytes()
         assert c[0].tobytes() == c[1].tobytes()
         assert c[2].tobytes() != c[3].tobytes()
@@ -321,13 +330,13 @@ class TestEvolveBlock:
         indices = list(range(n))
         indices[per_chunk + 2] = 48
         cutoffs = [[FULL, grid.modes, 3, 10][i % 4] for i in range(n)]
-        cutoffs[per_chunk + 2] = cfg.flow.cutoff
+        cutoffs[per_chunk + 2] = grid.modes
         members = [sample_field(spec, i, grid) for i in indices]
         t_end = 0.0125
         _, (_, c), live, trip_times = evolve(
             np.stack([u.coeffs for u in members]), grid, cfg.flow, t_end, cutoffs=cutoffs
         )
-        refs = [step_loop(u, replace(cfg.flow, cutoff=m), t_end) for u, m in zip(members, cutoffs)]
+        refs = [step_loop(u, cfg.flow, t_end, cutoff=m) for u, m in zip(members, cutoffs)]
         assert refs[per_chunk + 2][1] == pytest.approx(0.002)
         for i, (ref, blowup_time, _) in enumerate(refs):
             assert c[i].tobytes() == ref.coeffs.tobytes(), i
@@ -408,7 +417,7 @@ class TestEvolveBlock:
         t_end, n_steps = 0.35, 7
         members = [mode_field(grid8, {0: 2.1}), mode_field(grid8, {8: 0.25}), mode_field(grid8, {1: 0.1})]
         cutoffs = [FULL, 0, FULL]
-        refs = [step_loop(u, replace(p, cutoff=m), t_end) for u, m in zip(members, cutoffs)]
+        refs = [step_loop(u, p, t_end, cutoff=m) for u, m in zip(members, cutoffs)]
         assert [blowup_time for _, blowup_time, _ in refs] == [(n_steps - 1) * p.dt, None, None]
         with pytest.raises(BlowUpError, match="representable"):
             step(refs[0][0], p)
